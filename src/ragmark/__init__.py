@@ -18,7 +18,7 @@ from .corpus import (
     split_paragraphs,
     split_sentences,
 )
-from .embed import EmbeddingVector, LocalHashEmbedder, RemoteEmbedder, cosine
+from .embed import LocalHashEmbedder, RemoteEmbedder, cosine
 from .errors import RagmarkError
 from .experiment import ExperimentConfig, ReportTable, emit_report, run_baseline, run_sweep, summarize
 from .generate import ExtractiveMockClient, GenerationRequest, RemoteGenerationClient
@@ -45,7 +45,6 @@ __all__ = [
     "ClusterParams",
     "DbscanClusterer",
     "Document",
-    "EmbeddingVector",
     "ExperimentConfig",
     "ExtractiveMockClient",
     "GenerationRequest",

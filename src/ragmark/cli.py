@@ -237,7 +237,6 @@ def _cmd_index(args) -> int:
         cfg["embed.endpoint"],
         batch_size=cfgmod.as_int(cfg, "embed.batch_size"),
         timeout_ms=cfgmod.as_int(cfg, "embed.timeout_ms"),
-        max_inflight=cfgmod.as_int(cfg, "embed.max_inflight"),
     )
     if IndexKind(args.kind) is IndexKind.SENTENCES:
         ds = build_sentence_index(read_sentences_jsonl(args.input), embedder)

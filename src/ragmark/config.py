@@ -34,7 +34,6 @@ _KEYS = [
               "Embedder: local:<dim> or an http(s) URL."),
     ConfigKey("embed.batch_size", "64", "embed", "Max texts per embedding request."),
     ConfigKey("embed.timeout_ms", "10000", "embed", "Embedding request timeout."),
-    ConfigKey("embed.max_inflight", "4", "embed", "Concurrent embedding request cap."),
     ConfigKey("rag.model_max_input", "4096", "retrieve",
               "Model input size; prompt plus reserved answer tokens must fit."),
     ConfigKey("rag.answer_reserve", "256", "retrieve",
@@ -45,7 +44,6 @@ _KEYS = [
               "Generator: mock:extractive or an http(s) URL."),
     ConfigKey("gen.timeout_ms", "30000", "generate", "Generation request timeout."),
     ConfigKey("gen.retries", "1", "generate", "Retries after a transport failure or 5xx."),
-    ConfigKey("gen.max_inflight", "2", "generate", "Concurrent generation request cap."),
     ConfigKey("exp.testset", "", "experiment", "Path to the test set JSONL."),
     ConfigKey("exp.index_sentences", "", "experiment", "Path to the sentence-keyed index."),
     ConfigKey("exp.index_questions", "", "experiment", "Path to the question-keyed index."),

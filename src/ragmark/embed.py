@@ -8,10 +8,7 @@ the vector dimension always comes from the embedder, never from callers.
 
 from __future__ import annotations
 
-import math
 import re
-import threading
-from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -40,28 +37,12 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-@dataclass(frozen=True)
-class EmbeddingVector:
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in self.values):
-            raise ValueError("embedding contains non-finite values")
-
-    @property
-    def dim(self) -> int:
-        return len(self.values)
-
-    def norm(self) -> float:
-        return math.sqrt(math.fsum(v * v for v in self.values))
-
-
-def cosine(x: EmbeddingVector, y: EmbeddingVector) -> float:
+def cosine(x: np.ndarray, y: np.ndarray) -> float:
     """Dot product over the product of norms; symmetric and scale-invariant."""
-    if x.dim != y.dim:
-        raise DimMismatchError(f"dim mismatch: {x.dim} vs {y.dim}")
-    xv = np.asarray(x.values, dtype=np.float64)
-    yv = np.asarray(y.values, dtype=np.float64)
+    xv = np.asarray(x, dtype=np.float64)
+    yv = np.asarray(y, dtype=np.float64)
+    if xv.shape != yv.shape:
+        raise DimMismatchError(f"dim mismatch: {xv.shape} vs {yv.shape}")
     nx = float(np.linalg.norm(xv))
     ny = float(np.linalg.norm(yv))
     if nx == 0.0 or ny == 0.0:
@@ -70,12 +51,16 @@ def cosine(x: EmbeddingVector, y: EmbeddingVector) -> float:
 
 
 class Embedder(Protocol):
-    """Deterministic text-to-vector mapping with a declared dimension."""
+    """Deterministic text-to-vector mapping with a declared dimension.
+
+    ``embed_batch`` returns one finite float64 array of shape
+    ``(len(texts), dim)``, row i embedding texts[i].
+    """
 
     name: str
     dim: int
 
-    def embed_batch(self, texts: Sequence[str]) -> list[EmbeddingVector]: ...
+    def embed_batch(self, texts: Sequence[str]) -> np.ndarray: ...
 
 
 class LocalHashEmbedder:
@@ -95,9 +80,9 @@ class LocalHashEmbedder:
     def bucket(self, word: str) -> int:
         return fnv1a64(word.lower().encode("utf-8")) % self.dim
 
-    def embed_batch(self, texts: Sequence[str]) -> list[EmbeddingVector]:
-        out = []
-        for text in texts:
+    def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
+        out = np.empty((len(texts), self.dim), dtype=np.float64)
+        for i, text in enumerate(texts):
             words = _WORD_RE.findall(text.lower())
             if not words:
                 raise ZeroVectorError(f"no embeddable words in {text!r}")
@@ -105,13 +90,8 @@ class LocalHashEmbedder:
             for w in words:
                 counts[fnv1a64(w.encode("utf-8")) % self.dim] += 1.0
             counts /= np.linalg.norm(counts)
-            out.append(EmbeddingVector(tuple(float(v) for v in counts)))
+            out[i] = counts
         return out
-
-
-def embed_local_test(texts: Sequence[str], dim: int = 64) -> list[EmbeddingVector]:
-    """One-shot helper around LocalHashEmbedder."""
-    return LocalHashEmbedder(dim=dim).embed_batch(list(texts))
 
 
 class RemoteEmbedder:
@@ -120,6 +100,8 @@ class RemoteEmbedder:
     Requests are split at ``batch_size`` and results concatenated in input
     order. The declared dimension is learned from the first response; any
     later drift is an error, since mixed-dimension vectors poison an index.
+    This is where vectors enter the program, so every response is checked
+    here once for count, shape and finiteness.
     """
 
     def __init__(
@@ -127,7 +109,6 @@ class RemoteEmbedder:
         endpoint: str,
         batch_size: int = 64,
         timeout_ms: int = 10000,
-        max_inflight: int = 4,
         session: requests.Session | None = None,
     ):
         if batch_size < 1:
@@ -137,39 +118,41 @@ class RemoteEmbedder:
         self.timeout = timeout_ms / 1000.0
         self.name = f"remote:{self.endpoint}"
         self.dim: int | None = None
-        self._sem = threading.BoundedSemaphore(max_inflight)
         self._session = session or requests.Session()
 
-    def embed_batch(self, texts: Sequence[str]) -> list[EmbeddingVector]:
+    def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
         texts = list(texts)
         for t in texts:
             if not t or not t.strip():
                 raise ZeroVectorError("cannot embed empty text")
-        out: list[EmbeddingVector] = []
-        for start in range(0, len(texts), self.batch_size):
-            out.extend(self._embed_chunk(texts[start: start + self.batch_size]))
-        return out
+        chunks = [
+            self._embed_chunk(texts[start: start + self.batch_size])
+            for start in range(0, len(texts), self.batch_size)
+        ]
+        if not chunks:
+            return np.empty((0, self.dim or 0), dtype=np.float64)
+        return np.concatenate(chunks)
 
-    def _embed_chunk(self, chunk: list[str]) -> list[EmbeddingVector]:
-        with self._sem:
-            try:
-                resp = self._session.post(
-                    self.endpoint + "/embed", json={"texts": chunk}, timeout=self.timeout
-                )
-            except requests.RequestException as exc:
-                raise TransportError(f"embedding request failed: {exc}") from exc
+    def _embed_chunk(self, chunk: list[str]) -> np.ndarray:
+        try:
+            resp = self._session.post(
+                self.endpoint + "/embed", json={"texts": chunk}, timeout=self.timeout
+            )
+        except requests.RequestException as exc:
+            raise TransportError(f"embedding request failed: {exc}") from exc
         if resp.status_code != 200:
             raise TransportError(f"embedding endpoint returned HTTP {resp.status_code}")
         try:
             body = resp.json()
-            vectors = body["vectors"]
+            n_vectors = len(body["vectors"])
             dim = int(body["dim"])
             model = str(body.get("model", "unknown"))
+            vectors = np.array(body["vectors"], dtype=np.float64)
         except (ValueError, KeyError, TypeError) as exc:
             raise BadResponseError(f"malformed embedding response: {exc}") from exc
-        if len(vectors) != len(chunk):
+        if n_vectors != len(chunk):
             raise BadResponseError(
-                f"asked for {len(chunk)} vectors, got {len(vectors)}"
+                f"asked for {len(chunk)} vectors, got {n_vectors}"
             )
         if self.dim is None:
             self.dim = dim
@@ -178,27 +161,11 @@ class RemoteEmbedder:
             raise EmbedderChangedError(
                 f"embedding dimension changed from {self.dim} to {dim} mid-run"
             )
-        out = []
-        for vec in vectors:
-            if len(vec) != self.dim:
-                raise BadResponseError("vector length disagrees with declared dim")
-            out.append(EmbeddingVector(tuple(float(v) for v in vec)))
-        return out
-
-
-def embed_batch_remote(
-    texts: Sequence[str],
-    endpoint: str,
-    *,
-    batch_size: int = 64,
-    timeout_ms: int = 10000,
-    max_inflight: int = 4,
-) -> list[EmbeddingVector]:
-    """One-shot helper around RemoteEmbedder."""
-    client = RemoteEmbedder(
-        endpoint, batch_size=batch_size, timeout_ms=timeout_ms, max_inflight=max_inflight
-    )
-    return client.embed_batch(texts)
+        if vectors.shape != (len(chunk), self.dim):
+            raise BadResponseError("vector length disagrees with declared dim")
+        if not np.isfinite(vectors).all():
+            raise BadResponseError("embedding contains non-finite values")
+        return vectors
 
 
 def make_embedder(
@@ -206,7 +173,6 @@ def make_embedder(
     *,
     batch_size: int = 64,
     timeout_ms: int = 10000,
-    max_inflight: int = 4,
 ) -> Embedder:
     """Build an embedder from a spec string.
 
@@ -217,7 +183,5 @@ def make_embedder(
         _, _, dim = spec.partition(":")
         return LocalHashEmbedder(dim=int(dim) if dim else 64)
     if spec.startswith("http://") or spec.startswith("https://"):
-        return RemoteEmbedder(
-            spec, batch_size=batch_size, timeout_ms=timeout_ms, max_inflight=max_inflight
-        )
+        return RemoteEmbedder(spec, batch_size=batch_size, timeout_ms=timeout_ms)
     raise ValueError(f"unrecognized embedder spec: {spec!r}")

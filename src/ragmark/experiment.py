@@ -40,11 +40,9 @@ class ExperimentConfig:
     embed_endpoint: str = "local:256"
     embed_batch_size: int = 64
     embed_timeout_ms: int = 10000
-    embed_max_inflight: int = 4
     gen_endpoint: str = "mock:extractive"
     gen_timeout_ms: int = 30000
     gen_retries: int = 1
-    gen_max_inflight: int = 2
     budgets: Budgets = field(default_factory=Budgets)
     template: str = DEFAULT_TEMPLATE
     seed: int = 0
@@ -74,11 +72,9 @@ class ExperimentConfig:
             embed_endpoint=cfg["embed.endpoint"],
             embed_batch_size=as_int(cfg, "embed.batch_size"),
             embed_timeout_ms=as_int(cfg, "embed.timeout_ms"),
-            embed_max_inflight=as_int(cfg, "embed.max_inflight"),
             gen_endpoint=cfg["gen.endpoint"],
             gen_timeout_ms=as_int(cfg, "gen.timeout_ms"),
             gen_retries=as_int(cfg, "gen.retries"),
-            gen_max_inflight=as_int(cfg, "gen.max_inflight"),
             budgets=Budgets(
                 model_max_input=as_int(cfg, "rag.model_max_input"),
                 answer_reserve=as_int(cfg, "rag.answer_reserve"),
@@ -94,7 +90,6 @@ class ExperimentConfig:
             self.embed_endpoint,
             batch_size=self.embed_batch_size,
             timeout_ms=self.embed_timeout_ms,
-            max_inflight=self.embed_max_inflight,
         )
 
     def build_gen_client(self) -> GenerationClient:
@@ -102,7 +97,6 @@ class ExperimentConfig:
             self.gen_endpoint,
             timeout_ms=self.gen_timeout_ms,
             retries=self.gen_retries,
-            max_inflight=self.gen_max_inflight,
         )
 
 

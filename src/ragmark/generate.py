@@ -8,7 +8,6 @@ pure function of the request and keeps the whole evaluation loop offline.
 from __future__ import annotations
 
 import logging
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Protocol
@@ -65,7 +64,6 @@ class RemoteGenerationClient:
         endpoint: str,
         timeout_ms: int = 30000,
         retries: int = 1,
-        max_inflight: int = 2,
         session: requests.Session | None = None,
     ):
         if timeout_ms < MIN_TIMEOUT_MS:
@@ -78,7 +76,6 @@ class RemoteGenerationClient:
         self.retries = retries
         self.stats: list[GenerationStat] = []
         self._counter = WhitespacePunctCounter()
-        self._sem = threading.BoundedSemaphore(max_inflight)
         self._session = session or requests.Session()
 
     def generate(self, request: GenerationRequest) -> str:
@@ -100,13 +97,12 @@ class RemoteGenerationClient:
             "stop": request.stop_sequences,
         }
         start = time.monotonic()
-        with self._sem:
-            try:
-                resp = self._session.post(
-                    self.endpoint + "/generate", json=payload, timeout=self.timeout
-                )
-            except requests.RequestException as exc:
-                raise TransportError(f"generation request failed: {exc}") from exc
+        try:
+            resp = self._session.post(
+                self.endpoint + "/generate", json=payload, timeout=self.timeout
+            )
+        except requests.RequestException as exc:
+            raise TransportError(f"generation request failed: {exc}") from exc
         if resp.status_code >= 500:
             raise TransportError(f"generation endpoint returned HTTP {resp.status_code}")
         if resp.status_code != 200:
@@ -125,19 +121,6 @@ class RemoteGenerationClient:
             )
         )
         return text
-
-
-def generate_remote(
-    request: GenerationRequest,
-    endpoint: str,
-    *,
-    timeout_ms: int = 30000,
-    retries: int = 1,
-) -> str:
-    """One-shot helper around RemoteGenerationClient."""
-    return RemoteGenerationClient(endpoint, timeout_ms=timeout_ms, retries=retries).generate(
-        request
-    )
 
 
 def _context_block(prompt: str) -> str:
@@ -174,13 +157,10 @@ def make_generation_client(
     *,
     timeout_ms: int = 30000,
     retries: int = 1,
-    max_inflight: int = 2,
 ) -> GenerationClient:
     """``mock:extractive`` gives the offline mock, an http(s) URL the HTTP client."""
     if spec == "mock:extractive":
         return ExtractiveMockClient()
     if spec.startswith("http://") or spec.startswith("https://"):
-        return RemoteGenerationClient(
-            spec, timeout_ms=timeout_ms, retries=retries, max_inflight=max_inflight
-        )
+        return RemoteGenerationClient(spec, timeout_ms=timeout_ms, retries=retries)
     raise ValueError(f"unrecognized generation endpoint spec: {spec!r}")

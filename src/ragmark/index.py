@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Sentence
-from .embed import Embedder, EmbeddingVector
+from .embed import Embedder
 from .errors import (
     ChecksumError,
     DimMismatchError,
@@ -46,39 +46,41 @@ class IndexKind(str, Enum):
 
 @dataclass
 class IndexEntry:
-    key_vector: EmbeddingVector
     key_text: str
     payload_text: str
     paragraph_ref: tuple[str, int]
 
 
-@dataclass
+@dataclass(eq=False)
 class IndexedDataset:
+    """Entries plus their key vectors: row i of ``keys`` is entry i's key.
+
+    The builders and ``load_index`` keep ``keys`` as float32, the on-disk
+    precision, so save/load is an identity. ``unit_keys`` holds the rows
+    scaled to unit length in float64, the matrix that ``search`` scans.
+    """
+
     kind: IndexKind
     entries: list[IndexEntry]
     embedder_name: str
-    dim: int
-    _matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
+    keys: np.ndarray
+    unit_keys: np.ndarray = field(init=False, repr=False)
 
-    def key_matrix(self) -> np.ndarray:
-        """Row-normalized float64 key matrix, built lazily and cached."""
-        if self._matrix is None:
-            m = np.array([e.key_vector.values for e in self.entries], dtype=np.float64)
-            norms = np.linalg.norm(m, axis=1, keepdims=True)
-            self._matrix = m / norms
-        return self._matrix
+    def __post_init__(self):
+        if self.keys.ndim != 2 or len(self.keys) != len(self.entries):
+            raise DimMismatchError(f"{len(self.entries)} entries, key array {self.keys.shape}")
+        self.unit_keys = self.keys.astype(np.float64)
+        self.unit_keys /= np.linalg.norm(self.unit_keys, axis=1, keepdims=True)
+
+    @property
+    def dim(self) -> int:
+        return self.keys.shape[1]
 
 
 @dataclass(frozen=True)
 class RetrievalHit:
     score: float
     entry_ref: int  # index into IndexedDataset.entries
-
-
-def _float32_vector(vec: EmbeddingVector) -> EmbeddingVector:
-    """Round to the on-disk float32 precision so save/load is an identity."""
-    arr = np.asarray(vec.values, dtype=np.float32)
-    return EmbeddingVector(tuple(float(v) for v in arr))
 
 
 def _build(
@@ -91,26 +93,21 @@ def _build(
     if not key_texts:
         raise EmptyIndexError("nothing to index")
     vectors = embedder.embed_batch(key_texts)
-    entries = []
-    for vec, key_text, payload_text, ref in zip(vectors, key_texts, payload_texts, refs):
-        if vec.norm() == 0.0:
+    norms = np.linalg.norm(vectors, axis=1)
+    entries, kept = [], []
+    for i, (key_text, payload_text, ref) in enumerate(zip(key_texts, payload_texts, refs)):
+        if norms[i] == 0.0:
             log.warning("skipping zero-vector entry %r", key_text[:60])
             continue
-        entries.append(
-            IndexEntry(
-                key_vector=_float32_vector(vec),
-                key_text=key_text,
-                payload_text=payload_text,
-                paragraph_ref=ref,
-            )
-        )
+        entries.append(IndexEntry(key_text=key_text, payload_text=payload_text, paragraph_ref=ref))
+        kept.append(i)
     if not entries:
         raise EmptyIndexError("every candidate entry embedded to a zero vector")
     return IndexedDataset(
         kind=kind,
         entries=entries,
         embedder_name=embedder.name,
-        dim=entries[0].key_vector.dim,
+        keys=vectors.astype(np.float32)[kept],
     )
 
 
@@ -137,7 +134,7 @@ def build_question_index(qa: QADataset, embedder: Embedder) -> IndexedDataset:
     )
 
 
-def search(ds: IndexedDataset, query: EmbeddingVector, threshold: float) -> list[RetrievalHit]:
+def search(ds: IndexedDataset, query: np.ndarray, threshold: float) -> list[RetrievalHit]:
     """Exact scan: every entry with cosine >= threshold, best first.
 
     Ties keep insertion order. Threshold 0.0 is the accept-everything case
@@ -146,13 +143,13 @@ def search(ds: IndexedDataset, query: EmbeddingVector, threshold: float) -> list
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must lie in [0, 1]")
-    if query.dim != ds.dim:
-        raise DimMismatchError(f"query dim {query.dim} != index dim {ds.dim}")
-    q = np.asarray(query.values, dtype=np.float64)
+    q = np.asarray(query, dtype=np.float64)
+    if q.shape != (ds.dim,):
+        raise DimMismatchError(f"query shape {q.shape} != index dim ({ds.dim},)")
     nq = np.linalg.norm(q)
     if nq == 0.0:
         raise ZeroVectorError("query embedded to a zero vector")
-    scores = ds.key_matrix() @ (q / nq)
+    scores = ds.unit_keys @ (q / nq)
     order = np.argsort(-scores, kind="stable")
     hits = []
     for i in order:
@@ -178,14 +175,14 @@ def save_index(ds: IndexedDataset, path: str | Path) -> None:
         "count": len(ds.entries),
     }
     lines.append(json.dumps(header, sort_keys=True))
-    for e in ds.entries:
-        vec_bytes = np.asarray(e.key_vector.values, dtype="<f4").tobytes()
+    keys = ds.keys.astype("<f4")
+    for e, key in zip(ds.entries, keys):
         rec = {
             "key_text": e.key_text,
             "payload_text": e.payload_text,
             "doc_id": e.paragraph_ref[0],
             "ordinal": e.paragraph_ref[1],
-            "vec_b64": base64.b64encode(vec_bytes).decode("ascii"),
+            "vec_b64": base64.b64encode(key.tobytes()).decode("ascii"),
         }
         lines.append(json.dumps(rec, sort_keys=True))
     body = "".join(line + "\n" for line in lines).encode("utf-8")
@@ -228,14 +225,15 @@ def load_index(path: str | Path) -> IndexedDataset:
         )
 
     entries = []
-    for line in entry_lines:
+    keys = np.empty((len(entry_lines), dim), dtype=np.float32)
+    for i, line in enumerate(entry_lines):
         rec = json.loads(line)
         vec = np.frombuffer(base64.b64decode(rec["vec_b64"]), dtype="<f4")
         if len(vec) != dim:
             raise DimMismatchError(f"{path}: entry vector has dim {len(vec)}, header says {dim}")
+        keys[i] = vec
         entries.append(
             IndexEntry(
-                key_vector=EmbeddingVector(tuple(float(v) for v in vec)),
                 key_text=rec["key_text"],
                 payload_text=rec["payload_text"],
                 paragraph_ref=(rec["doc_id"], int(rec["ordinal"])),
@@ -245,5 +243,5 @@ def load_index(path: str | Path) -> IndexedDataset:
         kind=IndexKind(header["kind"]),
         entries=entries,
         embedder_name=str(header["embedder_name"]),
-        dim=dim,
+        keys=keys,
     )

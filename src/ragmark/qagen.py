@@ -295,6 +295,8 @@ def write_qa_jsonl(ds: QADataset, path: str | Path) -> None:
                 "paragraph_ordinal": pair.paragraph_ref[1],
                 "answer_text": pair.answer_text,
             }
+            if pair.synthetic:
+                rec["synthetic"] = True
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
@@ -310,6 +312,7 @@ def read_qa_jsonl(path: str | Path, name: str = "") -> QADataset:
                     question=rec["question"],
                     paragraph_ref=(rec["doc_id"], int(rec["paragraph_ordinal"])),
                     answer_text=rec["answer_text"],
+                    synthetic=rec.get("synthetic", False),
                 )
             )
     return QADataset(pairs=pairs, name=name)

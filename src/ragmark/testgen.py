@@ -18,7 +18,6 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .corpus import TokenCounter, max_token_count
-from .embed import EmbeddingVector
 from .errors import DegenerateCloudError, EmptyTestSetError, NoClustersError
 from .index import IndexedDataset, IndexKind
 from .qagen import QAPair, QuestionGenClient, _usable_questions
@@ -31,6 +30,9 @@ CLUSTER_TOKEN_BUDGET = 256
 # merged into their nearest neighbor by centroid distance.
 DEFAULT_MAX_CLUSTERS = 15
 DEFAULT_MIN_PTS = 6
+
+# Rows of the DBSCAN neighbour matrix computed per step in neighbor_matrix.
+WITHIN_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -96,25 +98,42 @@ class PcaReducer:
 
 
 def reduce_dim(
-    vectors: Sequence[EmbeddingVector],
+    vectors: np.ndarray,
     target_dim: int = 2,
     reducer: Reducer | None = None,
-) -> list[tuple[float, ...]]:
-    """Project embedding vectors to ``target_dim`` coordinates (PCA by default)."""
+) -> np.ndarray:
+    """Project an (n, dim) array of embedding vectors to (n, target_dim) (PCA by default)."""
     if len(vectors) < target_dim + 1:
         raise ValueError(f"need more than {target_dim} vectors to reduce")
     reducer = reducer or PcaReducer()
-    matrix = np.array([v.values for v in vectors], dtype=np.float64)
-    points = reducer.reduce(matrix, target_dim)
-    return [tuple(float(c) for c in row) for row in points]
+    return reducer.reduce(vectors, target_dim)
 
 
 # ---------------------------------------------------------------------------
 # Density clustering
 # ---------------------------------------------------------------------------
 
+def neighbor_matrix(pts: np.ndarray, eps: float) -> np.ndarray:
+    """Boolean n x n matrix: squared distance of points i and j is at most eps**2.
+
+    Built a block of rows at a time, so the float temporaries stay at
+    WITHIN_BLOCK_ROWS x n rather than n x n per coordinate.
+    """
+    n = len(pts)
+    within = np.empty((n, n), dtype=bool)
+    for start in range(0, n, WITHIN_BLOCK_ROWS):
+        block = pts[start: start + WITHIN_BLOCK_ROWS]
+        sq = np.zeros((len(block), n))
+        for axis in range(pts.shape[1]):
+            d = block[:, None, axis] - pts[None, :, axis]
+            d *= d
+            sq += d
+        within[start: start + WITHIN_BLOCK_ROWS] = sq <= eps ** 2
+    return within
+
+
 def cluster_points(
-    points: Sequence[Sequence[float]], params: ClusterParams
+    points: np.ndarray, params: ClusterParams
 ) -> tuple[list[list[int]], list[int]]:
     """DBSCAN over 2D points: (clusters as sorted index lists, outlier indices).
 
@@ -128,8 +147,7 @@ def cluster_points(
     if n < params.min_pts:
         raise ValueError(f"need at least min_pts={params.min_pts} points, got {n}")
 
-    diff = pts[:, None, :] - pts[None, :, :]
-    within = (diff ** 2).sum(axis=2) <= params.eps ** 2
+    within = neighbor_matrix(pts, params.eps)
     neighbor_counts = within.sum(axis=1)  # includes the point itself
     core = neighbor_counts >= params.min_pts
 
@@ -182,7 +200,7 @@ class DbscanClusterer:
     def __init__(self, params: ClusterParams | None = None):
         self.params = params or ClusterParams()
 
-    def cluster(self, points: Sequence[Sequence[float]]) -> tuple[list[list[int]], list[int]]:
+    def cluster(self, points: np.ndarray) -> tuple[list[list[int]], list[int]]:
         return cluster_points(points, self.params)
 
     def describe(self) -> dict:
@@ -197,7 +215,7 @@ class DbscanClusterer:
 class Clusterer(Protocol):
     name: str
 
-    def cluster(self, points: Sequence[Sequence[float]]) -> tuple[list[list[int]], list[int]]: ...
+    def cluster(self, points: np.ndarray) -> tuple[list[list[int]], list[int]]: ...
 
     def describe(self) -> dict: ...
 
@@ -224,7 +242,7 @@ def assemble_test_set(
     """
     if ds.kind is not IndexKind.SENTENCES:
         raise ValueError("test set generation needs a sentence-keyed index")
-    points = reduce_dim([e.key_vector for e in ds.entries], 2, reducer)
+    points = reduce_dim(ds.keys, 2, reducer)
     raw_clusters, outliers = clusterer.cluster(points)
     if outliers:
         log.info("dropping %d outlier sentences", len(outliers))
@@ -289,6 +307,8 @@ def write_test_set_jsonl(ts: TestSet, path: str | Path) -> None:
                 "answer_text": pair.answer_text,
                 "cluster_id": pair.paragraph_ref[1],
             }
+            if pair.synthetic:
+                rec["synthetic"] = True
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
@@ -308,6 +328,7 @@ def read_test_set_jsonl(path: str | Path) -> TestSet:
                     question=rec["question"],
                     paragraph_ref=("cluster", int(rec["cluster_id"])),
                     answer_text=rec["answer_text"],
+                    synthetic=rec.get("synthetic", False),
                 )
             )
     return TestSet(pairs=pairs, params=params)

@@ -1,6 +1,7 @@
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -44,6 +45,33 @@ def http_stub():
     for server in servers:
         server.shutdown()
         server.server_close()
+
+
+class _StubResponse:
+    def __init__(self, status, body):
+        self.status_code = status
+        self._body = body
+
+    def json(self):
+        return self._body
+
+
+class _StubSession:
+    def __init__(self, app):
+        self.app = app
+
+    def post(self, url, json, timeout):
+        return _StubResponse(*self.app(urlsplit(url).path, json))
+
+
+@pytest.fixture
+def stub_session():
+    """Factory for in-process stand-ins of ``requests.Session``.
+
+    Same app contract as ``http_stub``, but the body reaches the client as
+    is, with no JSON encoding and no socket in between.
+    """
+    return _StubSession
 
 
 @pytest.fixture

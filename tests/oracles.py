@@ -2,10 +2,13 @@
 
 Deliberately naive: list scans instead of count dictionaries, subsequence
 enumeration instead of the LCS recurrence, per-pair python cosines instead
-of the matrix scan. Slow is fine; different code paths are the point.
+of the matrix scan, one n x n x 2 array instead of row blocks. Slow is fine;
+different code paths are the point.
 """
 
 import math
+
+import numpy as np
 
 
 def oracle_bleu(cand, ref, max_n=4):
@@ -66,6 +69,13 @@ def oracle_search(key_vectors, query, threshold, eps=1e-9):
     if threshold == 0.0:
         return scored
     return [(s, i) for s, i in scored if s >= threshold - eps]
+
+
+def oracle_within(points, eps):
+    """DBSCAN neighbour matrix in one shot, through the full n x n x 2 difference array."""
+    pts = np.asarray(points, dtype=np.float64)
+    diff = pts[:, None, :] - pts[None, :, :]
+    return (diff ** 2).sum(axis=2) <= eps ** 2
 
 
 def streaming_means(values):

@@ -8,12 +8,13 @@ import multiprocessing
 import random
 import time
 
+import numpy as np
 import pytest
 
 from oracles import oracle_bleu, oracle_rouge, oracle_search, streaming_means
 from topicfix import EMBED_DIM, corpus_pipeline, make_oversize_topic_doc, make_test_pairs, make_topic_corpus
 from ragmark.corpus import WhitespacePunctCounter
-from ragmark.embed import EmbeddingVector, LocalHashEmbedder
+from ragmark.embed import LocalHashEmbedder
 from ragmark.experiment import (
     ExperimentConfig,
     emit_report,
@@ -277,17 +278,16 @@ def test_criterion_3_cs_metric_properties():
 def test_criterion_4_retrieval_semantics():
     rng = random.Random(4321)
     dim = 12
-    entries = []
+    entries, key_values = [], []
     for i in range(200):
-        vec = tuple(rng.gauss(0, 1) for _ in range(dim))
-        entries.append(IndexEntry(EmbeddingVector(vec), f"k{i}", f"p{i}", ("d", i)))
+        key_values.append(tuple(rng.gauss(0, 1) for _ in range(dim)))
+        entries.append(IndexEntry(f"k{i}", f"p{i}", ("d", i)))
     query_values = tuple(rng.gauss(0, 1) for _ in range(dim))
     # plant a perfect directional match (scaled copy of the query)
-    entries.append(
-        IndexEntry(EmbeddingVector(tuple(2.5 * v for v in query_values)), "dup", "dup", ("d", 200))
-    )
-    ds = IndexedDataset(IndexKind.SENTENCES, entries, "rand", dim)
-    query = EmbeddingVector(query_values)
+    key_values.append(tuple(2.5 * v for v in query_values))
+    entries.append(IndexEntry("dup", "dup", ("d", 200)))
+    ds = IndexedDataset(IndexKind.SENTENCES, entries, "rand", np.array(key_values))
+    query = np.array(query_values)
 
     all_hits = search(ds, query, 0.0)
     assert len(all_hits) == len(entries)  # threshold 0 accepts everything
@@ -297,13 +297,12 @@ def test_criterion_4_retrieval_semantics():
     assert all(h.score >= 1.0 - 1e-9 for h in perfect)
 
     sizes = []
-    key_values = [e.key_vector.values for e in entries]
     for t in [i / 10 for i in range(11)]:
         hits = search(ds, query, t)
         scores = [h.score for h in hits]
         assert scores == sorted(scores, reverse=True)
         sizes.append(len(hits))
-        expected = oracle_search(key_values, query.values, t)
+        expected = oracle_search(key_values, query_values, t)
         assert [h.entry_ref for h in hits] == [i for _, i in expected]
         for hit, (score, _) in zip(hits, expected):
             assert hit.score == pytest.approx(score, abs=1e-9)
@@ -312,10 +311,10 @@ def test_criterion_4_retrieval_semantics():
     # stable tie order for identical keys
     tie = IndexedDataset(
         IndexKind.SENTENCES,
-        [IndexEntry(EmbeddingVector((1.0, 0.0)), f"k{i}", f"p{i}", ("d", i)) for i in range(3)],
-        "tie", 2,
+        [IndexEntry(f"k{i}", f"p{i}", ("d", i)) for i in range(3)],
+        "tie", np.array([[1.0, 0.0]] * 3),
     )
-    assert [h.entry_ref for h in search(tie, EmbeddingVector((1.0, 0.0)), 0.5)] == [0, 1, 2]
+    assert [h.entry_ref for h in search(tie, np.array([1.0, 0.0]), 0.5)] == [0, 1, 2]
     _report("criterion 4: threshold edge semantics, ordering, monotonicity, and "
             "200-entry oracle parity hold")
 
@@ -334,17 +333,13 @@ def test_criterion_5_context_budget():
             " ".join(rng.choices(vocab, k=rng.randint(5, 300)))
             for _ in range(rng.randint(1, 8))
         ]
-        entries = []
+        entries, keys = [], []
         for i, payload in enumerate(payloads):
             angle = i * 0.17
-            entries.append(
-                IndexEntry(
-                    EmbeddingVector((math.cos(angle), math.sin(angle))),
-                    f"k{i}", payload, ("d", i),
-                )
-            )
-        ds = IndexedDataset(IndexKind.QUESTIONS, entries, "hand", 2)
-        hits = search(ds, EmbeddingVector((1.0, 0.0)), 0.0)
+            keys.append((math.cos(angle), math.sin(angle)))
+            entries.append(IndexEntry(f"k{i}", payload, ("d", i)))
+        ds = IndexedDataset(IndexKind.QUESTIONS, entries, "hand", np.array(keys))
+        hits = search(ds, np.array([1.0, 0.0]), 0.0)
 
         budget = rng.randint(1, 600)
         packed = pack_context(hits, ds, COUNTER, budget)
@@ -417,7 +412,7 @@ def test_criterion_7_test_set_generation():
     _, sentences = corpus_pipeline(docs)
     embedder = LocalHashEmbedder(dim=EMBED_DIM)
     ds = build_sentence_index(sentences, embedder)
-    points = reduce_dim([e.key_vector for e in ds.entries], 2, PcaReducer())
+    points = reduce_dim(ds.keys, 2, PcaReducer())
     clusters, outliers = cluster_points(points, ClusterParams(eps=0.2, min_pts=6))
     assert outliers == []
     assert sorted(sorted(c) for c in clusters) == [

@@ -1,18 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ragmark.embed import (
-    EmbeddingVector,
-    LocalHashEmbedder,
-    RemoteEmbedder,
-    cosine,
-    embed_batch_remote,
-    embed_local_test,
-    fnv1a64,
-)
+from ragmark.embed import LocalHashEmbedder, RemoteEmbedder, cosine, fnv1a64
 from ragmark.errors import (
     BadResponseError,
     DimMismatchError,
@@ -23,7 +16,7 @@ from ragmark.errors import (
 
 
 def vec(*values):
-    return EmbeddingVector(tuple(float(v) for v in values))
+    return np.array(values, dtype=np.float64)
 
 
 class TestCosine:
@@ -68,13 +61,13 @@ class TestCosine:
 
 class TestLocalHashEmbedder:
     def test_deterministic_identical_texts(self):
-        a, b = embed_local_test(["The same text", "the same  text"], dim=64)
+        a, b = LocalHashEmbedder(64).embed_batch(["The same text", "the same  text"])
         assert cosine(a, b) == pytest.approx(1.0, abs=1e-9)
 
     def test_unit_norms(self):
-        vectors = embed_local_test(["one two three", "four five", "six"], dim=32)
+        vectors = LocalHashEmbedder(32).embed_batch(["one two three", "four five", "six"])
         for v in vectors:
-            assert v.norm() == pytest.approx(1.0, abs=1e-9)
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-9)
 
     def test_disjoint_vocabulary_orthogonal(self):
         emb = LocalHashEmbedder(dim=4096)
@@ -86,16 +79,21 @@ class TestLocalHashEmbedder:
         assert cosine(a, b) == 0.0
 
     def test_partial_overlap_strictly_between(self):
-        a, b = embed_local_test(["a b c", "a b d"], dim=4096)
+        a, b = LocalHashEmbedder(4096).embed_batch(["a b c", "a b d"])
         assert 0.0 < cosine(a, b) < 1.0
 
     def test_empty_text_rejected(self):
         with pytest.raises(ZeroVectorError):
-            embed_local_test(["ok text", "???"], dim=64)
+            LocalHashEmbedder(64).embed_batch(["ok text", "???"])
 
     def test_dim_floor(self):
         with pytest.raises(ValueError):
             LocalHashEmbedder(dim=4)
+
+    def test_batch_is_one_n_by_dim_array(self):
+        out = LocalHashEmbedder(16).embed_batch(["one two", "three", "four five six"])
+        assert out.shape == (3, 16)
+        assert out.dtype == np.float64
 
     def test_fnv1a64_known_values(self):
         # reference values for the 64-bit FNV-1a parameters
@@ -120,18 +118,18 @@ class TestRemoteEmbedder:
         client = RemoteEmbedder(url)
         out = client.embed_batch(["a", "bb", "ccc"])
         assert len(out) == 3
-        assert all(v.dim == 8 for v in out)
+        assert all(len(v) == 8 for v in out)
         assert client.dim == 8
         assert client.name == "stub-embedder"
 
     def test_batching_130_texts_is_3_requests_in_order(self, http_stub):
         calls = []
         url = http_stub(self._app_factory(dim=8, calls=calls))
-        out = embed_batch_remote([f"t{i}" for i in range(130)], url, batch_size=64)
+        out = RemoteEmbedder(url, batch_size=64).embed_batch([f"t{i}" for i in range(130)])
         assert [len(c) for c in calls] == [64, 64, 2]
         assert len(out) == 130
         # order preserved: vector encodes the text length
-        assert [v.values[0] for v in out] == [float(len(f"t{i}")) for i in range(130)]
+        assert [v[0] for v in out] == [float(len(f"t{i}")) for i in range(130)]
 
     def test_wrong_count_is_contract_violation(self, http_stub):
         def app(path, payload):
@@ -139,7 +137,7 @@ class TestRemoteEmbedder:
 
         url = http_stub(app)
         with pytest.raises(BadResponseError):
-            embed_batch_remote(["a", "b"], url)
+            RemoteEmbedder(url).embed_batch(["a", "b"])
 
     def test_dimension_drift_rejected(self, http_stub):
         state = {"dim": 8}
@@ -157,7 +155,7 @@ class TestRemoteEmbedder:
     def test_server_error_is_transport_error(self, http_stub):
         url = http_stub(lambda path, payload: (503, {}))
         with pytest.raises(TransportError):
-            embed_batch_remote(["a"], url)
+            RemoteEmbedder(url).embed_batch(["a"])
 
     def test_empty_text_rejected_before_request(self):
         client = RemoteEmbedder("http://127.0.0.1:1")  # never reached
@@ -165,10 +163,41 @@ class TestRemoteEmbedder:
             client.embed_batch(["fine", "  "])
 
 
-class TestEmbeddingVector:
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            EmbeddingVector((1.0, math.inf))
+class TestRemoteEmbedderBadVectors:
+    """Vectors enter the program here, so bad ones must fail as BadResponseError."""
 
-    def test_dim_property(self):
-        assert vec(1, 2, 3).dim == 3
+    @staticmethod
+    def _client(stub_session, bad, dim=4):
+        def app(path, payload):
+            vectors = [[1.0] * dim for _ in payload["texts"]]
+            vectors[-1] = bad
+            return 200, {"vectors": vectors, "dim": dim, "model": "m"}
+
+        return RemoteEmbedder("http://stub", session=stub_session(app))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [1.0, "x", 1.0, 1.0],
+            [1.0, None, 1.0, 1.0],
+            [1.0, [2.0], 1.0, 1.0],
+            [1.0, 1.0, 1.0],
+            [1.0] * 5,
+        ],
+        ids=["string", "null", "nested", "short", "long"],
+    )
+    def test_malformed_vector_is_bad_response(self, stub_session, bad):
+        with pytest.raises(BadResponseError) as info:
+            self._client(stub_session, bad).embed_batch(["a", "b"])
+        assert info.value.code == "bad_response"
+
+    def test_non_finite_vector_is_bad_response(self, stub_session):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(BadResponseError) as info:
+                self._client(stub_session, [1.0, value, 1.0, 1.0]).embed_batch(["a", "b"])
+            assert info.value.code == "bad_response"
+
+    def test_good_vectors_come_back_as_float64_rows(self, stub_session):
+        out = self._client(stub_session, [0.5, 2, -1, 0.25]).embed_batch(["a", "b"])
+        assert out.dtype == np.float64
+        assert out.tolist() == [[1.0] * 4, [0.5, 2.0, -1.0, 0.25]]

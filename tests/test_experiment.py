@@ -5,7 +5,7 @@ import pytest
 
 from topicfix import EMBED_DIM, corpus_pipeline, make_test_pairs, make_topic_corpus
 from oracles import streaming_means
-from ragmark.embed import LocalHashEmbedder
+from ragmark.embed import LocalHashEmbedder, RemoteEmbedder
 from ragmark.errors import ConfigError, RunAbortedError, TransportError
 from ragmark.experiment import (
     BASELINE_ARM,
@@ -158,6 +158,27 @@ class TestRuns:
         with pytest.raises(RunAbortedError):
             run_baseline(cfg, testset=testset, gen_client=Flaky(fail_every=2),
                          embedder=embedder)
+
+    def test_bad_remote_vector_zeroes_one_row_under_budget(self, stub_session):
+        cfg, testset, ids, _, embedder = desk_fixture()
+        cfg.failure_budget = 0.5
+        bad_question = testset.pairs[0].question
+
+        def app(path, payload):
+            vectors = embedder.embed_batch(payload["texts"]).tolist()
+            for vec, text in zip(vectors, payload["texts"]):
+                if text == bad_question:
+                    vec[0] = float("nan")
+            return 200, {"vectors": vectors, "dim": embedder.dim, "model": embedder.name}
+
+        remote = RemoteEmbedder("http://stub", session=stub_session(app))
+        got = run_sweep(cfg, IndexKind.SENTENCES, testset=testset, index=ids,
+                        gen_client=ExtractiveMockClient(), embedder=remote)
+        good = run_sweep(cfg, IndexKind.SENTENCES, testset=testset, index=ids,
+                         gen_client=ExtractiveMockClient(), embedder=embedder)
+        for t, rows in got.items():
+            assert rows[0] == ScoreRow("q0000", 0.0, 0.0, 0.0, 0.0)
+            assert rows[1:] == good[t][1:]
 
     def test_kind_mismatch_surfaced(self):
         cfg, testset, ids, _, embedder = desk_fixture()

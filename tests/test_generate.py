@@ -9,7 +9,6 @@ from ragmark.generate import (
     GenerationRequest,
     RemoteGenerationClient,
     generate_mock_extractive,
-    generate_remote,
     make_generation_client,
 )
 
@@ -31,7 +30,7 @@ class TestRequestValidation:
 class TestRemoteClient:
     def test_echo_endpoint_returns_prompt(self, http_stub):
         url = http_stub(lambda path, payload: (200, {"text": payload["prompt"]}))
-        assert generate_remote(req("hello there"), url) == "hello there"
+        assert RemoteGenerationClient(url).generate(req("hello there")) == "hello there"
 
     def test_503_then_200_succeeds_with_one_retry(self, http_stub):
         state = {"calls": 0}
@@ -80,7 +79,9 @@ class TestRemoteClient:
             return 200, {"text": "ok"}
 
         url = http_stub(app)
-        generate_remote(req("p", max_new_tokens=9, temperature=0.5, stop_sequences=["###"]), url)
+        RemoteGenerationClient(url).generate(
+            req("p", max_new_tokens=9, temperature=0.5, stop_sequences=["###"])
+        )
         assert seen == {"prompt": "p", "max_new_tokens": 9, "temperature": 0.5, "stop": ["###"]}
 
 

@@ -1,11 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from oracles import oracle_search
 from ragmark.corpus import Sentence
-from ragmark.embed import EmbeddingVector, LocalHashEmbedder
+from ragmark.embed import LocalHashEmbedder
 from ragmark.errors import ChecksumError, DimMismatchError, EmptyIndexError, PersistenceError
 from ragmark.index import (
     IndexedDataset,
@@ -48,14 +49,13 @@ def sentences(n=5):
 
 
 def unit(angle):
-    return EmbeddingVector((math.cos(angle), math.sin(angle)))
+    return np.array([math.cos(angle), math.sin(angle)])
 
 
 def tiny_index(angles, kind=IndexKind.SENTENCES):
-    entries = [
-        IndexEntry(unit(a), f"key{i}", f"payload{i}", ("doc", i)) for i, a in enumerate(angles)
-    ]
-    return IndexedDataset(kind=kind, entries=entries, embedder_name="hand", dim=2)
+    entries = [IndexEntry(f"key{i}", f"payload{i}", ("doc", i)) for i in range(len(angles))]
+    keys = np.array([unit(a) for a in angles])
+    return IndexedDataset(kind=kind, entries=entries, embedder_name="hand", keys=keys)
 
 
 class TestBuild:
@@ -99,7 +99,7 @@ class TestBuild:
         local = LocalHashEmbedder(dim=32)
 
         def app(path, payload):
-            vectors = [list(v.values) for v in local.embed_batch(payload["texts"])]
+            vectors = local.embed_batch(payload["texts"]).tolist()
             return 200, {"vectors": vectors, "dim": 32, "model": local.name}
 
         remote = RemoteEmbedder(http_stub(app))
@@ -112,16 +112,18 @@ class TestBuild:
             h.entry_ref for h in search(via_local, query, 0.3)
         ]
 
+    def test_key_rows_must_match_entries(self):
+        entries = [IndexEntry("k", "p", ("d", 0))]
+        with pytest.raises(DimMismatchError):
+            IndexedDataset(IndexKind.SENTENCES, entries, "hand", np.ones((2, 3)))
+
     def test_zero_vector_entries_skipped(self):
         class SometimesZero:
             name = "stub"
             dim = 2
 
             def embed_batch(self, texts):
-                return [
-                    EmbeddingVector((0.0, 0.0)) if "ghost" in t else EmbeddingVector((1.0, 0.0))
-                    for t in texts
-                ]
+                return np.array([[0.0, 0.0] if "ghost" in t else [1.0, 0.0] for t in texts])
 
         sents = [
             Sentence("d", 0, 0, "normal text here", 3),
@@ -170,7 +172,7 @@ class TestSearch:
     def test_dim_mismatch(self):
         ds = tiny_index([0.0])
         with pytest.raises(DimMismatchError):
-            search(ds, EmbeddingVector((1.0, 0.0, 0.0)), 0.5)
+            search(ds, np.array([1.0, 0.0, 0.0]), 0.5)
 
     def test_threshold_range_validated(self):
         ds = tiny_index([0.0])
@@ -180,15 +182,15 @@ class TestSearch:
     def test_matches_bruteforce_oracle_pair_for_pair(self):
         rng = random.Random(1234)
         dim = 16
-        entries = []
+        entries, key_values = [], []
         for i in range(200):
-            vec = tuple(rng.gauss(0, 1) for _ in range(dim))
-            entries.append(IndexEntry(EmbeddingVector(vec), f"k{i}", f"p{i}", ("d", i)))
-        ds = IndexedDataset(IndexKind.SENTENCES, entries, "rand", dim)
+            key_values.append(tuple(rng.gauss(0, 1) for _ in range(dim)))
+            entries.append(IndexEntry(f"k{i}", f"p{i}", ("d", i)))
+        ds = IndexedDataset(IndexKind.SENTENCES, entries, "rand", np.array(key_values))
         for t in (0.0, 0.12, 0.3, 0.55, 0.9, 1.0):
-            query = EmbeddingVector(tuple(rng.gauss(0, 1) for _ in range(dim)))
-            hits = search(ds, query, t)
-            expected = oracle_search([e.key_vector.values for e in entries], query.values, t)
+            query = tuple(rng.gauss(0, 1) for _ in range(dim))
+            hits = search(ds, np.array(query), t)
+            expected = oracle_search(key_values, query, t)
             assert [h.entry_ref for h in hits] == [i for _, i in expected]
             for hit, (score, _) in zip(hits, expected):
                 assert hit.score == pytest.approx(score, abs=1e-9)
@@ -204,6 +206,8 @@ class TestPersistence:
         assert loaded.embedder_name == ds.embedder_name
         assert loaded.dim == ds.dim
         assert loaded.entries == ds.entries
+        assert loaded.keys.dtype == ds.keys.dtype == np.float32
+        assert np.array_equal(loaded.keys, ds.keys)
 
     def test_truncated_file_fails_checksum(self, tmp_path, embedder):
         ds = build_sentence_index(sentences(3), embedder)
@@ -248,9 +252,7 @@ class TestPersistence:
         with pytest.raises(PersistenceError):
             load_index(path)
 
-    def test_float32_vectors_roundtrip_exactly(self, tmp_path):
-        import numpy as np
-
+    def test_keys_roundtrip_exactly_at_float32(self, tmp_path):
         emb = LocalHashEmbedder(dim=16)
         raw = emb.embed_batch(["some words to embed"])[0]
         sents = [Sentence("d", 0, 0, "some words to embed", 4)]
@@ -259,6 +261,6 @@ class TestPersistence:
         save_index(ds, path)
         loaded = load_index(path)
         # keys live at the on-disk float32 precision, so the trip is exact
-        expected = tuple(float(v) for v in np.asarray(raw.values, dtype=np.float32))
-        assert loaded.entries[0].key_vector.values == expected
-        assert loaded.entries[0].key_vector == ds.entries[0].key_vector
+        expected = tuple(float(v) for v in np.asarray(raw, dtype=np.float32))
+        assert tuple(loaded.keys[0].tolist()) == expected
+        assert np.array_equal(loaded.keys[0], ds.keys[0])

@@ -224,3 +224,17 @@ class TestPersistence:
         assert [(p.question, p.paragraph_ref, p.answer_text) for p in loaded.pairs] == [
             (p.question, p.paragraph_ref, p.answer_text) for p in ds.pairs
         ]
+
+    def test_synthetic_flag_survives_roundtrip(self, tmp_path):
+        ds = QADataset(
+            pairs=[
+                QAPair("What gives?", ("doc", 0), "The answer text."),
+                QAPair(FALLBACK_QUESTION, ("doc", 1), "Another answer.", synthetic=True),
+            ]
+        )
+        path = tmp_path / "qa.jsonl"
+        write_qa_jsonl(ds, path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert "synthetic" not in records[0]
+        assert records[1]["synthetic"] is True
+        assert [p.synthetic for p in read_qa_jsonl(path).pairs] == [False, True]

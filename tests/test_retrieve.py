@@ -1,9 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from ragmark.embed import EmbeddingVector, LocalHashEmbedder
+from ragmark.embed import LocalHashEmbedder
 from ragmark.errors import GenerationError
 from ragmark.generate import ExtractiveMockClient
 from ragmark.index import IndexedDataset, IndexEntry, IndexKind, search
@@ -22,16 +23,16 @@ def words(n, prefix="w"):
 
 def make_index(payloads, kind=IndexKind.QUESTIONS):
     # hand-laid unit vectors at distinct angles: entry i scores cos(i * 0.2) vs angle-0 query
-    entries = []
+    entries, keys = [], []
     for i, payload in enumerate(payloads):
         angle = i * 0.2
-        vec = EmbeddingVector((math.cos(angle), math.sin(angle)))
-        entries.append(IndexEntry(vec, f"key{i}", payload, ("doc", i)))
-    return IndexedDataset(kind=kind, entries=entries, embedder_name="hand", dim=2)
+        keys.append((math.cos(angle), math.sin(angle)))
+        entries.append(IndexEntry(f"key{i}", payload, ("doc", i)))
+    return IndexedDataset(kind=kind, entries=entries, embedder_name="hand", keys=np.array(keys))
 
 
 def hits_for(ds, threshold=0.0):
-    return search(ds, EmbeddingVector((1.0, 0.0)), threshold)
+    return search(ds, np.array([1.0, 0.0]), threshold)
 
 
 class TestRenderPrompt:
@@ -121,11 +122,8 @@ class TestAnswer:
             "What lives near deep sea vents?",
         ]
         vectors = emb.embed_batch(keys)
-        entries = [
-            IndexEntry(v, k, p, ("doc", i))
-            for i, (v, k, p) in enumerate(zip(vectors, keys, payloads))
-        ]
-        return IndexedDataset(IndexKind.QUESTIONS, entries, emb.name, emb.dim), emb
+        entries = [IndexEntry(k, p, ("doc", i)) for i, (k, p) in enumerate(zip(keys, payloads))]
+        return IndexedDataset(IndexKind.QUESTIONS, entries, emb.name, vectors), emb
 
     def test_near_duplicate_question_tops_context(self):
         ds, emb = self._corpus_index()

@@ -1,9 +1,15 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import oracle_within
 from topicfix import EMBED_DIM, corpus_pipeline, make_oversize_topic_doc, make_topic_corpus
 from ragmark.corpus import WhitespacePunctCounter
-from ragmark.embed import EmbeddingVector, LocalHashEmbedder
+from ragmark.embed import LocalHashEmbedder
 from ragmark.errors import DegenerateCloudError, EmptyTestSetError, NoClustersError
 from ragmark.index import build_sentence_index
 from ragmark.qagen import MockQuestionGenClient, build_qa_dataset
@@ -14,6 +20,7 @@ from ragmark.testgen import (
     PcaReducer,
     assemble_test_set,
     cluster_points,
+    neighbor_matrix,
     read_test_set_jsonl,
     reduce_dim,
     write_test_set_jsonl,
@@ -37,7 +44,7 @@ class TestPcaReducer:
                 assert projected == pytest.approx(original, abs=1e-9)
 
     def test_identical_vectors_degenerate(self):
-        vecs = [EmbeddingVector((1.0, 2.0, 3.0))] * 5
+        vecs = np.array([[1.0, 2.0, 3.0]] * 5)
         with pytest.raises(DegenerateCloudError):
             reduce_dim(vecs, 2)
 
@@ -58,10 +65,10 @@ class TestPcaReducer:
 
     def test_too_few_vectors(self):
         with pytest.raises(ValueError):
-            reduce_dim([EmbeddingVector((1.0, 0.0)), EmbeddingVector((0.0, 1.0))], 2)
+            reduce_dim(np.array([[1.0, 0.0], [0.0, 1.0]]), 2)
 
     def test_output_length_matches_input(self):
-        vecs = [EmbeddingVector(tuple(np.random.default_rng(i).normal(size=8))) for i in range(9)]
+        vecs = np.array([np.random.default_rng(i).normal(size=8) for i in range(9)])
         assert len(reduce_dim(vecs, 2)) == 9
 
 
@@ -111,6 +118,50 @@ class TestClusterPoints:
             cluster_points([(0.0, 0.0)], ClusterParams(eps=1.0, min_pts=6))
 
 
+class TestNeighborMatrix:
+    # Integer coordinates with eps 5 or 13 put many pairs exactly at distance
+    # eps (3-4-5 and 5-12-13 triangles), where <= must still hold.
+    @given(
+        st.lists(st.tuples(st.integers(-20, 20), st.integers(-20, 20)), min_size=1, max_size=80),
+        st.sampled_from([0.0, 1.0, 5.0, 13.0]),
+        st.sampled_from([1.0, 0.5, 0.1, 3.7]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_one_shot_oracle_on_exact_eps_distances(self, coords, eps, scale):
+        pts = np.array(coords, dtype=np.float64) * scale
+        assert np.array_equal(neighbor_matrix(pts, eps * scale), oracle_within(pts, eps * scale))
+
+    @given(
+        st.lists(
+            st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), min_size=1, max_size=40
+        ),
+        st.floats(0.0, 50.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_one_shot_oracle_on_arbitrary_floats(self, coords, eps):
+        pts = np.array(coords, dtype=np.float64)
+        assert np.array_equal(neighbor_matrix(pts, eps), oracle_within(pts, eps))
+
+    def test_matches_oracle_across_row_blocks(self):
+        n = 3 * testgen.WITHIN_BLOCK_ROWS + 17
+        pts = np.random.default_rng(5).integers(-30, 30, size=(n, 2)).astype(np.float64)
+        for eps in (5.0, 13.0, 0.3):
+            assert np.array_equal(neighbor_matrix(pts, eps), oracle_within(pts, eps))
+
+    def test_cluster_points_peak_memory_at_3000_points(self):
+        rng = np.random.default_rng(9)
+        centers = rng.uniform(-100, 100, size=(30, 2))
+        pts = (centers[:, None, :] + rng.normal(0, 0.3, size=(30, 100, 2))).reshape(-1, 2)
+        tracemalloc.start()
+        try:
+            clusters, _ = cluster_points(pts, ClusterParams(eps=0.5, min_pts=6, max_clusters=30))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(clusters) == 30
+        assert peak < 40 * 2**20
+
+
 class TestAssembleTestSet:
     def _fixture_index(self, with_oversize=False):
         docs, vocab = make_topic_corpus()
@@ -124,7 +175,7 @@ class TestAssembleTestSet:
 
     def test_three_topic_blobs_recovered_exactly(self):
         ds, _ = self._fixture_index()
-        points = reduce_dim([e.key_vector for e in ds.entries], 2, PcaReducer())
+        points = reduce_dim(ds.keys, 2, PcaReducer())
         clusters, outliers = cluster_points(points, ClusterParams(eps=0.2, min_pts=6))
         assert outliers == []
         assert sorted(sorted(c) for c in clusters) == [
@@ -232,3 +283,20 @@ class TestPersistence:
         assert [(p.question, p.paragraph_ref, p.answer_text) for p in loaded.pairs] == [
             (p.question, p.paragraph_ref, p.answer_text) for p in ts.pairs
         ]
+
+    def test_synthetic_flag_survives_roundtrip(self, tmp_path):
+        from ragmark.qagen import FALLBACK_QUESTION, QAPair
+
+        ts = testgen.TestSet(
+            pairs=[
+                QAPair("Why one?", ("cluster", 0), "Cluster zero text."),
+                QAPair(FALLBACK_QUESTION, ("cluster", 1), "Cluster one text.", synthetic=True),
+            ],
+            params={"reducer": "pca"},
+        )
+        path = tmp_path / "testset.jsonl"
+        write_test_set_jsonl(ts, path)
+        records = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+        assert "synthetic" not in records[0]
+        assert records[1]["synthetic"] is True
+        assert [p.synthetic for p in read_test_set_jsonl(path).pairs] == [False, True]
