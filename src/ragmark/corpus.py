@@ -13,7 +13,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
 from .errors import EmptyDocumentError
 
@@ -50,7 +50,12 @@ _TERMINATORS = ".!?"
 # ---------------------------------------------------------------------------
 
 class TokenCounter(Protocol):
-    """Deterministic token counter; count("") must be 0."""
+    """Deterministic token counter; count("") must be 0.
+
+    Counts must also add over newline joins: count(a + "\n" + b) must equal
+    count(a) + count(b). Context packing relies on this to count each
+    payload once instead of re-counting the joined context.
+    """
 
     name: str
 
@@ -209,14 +214,19 @@ def _cord19_rejection(rec) -> str | None:
 # ---------------------------------------------------------------------------
 
 def split_sentences(text: str) -> list[str]:
-    """Rule-based sentence boundary detection.
+    """Every sentence of ``text``; see ``iter_sentences`` for the rules."""
+    return list(iter_sentences(text))
+
+
+def iter_sentences(text: str) -> Iterator[str]:
+    """Rule-based sentence boundary detection, one sentence at a time.
 
     A sentence ends at '.', '!' or '?' followed by whitespace and an upper
     case letter or digit. A period directly after a known abbreviation does
-    not end a sentence. Joining the result with single spaces recovers the
-    input up to whitespace.
+    not end a sentence. Joining the sentences with single spaces recovers
+    the input up to whitespace. Scanning stops where the caller stops
+    taking sentences.
     """
-    sentences = []
     n = len(text)
     start = 0
     i = 0
@@ -236,13 +246,12 @@ def split_sentences(text: str) -> list[str]:
                 if not (text[i] == "." and i == j and _is_abbreviation(text, i)):
                     piece = text[start: j + 1].strip()
                     if piece:
-                        sentences.append(piece)
+                        yield piece
                     start = m
         i = j + 1
     tail = text[start:].strip()
     if tail:
-        sentences.append(tail)
-    return sentences
+        yield tail
 
 
 def _is_abbreviation(text: str, dot_index: int) -> bool:

@@ -19,10 +19,12 @@ from xml.sax.saxutils import escape
 from .config import as_float, as_float_list, as_int
 from .embed import Embedder, make_embedder
 from .errors import ConfigError, RagmarkError, RunAbortedError
-from .generate import GenerationClient, GenerationRequest, make_generation_client
+from .generate import GenerationClient, make_generation_client
 from .index import IndexedDataset, IndexKind, load_index
 from .metrics import METRIC_NAMES, ScoreRow, score_row
-from .retrieve import DEFAULT_TEMPLATE, Budgets, answer, render_prompt
+from .retrieve import DEFAULT_TEMPLATE, Budgets, generation_request, render_prompt, retrieve_at
+# Not called here; bench/tracer.py wraps ``ragmark.experiment.answer`` by name.
+from .retrieve import answer  # noqa: F401
 from .testgen import TestSet, read_test_set_jsonl
 
 log = logging.getLogger(__name__)
@@ -149,11 +151,8 @@ def run_baseline(
     ids = _question_ids(testset)
     for qid, pair in zip(ids, testset.pairs):
         prompt = render_prompt(pair.question, "", cfg.template)
-        request = GenerationRequest(
-            prompt=prompt, max_new_tokens=cfg.budgets.answer_reserve, temperature=0.0
-        )
         try:
-            generated = gen_client.generate(request)
+            generated = gen_client.generate(generation_request(prompt, cfg.budgets))
             rows.append(score_row(qid, generated, pair.answer_text, embedder))
         except RagmarkError as exc:
             log.warning("%s: %s; zero row", qid, exc)
@@ -172,7 +171,16 @@ def run_sweep(
     gen_client: GenerationClient | None = None,
     embedder: Embedder | None = None,
 ) -> dict[float, list[ScoreRow]]:
-    """Score every test question at every configured threshold for one index kind."""
+    """Score every test question at every configured threshold for one index kind.
+
+    One pass per question: a single embed and search serve every threshold
+    (``retrieve_at``), and each distinct prompt is generated and scored once,
+    since generation at temperature 0 must repeat itself. A failed embed or
+    search zeroes the question at every threshold; a failed generate or score
+    zeroes one cell and is not remembered, so the next threshold with the same
+    prompt tries again. Each zero row counts against its own threshold's
+    failure budget.
+    """
     testset = testset or read_test_set_jsonl(cfg.testset_path)
     if index is None:
         path = {
@@ -189,24 +197,35 @@ def run_sweep(
     gen_client = gen_client or cfg.build_gen_client()
     embedder = embedder or cfg.build_embedder()
 
-    ids = _question_ids(testset)
-    results: dict[float, list[ScoreRow]] = {}
-    for threshold in cfg.thresholds:
-        rows: list[ScoreRow] = []
-        failures = 0
-        for qid, pair in zip(ids, testset.pairs):
-            try:
-                result = answer(
-                    pair.question, index, threshold, embedder, gen_client,
-                    cfg.budgets, template=cfg.template,
-                )
-                rows.append(score_row(qid, result.generated_text, pair.answer_text, embedder))
-            except RagmarkError as exc:
-                log.warning("%s @ %.1f: %s; zero row", qid, threshold, exc)
-                failures += 1
-                _check_failures(failures, len(testset.pairs), cfg.failure_budget)
-                rows.append(ScoreRow(qid, 0.0, 0.0, 0.0, 0.0))
-        results[threshold] = rows
+    results: dict[float, list[ScoreRow]] = {t: [] for t in cfg.thresholds}
+    failures = dict.fromkeys(cfg.thresholds, 0)
+
+    def zero_row(qid: str, threshold: float, exc: RagmarkError) -> None:
+        log.warning("%s @ %.1f: %s; zero row", qid, threshold, exc)
+        failures[threshold] += 1
+        _check_failures(failures[threshold], len(testset.pairs), cfg.failure_budget)
+        results[threshold].append(ScoreRow(qid, 0.0, 0.0, 0.0, 0.0))
+
+    for qid, pair in zip(_question_ids(testset), testset.pairs):
+        try:
+            cells = retrieve_at(pair.question, index, cfg.thresholds, embedder, cfg.budgets,
+                                template=cfg.template)
+        except RagmarkError as exc:
+            for threshold in cfg.thresholds:
+                zero_row(qid, threshold, exc)
+            continue
+        by_prompt: dict[str, ScoreRow] = {}
+        for cell in cells:
+            row = by_prompt.get(cell.prompt)
+            if row is None:
+                try:
+                    generated = gen_client.generate(generation_request(cell.prompt, cfg.budgets))
+                    row = score_row(qid, generated, pair.answer_text, embedder)
+                except RagmarkError as exc:
+                    zero_row(qid, cell.threshold, exc)
+                    continue
+                by_prompt[cell.prompt] = row
+            results[cell.threshold].append(row)
     return results
 
 

@@ -14,7 +14,7 @@ from typing import Protocol
 
 import requests
 
-from .corpus import WhitespacePunctCounter, split_sentences
+from .corpus import WhitespacePunctCounter, iter_sentences
 from .errors import BadResponseError, ConfigError, TransportError
 
 log = logging.getLogger(__name__)
@@ -139,8 +139,7 @@ def generate_mock_extractive(request: GenerationRequest) -> str:
     block = _context_block(request.prompt)
     if not block:
         return NO_ANSWER
-    sentences = split_sentences(block)
-    return sentences[0] if sentences else NO_ANSWER
+    return next(iter_sentences(block), NO_ANSWER)
 
 
 class ExtractiveMockClient:

@@ -9,6 +9,7 @@ human-auditable while vectors travel as packed little-endian float32.
 from __future__ import annotations
 
 import base64
+import bisect
 import json
 import logging
 import zlib
@@ -134,12 +135,30 @@ def build_question_index(qa: QADataset, embedder: Embedder) -> IndexedDataset:
     )
 
 
-def search(ds: IndexedDataset, query: np.ndarray, threshold: float) -> list[RetrievalHit]:
-    """Exact scan: every entry with cosine >= threshold, best first.
+def below_threshold(score: float, threshold: float) -> bool:
+    """The cut rule: whether a hit scoring ``score`` is left out at ``threshold``.
 
-    Ties keep insertion order. Threshold 0.0 is the accept-everything case
-    and returns all entries, negative scores included; threshold 1.0 keeps
-    only perfect directional matches (within float slack).
+    Threshold 0.0 is the accept-everything case, negative scores included;
+    otherwise a score passes when it reaches the threshold within SCORE_EPS.
+    """
+    return threshold > 0.0 and score < threshold - SCORE_EPS
+
+
+def hits_at(hits: list[RetrievalHit], threshold: float) -> list[RetrievalHit]:
+    """The hits of a search at ``threshold``, taken from a search at a lower one.
+
+    ``search`` ranks exactly and sorts stably, so raising the threshold only
+    shortens its result from the end.
+    """
+    cut = bisect.bisect_left(hits, True, key=lambda h: below_threshold(h.score, threshold))
+    return hits[:cut]
+
+
+def search(ds: IndexedDataset, query: np.ndarray, threshold: float) -> list[RetrievalHit]:
+    """Exact scan: every entry not ``below_threshold``, best first.
+
+    Ties keep insertion order. Threshold 0.0 returns all entries; threshold
+    1.0 keeps only perfect directional matches (within float slack).
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must lie in [0, 1]")
@@ -154,7 +173,7 @@ def search(ds: IndexedDataset, query: np.ndarray, threshold: float) -> list[Retr
     hits = []
     for i in order:
         s = float(scores[i])
-        if threshold > 0.0 and s < threshold - SCORE_EPS:
+        if below_threshold(s, threshold):
             break  # scores only fall from here
         hits.append(RetrievalHit(score=s, entry_ref=int(i)))
     return hits
@@ -191,26 +210,26 @@ def save_index(ds: IndexedDataset, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> IndexedDataset:
+    """Inverse of ``save_index``; entries are parsed straight from the file's bytes."""
     raw = Path(path).read_bytes()
-    lines = raw.split(b"\n")
-    if lines and lines[-1] == b"":
-        lines.pop()
-    if len(lines) < 2:
+    end = len(raw) - 1 if raw.endswith(b"\n") else len(raw)
+    body_end = raw.rfind(b"\n", 0, end) + 1  # the trailer starts here
+    if body_end == 0:
         raise ChecksumError(f"{path}: truncated index file")
     try:
-        trailer = json.loads(lines[-1])
+        trailer = json.loads(raw[body_end:end])
         expected_crc = int(trailer["crc32"])
     except (ValueError, KeyError, TypeError) as exc:
         raise ChecksumError(f"{path}: missing or unreadable checksum trailer") from exc
-    body = b"\n".join(lines[:-1]) + b"\n"
-    actual_crc = zlib.crc32(body) & 0xFFFFFFFF
+    actual_crc = zlib.crc32(memoryview(raw)[:body_end]) & 0xFFFFFFFF
     if actual_crc != expected_crc:
         raise ChecksumError(
             f"{path}: checksum mismatch (stored {expected_crc}, computed {actual_crc})"
         )
 
+    pos = raw.index(b"\n") + 1
     try:
-        header = json.loads(lines[0])
+        header = json.loads(raw[:pos])
     except ValueError as exc:
         raise PersistenceError(f"{path}: unreadable header") from exc
     if header.get("format_version") != FORMAT_VERSION:
@@ -218,16 +237,18 @@ def load_index(path: str | Path) -> IndexedDataset:
             f"{path}: unsupported format_version {header.get('format_version')!r}"
         )
     dim = int(header["dim"])
-    entry_lines = lines[1:-1]
-    if len(entry_lines) != int(header["count"]):
+    count = raw.count(b"\n", pos, body_end)
+    if count != int(header["count"]):
         raise PersistenceError(
-            f"{path}: header promises {header['count']} entries, found {len(entry_lines)}"
+            f"{path}: header promises {header['count']} entries, found {count}"
         )
 
     entries = []
-    keys = np.empty((len(entry_lines), dim), dtype=np.float32)
-    for i, line in enumerate(entry_lines):
-        rec = json.loads(line)
+    keys = np.empty((count, dim), dtype=np.float32)
+    for i in range(count):
+        line_end = raw.index(b"\n", pos)
+        rec = json.loads(raw[pos:line_end])
+        pos = line_end + 1
         vec = np.frombuffer(base64.b64decode(rec["vec_b64"]), dtype="<f4")
         if len(vec) != dim:
             raise DimMismatchError(f"{path}: entry vector has dim {len(vec)}, header says {dim}")
@@ -239,6 +260,7 @@ def load_index(path: str | Path) -> IndexedDataset:
                 paragraph_ref=(rec["doc_id"], int(rec["ordinal"])),
             )
         )
+    del raw  # the file's bytes need not outlive the parse
     return IndexedDataset(
         kind=IndexKind(header["kind"]),
         entries=entries,

@@ -2,13 +2,25 @@
 
 Deliberately naive: list scans instead of count dictionaries, subsequence
 enumeration instead of the LCS recurrence, per-pair python cosines instead
-of the matrix scan, one n x n x 2 array instead of row blocks. Slow is fine;
-different code paths are the point.
+of the matrix scan, one n x n x 2 array instead of row blocks, re-counting
+the whole joined context per packed payload, and one search, pack and
+generate per sweep cell. Slow is fine; different code paths are the point.
 """
 
+import logging
 import math
 
 import numpy as np
+
+from ragmark.corpus import WhitespacePunctCounter, token_spans, truncate_to_token_budget
+from ragmark.errors import RagmarkError
+from ragmark.experiment import _check_failures, _question_ids
+from ragmark.generate import GenerationRequest
+from ragmark.index import search
+from ragmark.metrics import ScoreRow, score_row
+from ragmark.retrieve import PackedContext, render_prompt
+
+log = logging.getLogger(__name__)
 
 
 def oracle_bleu(cand, ref, max_n=4):
@@ -84,3 +96,91 @@ def streaming_means(values):
     for i, v in enumerate(values, 1):
         mean += (v - mean) / i
     return mean
+
+
+def oracle_pack_context(hits, ds, counter, budget):
+    """Greedy packing that re-counts the whole joined context for every payload."""
+    if budget < 1:
+        raise ValueError("budget must be at least 1 token")
+    text = ""
+    used = 0
+    included = []
+    truncated = False
+    seen = set()
+    for hit in hits:
+        payload = ds.entries[hit.entry_ref].payload_text
+        if payload in seen:
+            continue
+        candidate = payload if not text else text + "\n" + payload
+        count = counter.count(candidate)
+        if count <= budget:
+            text, used = candidate, count
+            seen.add(payload)
+            included.append(hit)
+            continue
+        prefix = _oracle_truncate_join(text, payload, counter, budget)
+        if prefix:
+            text = prefix if not text else text + "\n" + prefix
+            used = counter.count(text)
+            included.append(hit)
+        truncated = True
+        break
+    return PackedContext(text=text, included=included, truncated=truncated, token_count=used)
+
+
+def _oracle_truncate_join(existing, payload, counter, budget):
+    """Longest token-boundary prefix of payload that keeps the joined text in budget."""
+    if not existing:
+        prefix, _ = truncate_to_token_budget(payload, [counter], budget)
+        return prefix
+    spans = token_spans(payload)
+    lo, hi = 0, len(spans)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if counter.count(existing + "\n" + payload[: spans[mid - 1][1]]) <= budget:
+            lo = mid
+        else:
+            hi = mid - 1
+    k = lo
+    while k > 0 and counter.count(existing + "\n" + payload[: spans[k - 1][1]]) > budget:
+        k -= 1
+    return payload[: spans[k - 1][1]].rstrip() if k else ""
+
+
+def _oracle_answer_text(question, ds, threshold, embedder, gen_client, budgets, template):
+    """One sweep cell from scratch: embed, search at the threshold, pack, generate."""
+    counter = WhitespacePunctCounter()
+    query = embedder.embed_batch([question])[0]
+    hits = search(ds, query, threshold)
+    overhead = counter.count(template.format(context="", question=question))
+    context_budget = budgets.model_max_input - budgets.answer_reserve - overhead
+    context = ""
+    if hits and context_budget >= 1:
+        context = oracle_pack_context(hits, ds, counter, context_budget).text
+    request = GenerationRequest(
+        prompt=render_prompt(question, context, template),
+        max_new_tokens=budgets.answer_reserve,
+        temperature=0.0,
+    )
+    return gen_client.generate(request)
+
+
+def oracle_run_sweep(cfg, testset, index, gen_client, embedder):
+    """The per-threshold sweep loop: every cell embeds, searches, packs and generates."""
+    ids = _question_ids(testset)
+    results = {}
+    for threshold in cfg.thresholds:
+        rows = []
+        failures = 0
+        for qid, pair in zip(ids, testset.pairs):
+            try:
+                generated = _oracle_answer_text(pair.question, index, threshold, embedder,
+                                                gen_client, cfg.budgets, cfg.template)
+                rows.append(score_row(qid, generated, pair.answer_text, embedder))
+            except RagmarkError as exc:
+                log.warning("%s @ %.1f: %s; zero row", qid, threshold, exc)
+                failures += 1
+                _check_failures(failures, len(testset.pairs), cfg.failure_budget)
+                rows.append(ScoreRow(qid, 0.0, 0.0, 0.0, 0.0))
+        results[threshold] = rows
+    return results

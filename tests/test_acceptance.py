@@ -464,6 +464,7 @@ def test_criterion_8_persistence_roundtrips(tmp_path):
     assert loaded.embedder_name == ds.embedder_name
     assert loaded.dim == ds.dim
     assert loaded.entries == ds.entries
+    assert np.array_equal(loaded.keys, ds.keys)
 
     corrupted = bytearray(path.read_bytes())
     corrupted[len(corrupted) // 2] ^= 0x01

@@ -1,14 +1,22 @@
-"""The benchmark's tracer must find every function it wraps.
+"""The benchmark's tracer must find every function it wraps, and see it run.
 
 ``bench/tracer.py`` patches ragmark functions by module and name. A refactor
 that renames or moves one of them makes ``Tracer.install`` raise
-``TraceTargetMissing``; this test turns that into a tier-1 failure.
+``TraceTargetMissing``; these tests turn that into a tier-1 failure, as they
+do a refactor that routes the sweep around the names the tracer wraps.
 """
 
 import importlib.util
 from pathlib import Path
 
 import ragmark.retrieve
+from ragmark.corpus import Sentence
+from ragmark.embed import LocalHashEmbedder
+from ragmark.experiment import ExperimentConfig, run_sweep
+from ragmark.generate import ExtractiveMockClient
+from ragmark.index import IndexKind, build_sentence_index
+from ragmark.qagen import QAPair
+from ragmark import testgen
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -29,3 +37,21 @@ def test_every_trace_target_exists_and_is_restored():
     finally:
         tracer.uninstall()
     assert ragmark.retrieve.search is original
+
+
+def test_sweep_search_and_pack_are_traced():
+    embedder = LocalHashEmbedder(dim=32)
+    texts = ["Alpha beta gamma delta.", "Beta gamma delta epsilon.", "Zeta eta theta iota."]
+    index = build_sentence_index([Sentence("d", 0, i, t, 4) for i, t in enumerate(texts)],
+                                 embedder)
+    testset = testgen.TestSet(pairs=[QAPair("What about alpha beta?", ("d", 0), texts[0])], params={})
+    cfg = ExperimentConfig(testset_path="unused", thresholds=[0.0, 0.5])
+    tracer = _load_tracer().Tracer()
+    try:
+        tracer.install()
+        run_sweep(cfg, IndexKind.SENTENCES, testset=testset, index=index,
+                  gen_client=ExtractiveMockClient(), embedder=embedder)
+    finally:
+        tracer.uninstall()
+    names = {span[0] for span in tracer.spans}
+    assert {"index.search", "retrieve.pack"} <= names

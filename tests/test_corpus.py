@@ -168,6 +168,13 @@ class TestTokenCounter:
         counter = WhitespacePunctCounter()
         assert counter.count(a + " " + b) <= counter.count(a) + counter.count(b) + 1
 
+    @given(st.text(), st.text())
+    @settings(max_examples=300)
+    def test_additive_under_newline_join(self, a, b):
+        # the TokenCounter contract that pack_context's running total relies on
+        counter = WhitespacePunctCounter()
+        assert counter.count(a + "\n" + b) == counter.count(a) + counter.count(b)
+
     def test_tokenize_matches_spans(self):
         text = "One, two... three!"
         assert [text[s:e] for s, e in token_spans(text)] == tokenize(text)

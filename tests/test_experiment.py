@@ -2,9 +2,12 @@ import json
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topicfix import EMBED_DIM, corpus_pipeline, make_test_pairs, make_topic_corpus
-from oracles import streaming_means
+from oracles import oracle_run_sweep, streaming_means
+from ragmark.corpus import Sentence
 from ragmark.embed import LocalHashEmbedder, RemoteEmbedder
 from ragmark.errors import ConfigError, RunAbortedError, TransportError
 from ragmark.experiment import (
@@ -21,7 +24,8 @@ from ragmark.experiment import (
 from ragmark.generate import ExtractiveMockClient
 from ragmark.index import IndexKind, build_question_index, build_sentence_index
 from ragmark.metrics import ScoreRow
-from ragmark.qagen import MockQuestionGenClient, build_qa_dataset
+from ragmark.qagen import MockQuestionGenClient, QAPair, build_qa_dataset
+from ragmark.retrieve import Budgets
 from ragmark import testgen
 
 # Published averages the relative-delta conventions are anchored on.
@@ -60,6 +64,36 @@ class Flaky:
         if self.calls % self.fail_every == 0:
             raise TransportError("down")
         return "I do not know."
+
+
+class FailOn:
+    """The extractive mock, except that any prompt containing a poison word fails."""
+
+    name = "fail-on"
+
+    def __init__(self, poison):
+        self.poison = poison
+        self.prompts = []
+
+    def generate(self, request):
+        self.prompts.append(request.prompt)
+        if any(word in request.prompt for word in self.poison):
+            raise TransportError("poisoned prompt")
+        return ExtractiveMockClient().generate(request)
+
+
+class FailingEmbedder:
+    """A local embedder that fails on batches holding one of the poison texts."""
+
+    def __init__(self, dim, poison):
+        self.inner = LocalHashEmbedder(dim=dim)
+        self.name, self.dim = self.inner.name, dim
+        self.poison = poison
+
+    def embed_batch(self, texts):
+        if any(text in self.poison for text in texts):
+            raise TransportError("poisoned text")
+        return self.inner.embed_batch(texts)
 
 
 def desk_fixture():
@@ -180,6 +214,52 @@ class TestRuns:
             assert rows[0] == ScoreRow("q0000", 0.0, 0.0, 0.0, 0.0)
             assert rows[1:] == good[t][1:]
 
+    def test_one_generation_per_distinct_prompt_of_a_question(self):
+        cfg, testset, ids, _, embedder = desk_fixture()
+        client = FailOn(set())
+        run_sweep(cfg, IndexKind.SENTENCES, testset=testset, index=ids,
+                  gen_client=client, embedder=embedder)
+        questions = [p.question for p in testset.pairs]
+        by_question = [[p for p in client.prompts if q in p] for q in questions]
+        assert sum(map(len, by_question)) == len(client.prompts)
+        assert all(len(prompts) == len(set(prompts)) for prompts in by_question)
+        assert len(client.prompts) < len(questions) * len(cfg.thresholds)
+
+    def test_failed_generation_is_retried_at_the_next_threshold(self):
+        cfg, testset, ids, _, embedder = desk_fixture()
+        cfg.failure_budget = 1.0
+        cfg.thresholds = [0.8, 0.9, 1.0]  # above the fixture's best cosine: one prompt each
+        client = FailOn({"Question:"})
+        got = run_sweep(cfg, IndexKind.SENTENCES, testset=testset, index=ids,
+                        gen_client=client, embedder=embedder)
+        assert len(client.prompts) == len(testset.pairs) * len(cfg.thresholds)
+        assert all(r.cs == 0.0 for rows in got.values() for r in rows)
+
+    def test_failed_embedding_counts_against_every_threshold(self):
+        cfg, testset, ids, _, _ = desk_fixture()
+        testset.pairs = testset.pairs[:2]
+        cfg.thresholds = [0.0, 1.0]
+        cfg.failure_budget = 0.5
+
+        class NoContextFails:
+            name = "no-context-fails"
+
+            def generate(self, request):
+                if not request.prompt.startswith("Context:"):
+                    raise TransportError("down")
+                return "fine"
+
+        # q0 fails to embed, so counts once at each threshold; q1 fails only
+        # at 1.0, where nothing is retrieved: 2 of 2 there, over the budget
+        embedder = FailingEmbedder(EMBED_DIM, {testset.pairs[0].question})
+        with pytest.raises(RunAbortedError, match="2/2 questions failed"):
+            run_sweep(cfg, IndexKind.SENTENCES, testset=testset, index=ids,
+                      gen_client=NoContextFails(), embedder=embedder)
+        cfg.thresholds = [0.0]
+        rows = run_sweep(cfg, IndexKind.SENTENCES, testset=testset, index=ids,
+                         gen_client=NoContextFails(), embedder=embedder)
+        assert rows[0.0][0] == ScoreRow("q0000", 0.0, 0.0, 0.0, 0.0)
+
     def test_kind_mismatch_surfaced(self):
         cfg, testset, ids, _, embedder = desk_fixture()
         with pytest.raises(ConfigError):
@@ -204,6 +284,67 @@ class TestRuns:
                           gen_client=ExtractiveMockClient(), embedder=embedder)
         # the fixture's best query-key cosine sits under 0.8
         assert sweep[0.8] == sweep[0.9] == sweep[1.0]
+
+
+SWEEP_VOCAB = ["amber", "basil", "cedar", "delta", "ember", "fjord", "gamma", "heron"]
+SWEEP_THRESHOLDS = [i / 10 for i in range(11)]
+
+
+def _sentence(words):
+    text = " ".join(words)
+    return text[0].upper() + text[1:] + "."
+
+
+def _aborted_or_rows(run):
+    try:
+        return run()
+    except RunAbortedError as exc:
+        return ("aborted", str(exc))
+
+
+class TestSweepMatchesPerThresholdOracle:
+    @given(
+        sentences=st.lists(
+            st.lists(st.sampled_from(SWEEP_VOCAB), min_size=2, max_size=6),
+            min_size=1, max_size=10,
+        ),
+        questions=st.lists(
+            st.lists(st.sampled_from(SWEEP_VOCAB), min_size=1, max_size=4),
+            min_size=1, max_size=4,
+        ),
+        thresholds=st.lists(st.sampled_from(SWEEP_THRESHOLDS), min_size=1, max_size=6,
+                            unique=True).map(sorted),
+        model_max_input=st.integers(14, 90),
+        failure_budget=st.sampled_from([0.0, 0.2, 0.3, 0.4, 0.5, 1.0]),
+        poison_words=st.sets(st.sampled_from(SWEEP_VOCAB), max_size=2),
+        poison_questions=st.sets(st.integers(0, 3), max_size=2),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_rows_and_same_abort(self, sentences, questions, thresholds, model_max_input,
+                                      failure_budget, poison_words, poison_questions):
+        sents = [Sentence("d", 0, i, _sentence(w), len(w)) for i, w in enumerate(sentences)]
+        pairs = [
+            QAPair(f"What about {' '.join(q)}?", ("d", 0), sents[i % len(sents)].text)
+            for i, q in enumerate(questions)
+        ]
+        testset = testgen.TestSet(pairs=pairs, params={})
+        cfg = ExperimentConfig(
+            testset_path="unused", thresholds=thresholds, failure_budget=failure_budget,
+            budgets=Budgets(model_max_input=model_max_input, answer_reserve=4),
+        )
+        # failing on chosen prompts: those holding a poison word, and every
+        # prompt of a question whose embedding fails
+        embedder = FailingEmbedder(16, {pairs[i].question for i in poison_questions
+                                        if i < len(pairs)})
+        index = build_sentence_index(sents, LocalHashEmbedder(dim=16))
+        got = _aborted_or_rows(lambda: run_sweep(
+            cfg, IndexKind.SENTENCES, testset=testset, index=index,
+            gen_client=FailOn(poison_words), embedder=embedder,
+        ))
+        expected = _aborted_or_rows(lambda: oracle_run_sweep(
+            cfg, testset, index, FailOn(poison_words), embedder,
+        ))
+        assert got == expected
 
 
 class TestExperimentConfig:

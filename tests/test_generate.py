@@ -1,7 +1,10 @@
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ragmark.corpus import split_sentences
 from ragmark.errors import BadResponseError, ConfigError, TransportError
 from ragmark.generate import (
     NO_ANSWER,
@@ -96,6 +99,15 @@ class TestExtractiveMock:
     def test_empty_context_block(self):
         prompt = "Context:\n\n\nQuestion: q?\nAnswer:"
         assert generate_mock_extractive(req(prompt)) == NO_ANSWER
+
+    @given(st.text(alphabet="Ab .!?3\n", max_size=60))
+    @settings(max_examples=200)
+    def test_first_sentence_of_the_whole_split(self, context):
+        # the mock stops at the first boundary; that must equal the full split's head
+        prompt = f"Context:\n{context}\n\nQuestion: q?\nAnswer:"
+        sentences = split_sentences(context.strip())
+        expected = sentences[0] if sentences else NO_ANSWER
+        assert generate_mock_extractive(req(prompt)) == expected
 
     def test_deterministic_across_calls(self):
         client = ExtractiveMockClient()

@@ -1,5 +1,8 @@
+import json
 import math
 import random
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from ragmark.index import (
     IndexKind,
     build_question_index,
     build_sentence_index,
+    hits_at,
     load_index,
     save_index,
     search,
@@ -179,6 +183,16 @@ class TestSearch:
         with pytest.raises(ValueError):
             search(ds, unit(0.0), 1.5)
 
+    def test_hits_at_is_the_search_at_that_threshold(self):
+        rng = random.Random(77)
+        ds = tiny_index([math.acos(0.9), math.acos(0.5), 0.4, math.acos(0.5), 2.0, math.pi])
+        query = unit(0.0)
+        lowest = search(ds, query, 0.0)
+        edges = [0.5 - 2e-9, 0.5 - 5e-10, 0.5, 0.5 + 5e-10, 0.5 + 2e-9]
+        for t in [0.0, 0.9, 1.0] + edges + [rng.random() for _ in range(50)]:
+            assert hits_at(lowest, t) == search(ds, query, t)
+        assert hits_at(search(ds, query, 0.5), 0.9) == search(ds, query, 0.9)
+
     def test_matches_bruteforce_oracle_pair_for_pair(self):
         rng = random.Random(1234)
         dim = 16
@@ -217,6 +231,77 @@ class TestPersistence:
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises((ChecksumError, PersistenceError)):
             load_index(path)
+
+    def test_missing_final_newline_still_loads(self, tmp_path, embedder):
+        ds = build_sentence_index(sentences(3), embedder)
+        path = tmp_path / "idx.jsonl"
+        save_index(ds, path)
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        loaded = load_index(path)
+        assert loaded.entries == ds.entries
+        assert np.array_equal(loaded.keys, ds.keys)
+
+    @pytest.mark.parametrize("keep", ["nothing", "newline", "header", "header_and_half_entry",
+                                      "all_but_trailer"])
+    def test_truncated_anywhere_fails_checksum(self, tmp_path, embedder, keep):
+        ds = build_sentence_index(sentences(3), embedder)
+        path = tmp_path / "idx.jsonl"
+        save_index(ds, path)
+        data = path.read_bytes()
+        header_end = data.index(b"\n") + 1
+        cut = {
+            "nothing": 0,
+            "newline": None,
+            "header": header_end,
+            "header_and_half_entry": header_end + 40,
+            "all_but_trailer": data.rstrip(b"\n").rindex(b"\n") + 1,
+        }[keep]
+        path.write_bytes(b"\n" if cut is None else data[:cut])
+        with pytest.raises(ChecksumError):
+            load_index(path)
+
+    @pytest.mark.parametrize("trailer", [b"not json\n", b'{"crc": 1}\n', b'{"crc32": "x"}\n',
+                                         b'{"crc32": 12345}\n', b"[1]\n", b"\n\n"])
+    def test_corrupt_trailer_fails_checksum(self, tmp_path, embedder, trailer):
+        ds = build_sentence_index(sentences(3), embedder)
+        path = tmp_path / "idx.jsonl"
+        save_index(ds, path)
+        data = path.read_bytes()
+        body_end = data.rstrip(b"\n").rindex(b"\n") + 1
+        path.write_bytes(data[:body_end] + trailer)
+        with pytest.raises(ChecksumError):
+            load_index(path)
+
+    def test_entry_count_must_match_header(self, tmp_path, embedder):
+        ds = build_sentence_index(sentences(3), embedder)
+        path = tmp_path / "idx.jsonl"
+        save_index(ds, path)
+        lines = path.read_bytes().split(b"\n")[:-2]  # header and entries, trailer dropped
+        body = b"".join(line + b"\n" for line in lines[:-1])  # one entry short
+        trailer = json.dumps({"crc32": zlib.crc32(body) & 0xFFFFFFFF}).encode() + b"\n"
+        path.write_bytes(body + trailer)
+        with pytest.raises(PersistenceError, match="promises 3 entries, found 2"):
+            load_index(path)
+
+    def test_load_peak_memory_stays_under_twice_the_index(self, tmp_path):
+        # 10k x 512 keys: a 28 MiB file that loads into about 63 MiB of index
+        n, dim = 10_000, 512
+        rng = np.random.default_rng(5)
+        entries = [IndexEntry(f"key sentence {i} about things", f"payload sentence {i} text",
+                              ("doc", i)) for i in range(n)]
+        ds = IndexedDataset(IndexKind.SENTENCES, entries, "rand",
+                            rng.standard_normal((n, dim)).astype(np.float32))
+        path = tmp_path / "big.jsonl"
+        save_index(ds, path)
+        del ds, entries
+        tracemalloc.start()
+        try:
+            loaded = load_index(path)
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(loaded.entries) == n
+        assert peak < 2 * size
 
     def test_corrupted_byte_fails_checksum(self, tmp_path, embedder):
         ds = build_sentence_index(sentences(3), embedder)

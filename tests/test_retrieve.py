@@ -3,7 +3,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import oracle_pack_context
+from ragmark.corpus import WhitespacePunctCounter
 from ragmark.embed import LocalHashEmbedder
 from ragmark.errors import GenerationError
 from ragmark.generate import ExtractiveMockClient
@@ -103,6 +107,31 @@ class TestPackContext:
             packed = pack_context(hits_for(ds), ds, counter, budget)
             assert packed.token_count <= budget
             assert counter.count(packed.text) == packed.token_count
+
+
+# Payload pieces: words, punctuation-only and token-free texts; drawing from a
+# small pool makes duplicate payloads common.
+PAYLOAD_PIECES = ["", " ", "\t\n", "!!", "...", ". , ;", "alpha", "alpha beta",
+                  "beta, gamma.", "delta epsilon zeta eta", words(9, "x"), words(25, "y")]
+
+
+class TestPackContextMatchesOracle:
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_same_pack_as_full_recount(self, data):
+        counter = WhitespacePunctCounter()
+        payloads = data.draw(st.lists(st.sampled_from(PAYLOAD_PIECES), min_size=1, max_size=12))
+        ds = make_index(payloads)
+        hits = hits_for(ds)
+        # half the budgets land exactly on a payload boundary
+        boundaries = [0]
+        for p in dict.fromkeys(payloads):
+            boundaries.append(boundaries[-1] + counter.count(p))
+        budget = data.draw(st.one_of(
+            st.integers(1, 60),
+            st.sampled_from([b for b in boundaries if b >= 1] or [1]),
+        ))
+        assert pack_context(hits, ds, counter, budget) == oracle_pack_context(hits, ds, counter, budget)
 
 
 class TestAnswer:
