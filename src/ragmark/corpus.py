@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Protocol, Sequence
 
 from .errors import EmptyDocumentError
+from .wire import FlatRecord, read_jsonl, write_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -403,63 +404,21 @@ def load_cord19_jsonl(path: str | Path) -> list[dict]:
     return records
 
 
+_PARAGRAPH = FlatRecord(Paragraph, omit=("source_meta",))
+_SENTENCE = FlatRecord(Sentence)
+
+
 def write_paragraphs_jsonl(paragraphs: Iterable[Paragraph], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for p in paragraphs:
-            rec = {
-                "doc_id": p.doc_id,
-                "ordinal": p.ordinal,
-                "text": p.text,
-                "token_count": p.token_count,
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    write_jsonl(map(_PARAGRAPH.encode, paragraphs), path)
 
 
 def read_paragraphs_jsonl(path: str | Path) -> list[Paragraph]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            out.append(
-                Paragraph(
-                    doc_id=rec["doc_id"],
-                    ordinal=int(rec["ordinal"]),
-                    text=rec["text"],
-                    token_count=int(rec["token_count"]),
-                )
-            )
-    return out
+    return read_jsonl(path, _PARAGRAPH.decode)
 
 
 def write_sentences_jsonl(sentences: Iterable[Sentence], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in sentences:
-            rec = {
-                "doc_id": s.doc_id,
-                "paragraph_ordinal": s.paragraph_ordinal,
-                "ordinal": s.ordinal,
-                "text": s.text,
-                "word_count": s.word_count,
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    write_jsonl(map(_SENTENCE.encode, sentences), path)
 
 
 def read_sentences_jsonl(path: str | Path) -> list[Sentence]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            out.append(
-                Sentence(
-                    doc_id=rec["doc_id"],
-                    paragraph_ordinal=int(rec["paragraph_ordinal"]),
-                    ordinal=int(rec["ordinal"]),
-                    text=rec["text"],
-                    word_count=int(rec["word_count"]),
-                )
-            )
-    return out
+    return read_jsonl(path, _SENTENCE.decode)

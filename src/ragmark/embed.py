@@ -18,14 +18,16 @@ from .errors import (
     BadResponseError,
     DimMismatchError,
     EmbedderChangedError,
-    TransportError,
     ZeroVectorError,
 )
+from .wire import JsonEndpoint
 
 _WORD_RE = re.compile(r"\w+")
 
 FNV64_OFFSET = 0xCBF29CE484222325
 FNV64_PRIME = 0x100000001B3
+
+EMBED_RETRIES = 1  # transport retries per request, as gen.retries' default
 
 
 def fnv1a64(data: bytes) -> int:
@@ -100,6 +102,7 @@ class RemoteEmbedder:
     Requests are split at ``batch_size`` and results concatenated in input
     order. The declared dimension is learned from the first response; any
     later drift is an error, since mixed-dimension vectors poison an index.
+    A transport failure or 5xx is retried ``EMBED_RETRIES`` times.
     This is where vectors enter the program, so every response is checked
     here once for count, shape and finiteness.
     """
@@ -115,10 +118,12 @@ class RemoteEmbedder:
             raise ValueError("batch_size must be positive")
         self.endpoint = endpoint.rstrip("/")
         self.batch_size = batch_size
-        self.timeout = timeout_ms / 1000.0
         self.name = f"remote:{self.endpoint}"
         self.dim: int | None = None
-        self._session = session or requests.Session()
+        self._http = JsonEndpoint(
+            self.endpoint + "/embed", what="embedding", config="embed",
+            timeout_ms=timeout_ms, retries=EMBED_RETRIES, session=session,
+        )
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
         texts = list(texts)
@@ -134,16 +139,8 @@ class RemoteEmbedder:
         return np.concatenate(chunks)
 
     def _embed_chunk(self, chunk: list[str]) -> np.ndarray:
+        body = self._http.post({"texts": chunk})
         try:
-            resp = self._session.post(
-                self.endpoint + "/embed", json={"texts": chunk}, timeout=self.timeout
-            )
-        except requests.RequestException as exc:
-            raise TransportError(f"embedding request failed: {exc}") from exc
-        if resp.status_code != 200:
-            raise TransportError(f"embedding endpoint returned HTTP {resp.status_code}")
-        try:
-            body = resp.json()
             n_vectors = len(body["vectors"])
             dim = int(body["dim"])
             model = str(body.get("model", "unknown"))

@@ -7,19 +7,15 @@ pure function of the request and keeps the whole evaluation loop offline.
 
 from __future__ import annotations
 
-import logging
-import time
 from dataclasses import dataclass, field
 from typing import Protocol
 
 import requests
 
 from .corpus import WhitespacePunctCounter, iter_sentences
-from .errors import BadResponseError, ConfigError, TransportError
+from .errors import BadResponseError
+from .wire import JsonEndpoint
 
-log = logging.getLogger(__name__)
-
-MIN_TIMEOUT_MS = 10  # floor; anything lower is a unit mistake, not a timeout
 NO_ANSWER = "I do not know."
 
 # Markers of the default prompt layout, used by the extractive mock.
@@ -66,56 +62,28 @@ class RemoteGenerationClient:
         retries: int = 1,
         session: requests.Session | None = None,
     ):
-        if timeout_ms < MIN_TIMEOUT_MS:
-            raise ConfigError(f"gen.timeout_ms must be >= {MIN_TIMEOUT_MS}, got {timeout_ms}")
-        if retries < 0:
-            raise ConfigError("gen.retries must be nonnegative")
         self.endpoint = endpoint.rstrip("/")
         self.name = f"remote:{self.endpoint}"
-        self.timeout = timeout_ms / 1000.0
-        self.retries = retries
+        self._http = JsonEndpoint(
+            self.endpoint + "/generate", what="generation", config="gen",
+            timeout_ms=timeout_ms, retries=retries, session=session,
+        )
         self.stats: list[GenerationStat] = []
         self._counter = WhitespacePunctCounter()
-        self._session = session or requests.Session()
 
     def generate(self, request: GenerationRequest) -> str:
-        last: Exception | None = None
-        for _ in range(self.retries + 1):
-            try:
-                return self._once(request)
-            except TransportError as exc:
-                last = exc
-                log.warning("generation attempt failed, retrying: %s", exc)
-        assert last is not None
-        raise last
-
-    def _once(self, request: GenerationRequest) -> str:
-        payload = {
+        body, latency_ms = self._http.post_timed({
             "prompt": request.prompt,
             "max_new_tokens": request.max_new_tokens,
             "temperature": request.temperature,
             "stop": request.stop_sequences,
-        }
-        start = time.monotonic()
-        try:
-            resp = self._session.post(
-                self.endpoint + "/generate", json=payload, timeout=self.timeout
-            )
-        except requests.RequestException as exc:
-            raise TransportError(f"generation request failed: {exc}") from exc
-        if resp.status_code >= 500:
-            raise TransportError(f"generation endpoint returned HTTP {resp.status_code}")
-        if resp.status_code != 200:
-            raise BadResponseError(f"generation endpoint returned HTTP {resp.status_code}")
-        try:
-            text = resp.json()["text"]
-        except (ValueError, KeyError) as exc:
-            raise BadResponseError(f"malformed generation response: {exc}") from exc
+        })
+        text = body.get("text")
         if not isinstance(text, str):
             raise BadResponseError("text field must be a string")
         self.stats.append(
             GenerationStat(
-                latency_ms=(time.monotonic() - start) * 1000.0,
+                latency_ms=latency_ms,
                 prompt_tokens=self._counter.count(request.prompt),
                 output_tokens=self._counter.count(text),
             )

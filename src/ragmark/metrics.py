@@ -4,8 +4,7 @@ Four scores per (generated, reference) pair:
 
 * bleu    - geometric mean of clipped n-gram precisions (n up to 4) with an
             epsilon smoothing floor, times a brevity penalty.
-* rouge   - F1 over the longest common token subsequence (a ROUGE-1 recall
-            helper is provided as an auxiliary diagnostic).
+* rouge   - F1 over the longest common token subsequence.
 * meteor  - one-to-one unigram alignment (exact match, then a suffix-strip
             stem match), harmonic mean weighted toward recall, discounted by
             a fragmentation penalty of 0.5 * (chunks / matches)^3.
@@ -19,7 +18,6 @@ score ignores letter case and trailing whitespace by construction.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -29,6 +27,7 @@ from typing import Iterable, Sequence
 from .corpus import split_sentences, tokenize
 from .embed import Embedder, cosine
 from .errors import EmptyReferenceError
+from .wire import FlatRecord, read_jsonl, write_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -139,17 +138,6 @@ def rouge_tokens(cand: Sequence[str], ref: Sequence[str]) -> float:
 def rouge(candidate: str, reference: str) -> float:
     """Headline ROUGE: F1 over the longest common subsequence of tokens."""
     return rouge_tokens(_tokens(candidate), _tokens(reference))
-
-
-def rouge1_recall(candidate: str, reference: str) -> float:
-    """Auxiliary diagnostic: clipped unigram recall against the reference."""
-    cand, ref = _tokens(candidate), _tokens(reference)
-    if not ref:
-        return 0.0
-    cand_counts = _ngram_counts(cand, 1)
-    ref_counts = _ngram_counts(ref, 1)
-    overlap = sum(min(count, cand_counts.get(gram, 0)) for gram, count in ref_counts.items())
-    return overlap / len(ref)
 
 
 # ---------------------------------------------------------------------------
@@ -272,45 +260,12 @@ def write_score_rows_csv(rows: Iterable[ScoreRow], path: str | Path) -> None:
                              repr(row.bleu), repr(row.cs)])
 
 
-def read_score_rows_csv(path: str | Path) -> list[ScoreRow]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != SCORE_CSV_HEADER:
-            raise ValueError(f"unexpected score CSV header: {header}")
-        return [
-            ScoreRow(qid, float(r), float(m), float(b), float(c))
-            for qid, r, m, b, c in reader
-        ]
+_SCORE_ROW = FlatRecord(ScoreRow)
 
 
 def write_score_rows_jsonl(rows: Iterable[ScoreRow], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            rec = {
-                "question_id": row.question_id,
-                "rouge": row.rouge,
-                "meteor": row.meteor,
-                "bleu": row.bleu,
-                "cs": row.cs,
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    write_jsonl(map(_SCORE_ROW.encode, rows), path)
 
 
 def read_score_rows_jsonl(path: str | Path) -> list[ScoreRow]:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            rows.append(
-                ScoreRow(
-                    question_id=rec["question_id"],
-                    rouge=float(rec["rouge"]),
-                    meteor=float(rec["meteor"]),
-                    bleu=float(rec["bleu"]),
-                    cs=float(rec["cs"]),
-                )
-            )
-    return rows
+    return read_jsonl(path, _SCORE_ROW.decode)

@@ -8,7 +8,6 @@ train, so validation always probes association rather than memorization.
 
 from __future__ import annotations
 
-import json
 import logging
 import random
 import re
@@ -21,7 +20,8 @@ import requests
 
 from .corpus import Paragraph
 from .embed import fnv1a64
-from .errors import BadResponseError, NoEligiblePairsError, RagmarkError, TransportError
+from .errors import BadResponseError, NoEligiblePairsError, RagmarkError
+from .wire import JsonEndpoint, read_jsonl, write_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -213,37 +213,13 @@ class HttpQuestionGenClient:
         session: requests.Session | None = None,
     ):
         self.endpoint = endpoint.rstrip("/")
-        self.timeout = timeout_ms / 1000.0
-        self.retries = retries
-        self._session = session or requests.Session()
+        self._http = JsonEndpoint(
+            self.endpoint + "/generate_questions", what="question generation", config="qg",
+            timeout_ms=timeout_ms, retries=retries, session=session,
+        )
 
     def generate(self, paragraph_text: str, k: int) -> list[str]:
-        last: Exception | None = None
-        for _ in range(self.retries + 1):
-            try:
-                return self._once(paragraph_text, k)
-            except TransportError as exc:
-                last = exc
-        assert last is not None
-        raise last
-
-    def _once(self, paragraph_text: str, k: int) -> list[str]:
-        try:
-            resp = self._session.post(
-                self.endpoint + "/generate_questions",
-                json={"text": paragraph_text, "k": k},
-                timeout=self.timeout,
-            )
-        except requests.RequestException as exc:
-            raise TransportError(f"question generation request failed: {exc}") from exc
-        if resp.status_code >= 500:
-            raise TransportError(f"question generator returned HTTP {resp.status_code}")
-        if resp.status_code != 200:
-            raise BadResponseError(f"question generator returned HTTP {resp.status_code}")
-        try:
-            questions = resp.json()["questions"]
-        except (ValueError, KeyError) as exc:
-            raise BadResponseError(f"malformed question response: {exc}") from exc
+        questions = self._http.post({"text": paragraph_text, "k": k}).get("questions")
         if not isinstance(questions, list) or not all(isinstance(q, str) for q in questions):
             raise BadResponseError("questions field must be a list of strings")
         return questions
@@ -286,33 +262,31 @@ def make_question_client(
 # Persistence
 # ---------------------------------------------------------------------------
 
+def encode_pair(pair: QAPair, **ref) -> dict:
+    """JSONL record of a pair: its texts, the ``ref`` fields, and ``synthetic`` only when set."""
+    rec = {"question": pair.question, "answer_text": pair.answer_text, **ref}
+    if pair.synthetic:
+        rec["synthetic"] = True
+    return rec
+
+
+def decode_pair(rec: dict, paragraph_ref: tuple[str, int]) -> QAPair:
+    return QAPair(question=rec["question"], paragraph_ref=paragraph_ref,
+                  answer_text=rec["answer_text"], synthetic=rec.get("synthetic", False))
+
+
+def _encode_qa(pair: QAPair) -> dict:
+    doc_id, ordinal = pair.paragraph_ref
+    return encode_pair(pair, doc_id=doc_id, paragraph_ordinal=ordinal)
+
+
+def _decode_qa(rec: dict) -> QAPair:
+    return decode_pair(rec, (rec["doc_id"], int(rec["paragraph_ordinal"])))
+
+
 def write_qa_jsonl(ds: QADataset, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for pair in ds.pairs:
-            rec = {
-                "question": pair.question,
-                "doc_id": pair.paragraph_ref[0],
-                "paragraph_ordinal": pair.paragraph_ref[1],
-                "answer_text": pair.answer_text,
-            }
-            if pair.synthetic:
-                rec["synthetic"] = True
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    write_jsonl(map(_encode_qa, ds.pairs), path)
 
 
 def read_qa_jsonl(path: str | Path, name: str = "") -> QADataset:
-    pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            pairs.append(
-                QAPair(
-                    question=rec["question"],
-                    paragraph_ref=(rec["doc_id"], int(rec["paragraph_ordinal"])),
-                    answer_text=rec["answer_text"],
-                    synthetic=rec.get("synthetic", False),
-                )
-            )
-    return QADataset(pairs=pairs, name=name)
+    return QADataset(pairs=read_jsonl(path, _decode_qa), name=name)

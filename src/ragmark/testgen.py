@@ -9,7 +9,6 @@ DBSCAN) are deterministic so a fixed seed reproduces the set byte for byte.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,9 +17,10 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .corpus import TokenCounter, max_token_count
-from .errors import DegenerateCloudError, EmptyTestSetError, NoClustersError
+from .errors import DegenerateCloudError, EmptyTestSetError, NoClustersError, PersistenceError
 from .index import IndexedDataset, IndexKind
-from .qagen import QAPair, QuestionGenClient, _usable_questions
+from .qagen import QAPair, QuestionGenClient, _usable_questions, decode_pair, encode_pair
+from .wire import read_jsonl, write_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -298,37 +298,24 @@ def assemble_test_set(
 # Persistence
 # ---------------------------------------------------------------------------
 
+def _encode_test_pair(pair: QAPair) -> dict:
+    return encode_pair(pair, cluster_id=pair.paragraph_ref[1])
+
+
+def _decode_test_record(rec: dict) -> QAPair | dict:
+    if "params" in rec:
+        return rec["params"]
+    return decode_pair(rec, ("cluster", int(rec["cluster_id"])))
+
+
 def write_test_set_jsonl(ts: TestSet, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"params": ts.params}, sort_keys=True) + "\n")
-        for pair in ts.pairs:
-            rec = {
-                "question": pair.question,
-                "answer_text": pair.answer_text,
-                "cluster_id": pair.paragraph_ref[1],
-            }
-            if pair.synthetic:
-                rec["synthetic"] = True
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    write_jsonl([{"params": ts.params}, *map(_encode_test_pair, ts.pairs)], path)
 
 
 def read_test_set_jsonl(path: str | Path) -> TestSet:
-    pairs = []
-    params: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh):
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            if i == 0 and "params" in rec:
-                params = rec["params"]
-                continue
-            pairs.append(
-                QAPair(
-                    question=rec["question"],
-                    paragraph_ref=("cluster", int(rec["cluster_id"])),
-                    answer_text=rec["answer_text"],
-                    synthetic=rec.get("synthetic", False),
-                )
-            )
-    return TestSet(pairs=pairs, params=params)
+    """The ``params`` header, when it is the first record, and the pairs after it."""
+    records = read_jsonl(path, _decode_test_record)
+    params = records.pop(0) if records and isinstance(records[0], dict) else {}
+    if any(isinstance(rec, dict) for rec in records):
+        raise PersistenceError(f"{path}: the params header must be the first record")
+    return TestSet(pairs=records, params=params)

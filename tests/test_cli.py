@@ -19,6 +19,9 @@ def corpus_dir(tmp_path):
     return src, vocab
 
 
+GOOD_PARAGRAPH = '{"doc_id": "d", "ordinal": 0, "text": "Alpha beta gamma words.", "token_count": 5}'
+
+
 def run(*argv):
     return main(list(argv))
 
@@ -89,6 +92,30 @@ class TestCliBasics:
         assert run("qa-gen", "--paragraphs", str(paragraphs),
                    "--out", str(tmp_path / "qa.jsonl"), "--dry-run") == 0
         assert "mock:42" in capsys.readouterr().out
+
+    def test_negative_qg_retries_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text("qg.endpoint = http://127.0.0.1:1\nqg.retries = -1\n")
+        paragraphs = tmp_path / "p.jsonl"
+        paragraphs.write_text(GOOD_PARAGRAPH + "\n")
+        assert run("--config", str(cfg), "qa-gen", "--paragraphs", str(paragraphs),
+                   "--out", str(tmp_path / "qa.jsonl")) == 1
+        assert "qg.retries" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bad",
+        ['{"doc_id": "d", "ordinal": 1, "token_count": 5}',
+         '{"doc_id": "d", "ordinal": "first", "text": "Words.", "token_count": 5}'],
+        ids=["missing-text", "non-numeric-ordinal"],
+    )
+    def test_bad_jsonl_record_is_io_error_naming_the_line(self, tmp_path, capsys, bad):
+        paragraphs = tmp_path / "p.jsonl"
+        paragraphs.write_text(GOOD_PARAGRAPH + "\n\n" + bad + "\n")
+        assert run("qa-gen", "--paragraphs", str(paragraphs),
+                   "--out", str(tmp_path / "qa.jsonl")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error")
+        assert f"{paragraphs}:3" in err
 
     def test_aborted_sweep_exits_2(self, tmp_path):
         docs, _ = make_topic_corpus()

@@ -157,6 +157,34 @@ class TestRemoteEmbedder:
         with pytest.raises(TransportError):
             RemoteEmbedder(url).embed_batch(["a"])
 
+    @staticmethod
+    def _scripted(stub_session, statuses, calls):
+        def app(path, payload):
+            calls.append(path)
+            status = statuses[len(calls) - 1]
+            body = {"vectors": [[1.0, 0.0] for _ in payload["texts"]], "dim": 2, "model": "m"}
+            return status, body if status == 200 else {}
+
+        return RemoteEmbedder("http://stub", session=stub_session(app))
+
+    def test_503_then_200_succeeds_with_one_retry(self, stub_session):
+        calls = []
+        out = self._scripted(stub_session, [503, 200], calls).embed_batch(["a"])
+        assert out.tolist() == [[1.0, 0.0]]
+        assert len(calls) == 2
+
+    def test_repeated_503_raises_transport_after_one_retry(self, stub_session):
+        calls = []
+        with pytest.raises(TransportError):
+            self._scripted(stub_session, [503, 503, 503], calls).embed_batch(["a"])
+        assert len(calls) == 2
+
+    def test_4xx_is_bad_response_and_not_retried(self, stub_session):
+        calls = []
+        with pytest.raises(BadResponseError):
+            self._scripted(stub_session, [404, 200], calls).embed_batch(["a"])
+        assert len(calls) == 1
+
     def test_empty_text_rejected_before_request(self):
         client = RemoteEmbedder("http://127.0.0.1:1")  # never reached
         with pytest.raises(ZeroVectorError):

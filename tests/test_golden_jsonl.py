@@ -1,0 +1,76 @@
+"""Exact bytes of every JSONL writer.
+
+One sorted-key JSON object per line, ASCII-escaped, newline-terminated.
+Optional fields (``synthetic``) appear only when set, and the test set
+starts with its ``params`` header.
+"""
+
+from ragmark import testgen
+from ragmark.corpus import Paragraph, Sentence, write_paragraphs_jsonl, write_sentences_jsonl
+from ragmark.metrics import ScoreRow, write_score_rows_jsonl
+from ragmark.qagen import QADataset, QAPair, write_qa_jsonl
+
+
+def written(write, obj, tmp_path):
+    path = tmp_path / "out.jsonl"
+    write(obj, path)
+    return path.read_bytes()
+
+
+def test_paragraphs(tmp_path):
+    paras = [
+        Paragraph("d1", 0, 'Alpha "beta" café.', 5, source_meta={"hard_split": "true"}),
+        Paragraph("d1", 1, "Gamma.", 2),
+    ]
+    assert written(write_paragraphs_jsonl, paras, tmp_path) == (
+        b'{"doc_id": "d1", "ordinal": 0, "text": "Alpha \\"beta\\" caf\\u00e9.", "token_count": 5}\n'
+        b'{"doc_id": "d1", "ordinal": 1, "text": "Gamma.", "token_count": 2}\n'
+    )
+
+
+def test_sentences(tmp_path):
+    sentences = [Sentence("d1", 0, 0, "a b\tc", 3), Sentence("d2", 3, 1, "d e", 2)]
+    assert written(write_sentences_jsonl, sentences, tmp_path) == (
+        b'{"doc_id": "d1", "ordinal": 0, "paragraph_ordinal": 0, "text": "a b\\tc", "word_count": 3}\n'
+        b'{"doc_id": "d2", "ordinal": 1, "paragraph_ordinal": 3, "text": "d e", "word_count": 2}\n'
+    )
+
+
+def test_qa_pairs_with_and_without_synthetic(tmp_path):
+    ds = QADataset(pairs=[
+        QAPair("What gives?", ("doc", 0), "The answer."),
+        QAPair("Fallback?", ("doc", 7), "Another.", synthetic=True),
+    ])
+    assert written(write_qa_jsonl, ds, tmp_path) == (
+        b'{"answer_text": "The answer.", "doc_id": "doc", "paragraph_ordinal": 0, '
+        b'"question": "What gives?"}\n'
+        b'{"answer_text": "Another.", "doc_id": "doc", "paragraph_ordinal": 7, '
+        b'"question": "Fallback?", "synthetic": true}\n'
+    )
+
+
+def test_test_set_with_params_header(tmp_path):
+    ts = testgen.TestSet(
+        pairs=[
+            QAPair("Why one?", ("cluster", 0), "Zero text."),
+            QAPair("Why two?", ("cluster", 2), "Two text.", synthetic=True),
+        ],
+        params={"reducer": "pca", "eps": 0.2, "clusters": 3},
+    )
+    assert written(testgen.write_test_set_jsonl, ts, tmp_path) == (
+        b'{"params": {"clusters": 3, "eps": 0.2, "reducer": "pca"}}\n'
+        b'{"answer_text": "Zero text.", "cluster_id": 0, "question": "Why one?"}\n'
+        b'{"answer_text": "Two text.", "cluster_id": 2, "question": "Why two?", "synthetic": true}\n'
+    )
+
+
+def test_score_rows(tmp_path):
+    rows = [
+        ScoreRow("q0001", 0.25, 1 / 3, 0.1234567890123456, -0.5),
+        ScoreRow("q0002", 1.0, 0.0, 1e-9, 0.9999999999),
+    ]
+    assert written(write_score_rows_jsonl, rows, tmp_path) == (
+        b'{"bleu": 0.1234567890123456, "cs": -0.5, "meteor": 0.3333333333333333, '
+        b'"question_id": "q0001", "rouge": 0.25}\n'
+        b'{"bleu": 1e-09, "cs": 0.9999999999, "meteor": 0.0, "question_id": "q0002", "rouge": 1.0}\n'
+    )

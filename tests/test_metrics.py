@@ -1,3 +1,4 @@
+import csv
 import math
 import random
 
@@ -17,10 +18,8 @@ from ragmark.metrics import (
     cs_score,
     lcs_length,
     meteor,
-    read_score_rows_csv,
     read_score_rows_jsonl,
     rouge,
-    rouge1_recall,
     rouge_tokens,
     score_row,
     write_score_rows_csv,
@@ -82,10 +81,6 @@ class TestRouge:
         assert lcs_length(list("abcd"), list("acde")) == 3
         assert lcs_length([], list("ab")) == 0
         assert lcs_length(list("xyx"), list("yxy")) == 2
-
-    def test_rouge1_recall_auxiliary(self):
-        assert rouge1_recall("a b", "a b c d") == pytest.approx(0.5)
-        assert rouge1_recall("a a a", "a b") == pytest.approx(0.5)  # clipped
 
     def test_matches_oracle_spot_checks(self):
         rng = random.Random(6)
@@ -234,9 +229,10 @@ class TestPersistence:
     def test_csv_roundtrip_exact(self, tmp_path):
         path = tmp_path / "rows.csv"
         write_score_rows_csv(self._rows(), path)
-        assert read_score_rows_csv(path) == self._rows()
-        header = path.read_text().splitlines()[0]
-        assert header == "question_id,rouge,meteor,bleu,cs"
+        with open(path, encoding="utf-8", newline="") as fh:
+            header, *body = csv.reader(fh)
+        assert header == ["question_id", "rouge", "meteor", "bleu", "cs"]
+        assert [ScoreRow(q, *map(float, values)) for q, *values in body] == self._rows()
 
     def test_jsonl_roundtrip_exact(self, tmp_path):
         path = tmp_path / "rows.jsonl"

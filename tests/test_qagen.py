@@ -3,7 +3,7 @@ import json
 import pytest
 
 from ragmark.corpus import Paragraph
-from ragmark.errors import NoEligiblePairsError, TransportError
+from ragmark.errors import ConfigError, NoEligiblePairsError, TransportError
 from ragmark.qagen import (
     FALLBACK_QUESTION,
     HttpQuestionGenClient,
@@ -194,6 +194,11 @@ class TestClients:
         client = HttpQuestionGenClient(url, retries=1)
         with pytest.raises(TransportError):
             client.generate("text", 1)
+
+    @pytest.mark.parametrize("kwargs", [{"retries": -1}, {"timeout_ms": 5}])
+    def test_http_client_settings_checked(self, kwargs):
+        with pytest.raises(ConfigError):
+            HttpQuestionGenClient("http://127.0.0.1:1", **kwargs)
 
     def test_mock_client_deterministic(self):
         a = MockQuestionGenClient(seed=5).generate("alpha bravo charlie delta words", 3)

@@ -10,7 +10,7 @@ from oracles import oracle_within
 from topicfix import EMBED_DIM, corpus_pipeline, make_oversize_topic_doc, make_topic_corpus
 from ragmark.corpus import WhitespacePunctCounter
 from ragmark.embed import LocalHashEmbedder
-from ragmark.errors import DegenerateCloudError, EmptyTestSetError, NoClustersError
+from ragmark.errors import DegenerateCloudError, EmptyTestSetError, NoClustersError, PersistenceError
 from ragmark.index import build_sentence_index
 from ragmark.qagen import MockQuestionGenClient, build_qa_dataset
 from ragmark import testgen
@@ -283,6 +283,16 @@ class TestPersistence:
         assert [(p.question, p.paragraph_ref, p.answer_text) for p in loaded.pairs] == [
             (p.question, p.paragraph_ref, p.answer_text) for p in ts.pairs
         ]
+
+    def test_header_optional_but_only_first(self, tmp_path):
+        pair = '{"question": "Why?", "answer_text": "Text.", "cluster_id": 4}\n'
+        path = tmp_path / "testset.jsonl"
+        path.write_text(pair)
+        loaded = read_test_set_jsonl(path)
+        assert loaded.params == {} and [p.paragraph_ref for p in loaded.pairs] == [("cluster", 4)]
+        path.write_text(pair + '{"params": {}}\n')
+        with pytest.raises(PersistenceError, match="first record"):
+            read_test_set_jsonl(path)
 
     def test_synthetic_flag_survives_roundtrip(self, tmp_path):
         from ragmark.qagen import FALLBACK_QUESTION, QAPair
