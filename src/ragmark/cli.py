@@ -176,7 +176,7 @@ def _require_files(*paths: str) -> None:
 
 def _cmd_ingest(args) -> int:
     _require_files(args.input)
-    counters = [WhitespacePunctCounter()]
+    counter = WhitespacePunctCounter()
     if args.format == "cord19":
         rejections: list[tuple[int, str]] = []
         docs = filter_cord19(load_cord19_jsonl(args.input), rejections)
@@ -191,7 +191,7 @@ def _cmd_ingest(args) -> int:
         return 0
     paragraphs = []
     for doc in docs:
-        paragraphs.extend(split_paragraphs(doc, counters, args.budget))
+        paragraphs.extend(split_paragraphs(doc, counter, args.budget))
     sentences = filter_sentences(extract_sentences(paragraphs), args.min_words, args.max_words)
     write_paragraphs_jsonl(paragraphs, args.out_paragraphs)
     write_sentences_jsonl(sentences, args.out_sentences)
@@ -213,8 +213,7 @@ def _cmd_qa_gen(args) -> int:
         timeout_ms=cfgmod.as_int(cfg, "qg.timeout_ms"),
         retries=cfgmod.as_int(cfg, "qg.retries"),
     )
-    ds = build_qa_dataset(paragraphs, client, k=args.questions_per_paragraph,
-                          name=Path(args.out).stem)
+    ds = build_qa_dataset(paragraphs, client, k=args.questions_per_paragraph)
     write_qa_jsonl(ds, args.out)
     n_paragraphs, n_questions = ds.counts
     print(f"built {args.out}: {n_paragraphs} paragraphs, {n_questions} questions")
@@ -264,7 +263,7 @@ def _cmd_testgen(args) -> int:
     )
     params = ClusterParams(eps=args.eps, min_pts=args.min_pts, max_clusters=args.max_clusters)
     ts = assemble_test_set(
-        ds, PcaReducer(), DbscanClusterer(params), [WhitespacePunctCounter()], client,
+        ds, PcaReducer(), DbscanClusterer(params), WhitespacePunctCounter(), client,
         questions_per_cluster=args.questions_per_cluster,
     )
     write_test_set_jsonl(ts, args.out)
@@ -376,17 +375,24 @@ def _cmd_report(args) -> int:
     scores_dir = Path(args.scores_dir)
     manifest_path = scores_dir / "scores_manifest.json"
     _require_files(str(manifest_path))
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        baseline = manifest["baseline"]
+        # rebuild sweep arms in their original run order so reports match byte for byte
+        order = manifest.get("arm_order") or sorted(manifest.get("sweeps", {}))
+        sweep_files = {label: {float(t): fname for t, fname in manifest["sweeps"][label].items()}
+                       for label in order}
+    except KeyError as exc:
+        raise PersistenceError(f"{manifest_path}: manifest has no entry {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise PersistenceError(f"{manifest_path}: bad manifest: {exc}") from exc
     if args.dry_run:
         print(f"dry-run: would rebuild reports from {manifest_path} into {args.output_dir}")
         return 0
-    arms = {BASELINE_ARM: read_score_rows_jsonl(scores_dir / manifest["baseline"])}
-    # rebuild sweep arms in their original run order so reports match byte for byte
-    order = manifest.get("arm_order") or sorted(manifest.get("sweeps", {}))
+    arms = {BASELINE_ARM: read_score_rows_jsonl(scores_dir / baseline)}
     sweeps = {
-        label: {float(t): read_score_rows_jsonl(scores_dir / fname)
-                for t, fname in manifest["sweeps"][label].items()}
-        for label in order
+        label: {t: read_score_rows_jsonl(scores_dir / fname) for t, fname in files.items()}
+        for label, files in sweep_files.items()
     }
     table = summarize(arms, sweeps)
     written = emit_report(table, args.output_dir, svg=args.svg)

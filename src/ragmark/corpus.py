@@ -1,9 +1,9 @@
 """Corpus ingestion and chunking.
 
 Raw documents are split into token-budgeted paragraphs and word-count
-filtered sentences. Token accounting is pluggable: any number of counters
-can be registered and every emitted paragraph must fit the budget under
-all of them, so the guarantee survives a change of downstream tokenizer.
+filtered sentences. Token accounting is pluggable: a run counts with one
+counter, the tokenizer of the model it targets, and every emitted paragraph
+fits the budget under that counter.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol
 
 from .errors import EmptyDocumentError
 from .wire import FlatRecord, read_jsonl, write_jsonl
@@ -86,34 +86,29 @@ def normalize_ws(text: str) -> str:
     return _WS_RE.sub(" ", text).strip()
 
 
-def max_token_count(text: str, counters: Sequence[TokenCounter]) -> int:
-    return max(counter.count(text) for counter in counters)
-
-
 def truncate_to_token_budget(
-    text: str, counters: Sequence[TokenCounter], budget: int
+    text: str, counter: TokenCounter, budget: int
 ) -> tuple[str, str]:
     """Longest prefix of ``text`` ending on a token boundary that fits ``budget``.
 
-    Boundaries are the baseline tokenizer's; the fit check runs against every
-    registered counter. Returns (prefix, remainder); prefix is "" when not
-    even one token fits.
+    Boundaries are the baseline tokenizer's; the fit check runs against
+    ``counter``. Returns (prefix, remainder); prefix is "" when not even one
+    token fits.
     """
     spans = token_spans(text)
     if not spans or budget <= 0:
         return "", text
-    counters = list(counters)
     lo, hi = 0, len(spans)
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if max_token_count(text[: spans[mid - 1][1]], counters) <= budget:
+        if counter.count(text[: spans[mid - 1][1]]) <= budget:
             lo = mid
         else:
             hi = mid - 1
     # Binary search assumes counts grow with the prefix; verify and back off
-    # in case a registered counter is not monotone.
+    # in case the counter is not monotone.
     k = lo
-    while k > 0 and max_token_count(text[: spans[k - 1][1]], counters) > budget:
+    while k > 0 and counter.count(text[: spans[k - 1][1]]) > budget:
         k -= 1
     if k == 0:
         return "", text
@@ -297,10 +292,10 @@ def filter_sentences(
 
 def split_paragraphs(
     doc: Document,
-    counters: Sequence[TokenCounter],
+    counter: TokenCounter,
     budget: int = PARAGRAPH_TOKEN_BUDGET,
 ) -> list[Paragraph]:
-    """Chunk a document body into paragraphs within ``budget`` tokens.
+    """Chunk a document body into paragraphs within ``budget`` tokens of ``counter``.
 
     Blank lines mark the natural boundaries. A natural paragraph over budget
     is re-packed at sentence boundaries; a single sentence over budget is
@@ -309,9 +304,6 @@ def split_paragraphs(
     """
     if budget < 16:
         raise ValueError("budget must be at least 16 tokens")
-    counters = list(counters)
-    if not counters:
-        raise ValueError("at least one token counter is required")
     body = doc.body.strip()
     if not body:
         raise EmptyDocumentError(f"document {doc.id!r} has an empty body")
@@ -321,26 +313,24 @@ def split_paragraphs(
         text = normalize_ws(natural)
         if not text:
             continue
-        if max_token_count(text, counters) <= budget:
+        if counter.count(text) <= budget:
             chunks.append((text, False))
         else:
-            chunks.extend(_split_oversize(text, counters, budget))
+            chunks.extend(_split_oversize(text, counter, budget))
 
     return [
         Paragraph(
             doc_id=doc.id,
             ordinal=i,
             text=text,
-            token_count=max_token_count(text, counters),
+            token_count=counter.count(text),
             source_meta={"hard_split": "true"} if hard else {},
         )
         for i, (text, hard) in enumerate(chunks)
     ]
 
 
-def _split_oversize(
-    text: str, counters: Sequence[TokenCounter], budget: int
-) -> list[tuple[str, bool]]:
+def _split_oversize(text: str, counter: TokenCounter, budget: int) -> list[tuple[str, bool]]:
     chunks: list[tuple[str, bool]] = []
     current: list[str] = []
 
@@ -350,22 +340,22 @@ def _split_oversize(
             current.clear()
 
     for sentence in split_sentences(text):
-        if max_token_count(sentence, counters) > budget:
+        if counter.count(sentence) > budget:
             flush()
-            chunks.extend((piece, True) for piece in _hard_split(sentence, counters, budget))
+            chunks.extend((piece, True) for piece in _hard_split(sentence, counter, budget))
             continue
-        if current and max_token_count(" ".join(current + [sentence]), counters) > budget:
+        if current and counter.count(" ".join(current + [sentence])) > budget:
             flush()
         current.append(sentence)
     flush()
     return chunks
 
 
-def _hard_split(text: str, counters: Sequence[TokenCounter], budget: int) -> list[str]:
+def _hard_split(text: str, counter: TokenCounter, budget: int) -> list[str]:
     pieces = []
     rest = text
     while rest:
-        prefix, remainder = truncate_to_token_budget(rest, counters, budget)
+        prefix, remainder = truncate_to_token_budget(rest, counter, budget)
         if not prefix:
             # Guarantee progress even if one token alone exceeds the budget.
             spans = token_spans(rest)

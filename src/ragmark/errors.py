@@ -61,7 +61,6 @@ class TransportError(RagmarkError):
     """Network-level failure talking to a remote service; safe to retry."""
 
     code = "transport"
-    retryable = True
 
 
 class BadResponseError(RagmarkError):

@@ -25,7 +25,7 @@ from .metrics import METRIC_NAMES, ScoreRow, score_row
 from .retrieve import DEFAULT_TEMPLATE, Budgets, generation_request, render_prompt, retrieve_at
 # Not called here; bench/tracer.py wraps ``ragmark.experiment.answer`` by name.
 from .retrieve import answer  # noqa: F401
-from .testgen import TestSet, read_test_set_jsonl
+from .testgen import TestSet
 
 log = logging.getLogger(__name__)
 
@@ -138,14 +138,11 @@ def _check_failures(failures: int, total: int, budget: float) -> None:
 def run_baseline(
     cfg: ExperimentConfig,
     *,
-    testset: TestSet | None = None,
-    gen_client: GenerationClient | None = None,
-    embedder: Embedder | None = None,
+    testset: TestSet,
+    gen_client: GenerationClient,
+    embedder: Embedder,
 ) -> list[ScoreRow]:
     """Score every test question with a context-free prompt."""
-    testset = testset or read_test_set_jsonl(cfg.testset_path)
-    gen_client = gen_client or cfg.build_gen_client()
-    embedder = embedder or cfg.build_embedder()
     rows: list[ScoreRow] = []
     failures = 0
     ids = _question_ids(testset)
@@ -166,10 +163,10 @@ def run_sweep(
     cfg: ExperimentConfig,
     ds_kind: IndexKind,
     *,
-    testset: TestSet | None = None,
+    testset: TestSet,
     index: IndexedDataset | None = None,
-    gen_client: GenerationClient | None = None,
-    embedder: Embedder | None = None,
+    gen_client: GenerationClient,
+    embedder: Embedder,
 ) -> dict[float, list[ScoreRow]]:
     """Score every test question at every configured threshold for one index kind.
 
@@ -179,9 +176,9 @@ def run_sweep(
     search zeroes the question at every threshold; a failed generate or score
     zeroes one cell and is not remembered, so the next threshold with the same
     prompt tries again. Each zero row counts against its own threshold's
-    failure budget.
+    failure budget. Without ``index``, the configured index of ``ds_kind`` is
+    loaded.
     """
-    testset = testset or read_test_set_jsonl(cfg.testset_path)
     if index is None:
         path = {
             IndexKind.SENTENCES: cfg.index_sentences_path,
@@ -194,9 +191,6 @@ def run_sweep(
         raise ConfigError(
             f"index is {index.kind.value}-keyed but the sweep asked for {ds_kind.value}"
         )
-    gen_client = gen_client or cfg.build_gen_client()
-    embedder = embedder or cfg.build_embedder()
-
     results: dict[float, list[ScoreRow]] = {t: [] for t in cfg.thresholds}
     failures = dict.fromkeys(cfg.thresholds, 0)
 

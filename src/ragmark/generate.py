@@ -12,7 +12,7 @@ from typing import Protocol
 
 import requests
 
-from .corpus import WhitespacePunctCounter, iter_sentences
+from .corpus import iter_sentences
 from .errors import BadResponseError
 from .wire import JsonEndpoint
 
@@ -45,13 +45,6 @@ class GenerationClient(Protocol):
     def generate(self, request: GenerationRequest) -> str: ...
 
 
-@dataclass
-class GenerationStat:
-    latency_ms: float
-    prompt_tokens: int
-    output_tokens: int
-
-
 class RemoteGenerationClient:
     """Client for a generation endpoint (POST /generate) with retry on 5xx/transport."""
 
@@ -68,11 +61,9 @@ class RemoteGenerationClient:
             self.endpoint + "/generate", what="generation", config="gen",
             timeout_ms=timeout_ms, retries=retries, session=session,
         )
-        self.stats: list[GenerationStat] = []
-        self._counter = WhitespacePunctCounter()
 
     def generate(self, request: GenerationRequest) -> str:
-        body, latency_ms = self._http.post_timed({
+        body = self._http.post({
             "prompt": request.prompt,
             "max_new_tokens": request.max_new_tokens,
             "temperature": request.temperature,
@@ -81,13 +72,6 @@ class RemoteGenerationClient:
         text = body.get("text")
         if not isinstance(text, str):
             raise BadResponseError("text field must be a string")
-        self.stats.append(
-            GenerationStat(
-                latency_ms=latency_ms,
-                prompt_tokens=self._counter.count(request.prompt),
-                output_tokens=self._counter.count(text),
-            )
-        )
         return text
 
 

@@ -39,6 +39,10 @@ FORMAT_VERSION = 1
 # query must pass threshold 1.0 even when its cosine lands at 1 - 1e-16.
 SCORE_EPS = 1e-9
 
+# Rows normalised at a time when building unit_keys; bounds the float64
+# temporary of the norm at this many rows instead of the whole index.
+NORM_BLOCK_ROWS = 1024
+
 
 class IndexKind(str, Enum):
     SENTENCES = "sentences"  # key = sentence, payload = the sentence itself
@@ -71,7 +75,9 @@ class IndexedDataset:
         if self.keys.ndim != 2 or len(self.keys) != len(self.entries):
             raise DimMismatchError(f"{len(self.entries)} entries, key array {self.keys.shape}")
         self.unit_keys = self.keys.astype(np.float64)
-        self.unit_keys /= np.linalg.norm(self.unit_keys, axis=1, keepdims=True)
+        for start in range(0, len(self.unit_keys), NORM_BLOCK_ROWS):
+            block = self.unit_keys[start: start + NORM_BLOCK_ROWS]
+            block /= np.linalg.norm(block, axis=1, keepdims=True)
 
     @property
     def dim(self) -> int:

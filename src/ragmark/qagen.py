@@ -26,6 +26,7 @@ from .wire import JsonEndpoint, read_jsonl, write_jsonl
 log = logging.getLogger(__name__)
 
 MAX_QUESTIONS_PER_PARAGRAPH = 5
+QUESTION_GEN_WORKERS = 4  # paragraphs sent to the question generator at once
 FALLBACK_QUESTION = "What does the following passage describe?"
 
 _WS_RE = re.compile(r"\s+")
@@ -43,7 +44,6 @@ class QAPair:
 @dataclass
 class QADataset:
     pairs: list[QAPair]
-    name: str = ""
 
     @property
     def counts(self) -> tuple[int, int]:
@@ -102,8 +102,6 @@ def build_qa_dataset(
     paragraphs: Sequence[Paragraph],
     client: QuestionGenClient,
     k: int = MAX_QUESTIONS_PER_PARAGRAPH,
-    name: str = "",
-    concurrency: int = 4,
 ) -> QADataset:
     """Generate questions for every paragraph; the paragraph text is the answer.
 
@@ -119,7 +117,7 @@ def build_qa_dataset(
         return _usable_questions(paragraph.text, client, k)
 
     results: dict[int, tuple[list[str], bool]] = {}
-    with ThreadPoolExecutor(max_workers=max(1, concurrency)) as pool:
+    with ThreadPoolExecutor(max_workers=QUESTION_GEN_WORKERS) as pool:
         futures = {i: pool.submit(task, p) for i, p in enumerate(paragraphs)}
         for i, fut in futures.items():
             try:
@@ -146,7 +144,7 @@ def build_qa_dataset(
                     synthetic=synthetic,
                 )
             )
-    return QADataset(pairs=pairs, name=name)
+    return QADataset(pairs=pairs)
 
 
 def split_train_validation(
@@ -191,11 +189,7 @@ def split_train_validation(
 
     train = [p for i, p in enumerate(ds.pairs) if i not in chosen]
     validation = [p for i, p in enumerate(ds.pairs) if i in chosen]
-    prefix = ds.name or "qa"
-    return (
-        QADataset(pairs=train, name=f"{prefix}-train"),
-        QADataset(pairs=validation, name=f"{prefix}-validation"),
-    )
+    return QADataset(pairs=train), QADataset(pairs=validation)
 
 
 # ---------------------------------------------------------------------------
@@ -288,5 +282,5 @@ def write_qa_jsonl(ds: QADataset, path: str | Path) -> None:
     write_jsonl(map(_encode_qa, ds.pairs), path)
 
 
-def read_qa_jsonl(path: str | Path, name: str = "") -> QADataset:
-    return QADataset(pairs=read_jsonl(path, _decode_qa), name=name)
+def read_qa_jsonl(path: str | Path) -> QADataset:
+    return QADataset(pairs=read_jsonl(path, _decode_qa))

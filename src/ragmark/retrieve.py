@@ -97,7 +97,7 @@ def pack_context(
         count = counter.count(payload)
         if used + count > budget:
             truncated = True
-            payload, _ = truncate_to_token_budget(payload, [counter], budget - used)
+            payload, _ = truncate_to_token_budget(payload, counter, budget - used)
             if not payload:
                 break
             count = counter.count(payload)

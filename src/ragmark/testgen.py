@@ -12,11 +12,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Protocol
 
 import numpy as np
 
-from .corpus import TokenCounter, max_token_count
+from .corpus import TokenCounter
 from .errors import DegenerateCloudError, EmptyTestSetError, NoClustersError, PersistenceError
 from .index import IndexedDataset, IndexKind
 from .qagen import QAPair, QuestionGenClient, _usable_questions, decode_pair, encode_pair
@@ -228,7 +228,7 @@ def assemble_test_set(
     ds: IndexedDataset,
     reducer: Reducer,
     clusterer: Clusterer,
-    counters: Sequence[TokenCounter],
+    counter: TokenCounter,
     qg_client: QuestionGenClient,
     *,
     questions_per_cluster: int = 5,
@@ -236,9 +236,9 @@ def assemble_test_set(
     """reduce -> cluster -> drop outliers and over-budget clusters -> questions.
 
     Cluster text concatenates member sentences in their original corpus
-    order. A cluster over the token budget under any registered counter is
-    dropped; questions follow the same dedup and fallback rules as the
-    training pipeline.
+    order. A cluster over the token budget under ``counter`` is dropped;
+    questions follow the same dedup and fallback rules as the training
+    pipeline.
     """
     if ds.kind is not IndexKind.SENTENCES:
         raise ValueError("test set generation needs a sentence-keyed index")
@@ -251,7 +251,7 @@ def assemble_test_set(
     for members in raw_clusters:
         ordered = sorted(members)
         text = " ".join(ds.entries[i].key_text for i in ordered)
-        tokens = max_token_count(text, counters)
+        tokens = counter.count(text)
         if tokens > CLUSTER_TOKEN_BUDGET:
             log.info("dropping %d-token cluster (budget %d)", tokens, CLUSTER_TOKEN_BUDGET)
             continue

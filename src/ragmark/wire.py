@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-import time
 import typing
 from pathlib import Path
 from typing import Any, Callable, Generic, Iterable, TypeVar
@@ -51,16 +50,11 @@ class JsonEndpoint:
         self._session = session or requests.Session()
 
     def post(self, payload: dict) -> dict[str, Any]:
-        return self.post_timed(payload)[0]
-
-    def post_timed(self, payload: dict) -> tuple[dict[str, Any], float]:
-        """The decoded body, and the wall time in ms of the attempt that returned it."""
         attempt = 0
         while True:
             attempt += 1
-            start = time.monotonic()
             try:
-                return self._attempt(payload), (time.monotonic() - start) * 1000.0
+                return self._attempt(payload)
             except TransportError as exc:
                 log.warning("%s attempt %d of %d failed: %s",
                             self.what, attempt, self.retries + 1, exc)

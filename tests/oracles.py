@@ -2,7 +2,8 @@
 
 Deliberately naive: list scans instead of count dictionaries, subsequence
 enumeration instead of the LCS recurrence, per-pair python cosines instead
-of the matrix scan, one n x n x 2 array instead of row blocks, re-counting
+of the matrix scan, one n x n x 2 array and one whole-matrix norm instead
+of row blocks, re-counting
 the whole joined context per packed payload, and one search, pack and
 generate per sweep cell. Slow is fine; different code paths are the point.
 """
@@ -90,6 +91,13 @@ def oracle_within(points, eps):
     return (diff ** 2).sum(axis=2) <= eps ** 2
 
 
+def oracle_unit_keys(keys):
+    """Rows of ``keys`` scaled to unit length in float64, with one norm over the whole matrix."""
+    unit = keys.astype(np.float64)
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    return unit
+
+
 def streaming_means(values):
     """Welford-style running mean."""
     mean = 0.0
@@ -131,7 +139,7 @@ def oracle_pack_context(hits, ds, counter, budget):
 def _oracle_truncate_join(existing, payload, counter, budget):
     """Longest token-boundary prefix of payload that keeps the joined text in budget."""
     if not existing:
-        prefix, _ = truncate_to_token_budget(payload, [counter], budget)
+        prefix, _ = truncate_to_token_budget(payload, counter, budget)
         return prefix
     spans = token_spans(payload)
     lo, hi = 0, len(spans)

@@ -421,7 +421,7 @@ def test_criterion_7_test_set_generation():
 
     ts = assemble_test_set(
         ds, PcaReducer(), DbscanClusterer(ClusterParams(eps=0.2, min_pts=6)),
-        [COUNTER], MockQuestionGenClient(seed=1),
+        COUNTER, MockQuestionGenClient(seed=1),
     )
     assert all(COUNTER.count(p.answer_text) <= 256 for p in ts.pairs)
 
@@ -436,7 +436,7 @@ def test_criterion_7_test_set_generation():
     assert COUNTER.count(oversize_text) == 300
     ts_big = assemble_test_set(
         ds_big, PcaReducer(), DbscanClusterer(ClusterParams(eps=0.2, min_pts=6)),
-        [COUNTER], MockQuestionGenClient(seed=1),
+        COUNTER, MockQuestionGenClient(seed=1),
     )
     answers = {p.answer_text for p in ts_big.pairs}
     assert len(answers) == 2

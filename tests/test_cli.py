@@ -117,6 +117,21 @@ class TestCliBasics:
         assert err.startswith("i/o error")
         assert f"{paragraphs}:3" in err
 
+    @pytest.mark.parametrize("manifest", [
+        '{"sweeps": {}}',
+        "not json {",
+        '["scores_baseline.jsonl"]',
+        '{"baseline": "scores_baseline.jsonl", "arm_order": ["rag_sentences"], "sweeps": {}}',
+    ], ids=["no-baseline", "not-json", "not-an-object", "arm-without-sweep"])
+    def test_bad_scores_manifest_is_io_error_naming_it(self, tmp_path, capsys, manifest):
+        path = tmp_path / "scores_manifest.json"
+        path.write_text(manifest)
+        assert run("report", "--scores-dir", str(tmp_path),
+                   "--output-dir", str(tmp_path / "out")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error")
+        assert str(path) in err
+
     def test_aborted_sweep_exits_2(self, tmp_path):
         docs, _ = make_topic_corpus()
         src = tmp_path / "raw"

@@ -183,19 +183,19 @@ class TestTokenCounter:
 class TestTruncate:
     def test_exact_budget_fill(self, counter):
         text = " ".join(f"w{i}" for i in range(20))
-        prefix, rest = truncate_to_token_budget(text, [counter], 7)
+        prefix, rest = truncate_to_token_budget(text, counter, 7)
         assert counter.count(prefix) == 7
         assert normalize_ws(prefix + " " + rest) == text
 
     def test_zero_budget(self, counter):
-        prefix, rest = truncate_to_token_budget("a b c", [counter], 0)
+        prefix, rest = truncate_to_token_budget("a b c", counter, 0)
         assert prefix == "" and rest == "a b c"
 
 
 class TestSplitParagraphs:
     def test_three_short_naturals_intact(self, counter):
         doc = Document("d", "", "Alpha beta.\n\nGamma delta.\n\nEpsilon zeta.")
-        paras = split_paragraphs(doc, [counter])
+        paras = split_paragraphs(doc, counter)
         assert [p.text for p in paras] == ["Alpha beta.", "Gamma delta.", "Epsilon zeta."]
         assert [p.ordinal for p in paras] == [0, 1, 2]
 
@@ -206,7 +206,7 @@ class TestSplitParagraphs:
             sentences.append(words[0].upper() + words[1:] + ".")
         doc = Document("d", "", " ".join(sentences))  # 600 tokens in one natural paragraph
         assert counter.count(doc.body) == 600
-        paras = split_paragraphs(doc, [counter], budget=256)
+        paras = split_paragraphs(doc, counter, budget=256)
         assert len(paras) >= 3
         assert all(p.token_count <= 256 for p in paras)
         assert not any(p.source_meta for p in paras)  # sentence-level split, no hard cuts
@@ -215,11 +215,11 @@ class TestSplitParagraphs:
 
     def test_empty_document_errors(self, counter):
         with pytest.raises(EmptyDocumentError):
-            split_paragraphs(Document("d", "", "   \n  "), [counter])
+            split_paragraphs(Document("d", "", "   \n  "), counter)
 
     def test_giant_sentence_hard_split_and_flagged(self, counter):
         body = " ".join(f"tok{i}" for i in range(70))  # one sentence, no terminator
-        paras = split_paragraphs(Document("d", "", body), [counter], budget=16)
+        paras = split_paragraphs(Document("d", "", body), counter, budget=16)
         assert len(paras) > 1
         assert all(p.token_count <= 16 for p in paras)
         assert all(p.source_meta.get("hard_split") == "true" for p in paras)
@@ -227,36 +227,35 @@ class TestSplitParagraphs:
 
     def test_budget_under_minimum_rejected(self, counter):
         with pytest.raises(ValueError):
-            split_paragraphs(Document("d", "", "text"), [counter], budget=8)
+            split_paragraphs(Document("d", "", "text"), counter, budget=8)
 
-    def test_max_over_counters_enforced(self):
+    def test_custom_counter_enforced(self):
         class Doubling:
             name = "doubling"
 
             def count(self, text):
                 return 2 * len(text.split())
 
-        base = WhitespacePunctCounter()
         sentences = []
         for i in range(20):
             words = " ".join(f"w{i}y{j}" for j in range(9))
             sentences.append(words[0].upper() + words[1:] + ".")
         doc = Document("d", "", " ".join(sentences))
-        paras = split_paragraphs(doc, [base, Doubling()], budget=100)
-        assert all(max(base.count(p.text), 2 * len(p.text.split())) <= 100 for p in paras)
+        paras = split_paragraphs(doc, Doubling(), budget=100)
+        assert all(2 * len(p.text.split()) <= 100 for p in paras)
 
 
 class TestExtractAndPersist:
     def test_extract_sentences_orders_and_counts(self, counter):
         doc = Document("d", "", "One two three. Four five six seven.\n\nEight nine ten.")
-        paras = split_paragraphs(doc, [counter])
+        paras = split_paragraphs(doc, counter)
         sentences = extract_sentences(paras)
         assert [(s.paragraph_ordinal, s.ordinal) for s in sentences] == [(0, 0), (0, 1), (1, 0)]
         assert [s.word_count for s in sentences] == [3, 4, 3]
 
     def test_paragraph_jsonl_roundtrip_and_schema(self, tmp_path, counter):
         doc = Document("d", "", "Alpha beta gamma.\n\nDelta epsilon.")
-        paras = split_paragraphs(doc, [counter])
+        paras = split_paragraphs(doc, counter)
         path = tmp_path / "paras.jsonl"
         write_paragraphs_jsonl(paras, path)
         first = json.loads(path.read_text().splitlines()[0])

@@ -65,15 +65,6 @@ class TestRemoteClient:
         with pytest.raises(ConfigError):
             RemoteGenerationClient("http://x", timeout_ms=5)
 
-    def test_stats_recorded(self, http_stub):
-        url = http_stub(lambda path, payload: (200, {"text": "three token answer"}))
-        client = RemoteGenerationClient(url)
-        client.generate(req("two words"))
-        assert len(client.stats) == 1
-        assert client.stats[0].prompt_tokens == 2
-        assert client.stats[0].output_tokens == 3
-        assert client.stats[0].latency_ms > 0
-
     def test_request_payload_shape(self, http_stub):
         seen = {}
 

@@ -6,12 +6,15 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import oracle_search
+from oracles import oracle_search, oracle_unit_keys
 from ragmark.corpus import Sentence
 from ragmark.embed import LocalHashEmbedder
 from ragmark.errors import ChecksumError, DimMismatchError, EmptyIndexError, PersistenceError
 from ragmark.index import (
+    NORM_BLOCK_ROWS,
     IndexedDataset,
     IndexEntry,
     IndexKind,
@@ -120,6 +123,22 @@ class TestBuild:
         entries = [IndexEntry("k", "p", ("d", 0))]
         with pytest.raises(DimMismatchError):
             IndexedDataset(IndexKind.SENTENCES, entries, "hand", np.ones((2, 3)))
+
+    @given(
+        rows=st.integers(1, 3 * NORM_BLOCK_ROWS + 5),
+        dim=st.integers(1, 24),
+        seed=st.integers(0, 2**32 - 1),
+        dtype=st.sampled_from([np.float32, np.float64]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_unit_keys_match_whole_matrix_norm_bit_for_bit(self, rows, dim, seed, dtype):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.integers(-6, 7, size=(rows, 1))
+        keys = (rng.standard_normal((rows, dim)) * scale).astype(dtype)
+        entries = [IndexEntry("k", "p", ("d", 0))] * rows
+        ds = IndexedDataset(IndexKind.SENTENCES, entries, "hand", keys)
+        expected = oracle_unit_keys(keys)
+        assert np.array_equal(ds.unit_keys.view(np.uint64), expected.view(np.uint64))
 
     def test_zero_vector_entries_skipped(self):
         class SometimesZero:

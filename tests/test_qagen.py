@@ -125,7 +125,7 @@ class TestSplitTrainValidation:
         for i, n in enumerate(questions_per_paragraph):
             for j in range(n):
                 pairs.append(QAPair(f"p{i} question {j}?", ("doc", i), f"answer {i}"))
-        return QADataset(pairs=pairs, name="fixture")
+        return QADataset(pairs=pairs)
 
     def test_seeded_selection_constraints(self):
         ds = self._dataset([2, 2, 2, 2, 2])  # 10 pairs over 5 paragraphs
@@ -219,13 +219,12 @@ class TestPersistence:
                 QAPair("What gives?", ("doc", 0), "The answer text."),
                 QAPair("And this?", ("doc", 1), "Another answer."),
             ],
-            name="x",
         )
         path = tmp_path / "qa.jsonl"
         write_qa_jsonl(ds, path)
         first = json.loads(path.read_text().splitlines()[0])
         assert set(first) == {"question", "doc_id", "paragraph_ordinal", "answer_text"}
-        loaded = read_qa_jsonl(path, name="x")
+        loaded = read_qa_jsonl(path)
         assert [(p.question, p.paragraph_ref, p.answer_text) for p in loaded.pairs] == [
             (p.question, p.paragraph_ref, p.answer_text) for p in ds.pairs
         ]

@@ -186,7 +186,7 @@ class TestAssembleTestSet:
         ds, _ = self._fixture_index()
         ts = assemble_test_set(
             ds, PcaReducer(), DbscanClusterer(ClusterParams(eps=0.2, min_pts=6)),
-            [WhitespacePunctCounter()], MockQuestionGenClient(seed=1),
+            WhitespacePunctCounter(), MockQuestionGenClient(seed=1),
         )
         assert len(ts.pairs) >= 3
         answers = {p.answer_text for p in ts.pairs}
@@ -201,7 +201,7 @@ class TestAssembleTestSet:
         counter = WhitespacePunctCounter()
         ts = assemble_test_set(
             ds, PcaReducer(), DbscanClusterer(ClusterParams(eps=0.2, min_pts=6)),
-            [counter], MockQuestionGenClient(seed=1),
+            counter, MockQuestionGenClient(seed=1),
         )
         answers = {p.answer_text for p in ts.pairs}
         assert len(answers) == 2
@@ -220,7 +220,7 @@ class TestAssembleTestSet:
         idq = build_question_index(qa, embedder)
         with pytest.raises(ValueError):
             assemble_test_set(
-                idq, PcaReducer(), DbscanClusterer(), [WhitespacePunctCounter()],
+                idq, PcaReducer(), DbscanClusterer(), WhitespacePunctCounter(),
                 MockQuestionGenClient(seed=1),
             )
 
@@ -236,7 +236,7 @@ class TestAssembleTestSet:
         with pytest.raises(EmptyTestSetError):
             assemble_test_set(
                 ds, PcaReducer(), DbscanClusterer(ClusterParams(eps=0.2, min_pts=6)),
-                [TinyBudgetCounter()], MockQuestionGenClient(seed=1),
+                TinyBudgetCounter(), MockQuestionGenClient(seed=1),
             )
 
     def test_no_test_answer_equals_training_answer_verbatim(self):
@@ -246,7 +246,7 @@ class TestAssembleTestSet:
         training = build_qa_dataset(paragraphs, MockQuestionGenClient(seed=1), k=3)
         ts = assemble_test_set(
             ds, PcaReducer(), DbscanClusterer(ClusterParams(eps=0.2, min_pts=6)),
-            [WhitespacePunctCounter()], MockQuestionGenClient(seed=1),
+            WhitespacePunctCounter(), MockQuestionGenClient(seed=1),
         )
         training_answers = {p.answer_text for p in training.pairs}
         assert not training_answers & {p.answer_text for p in ts.pairs}
@@ -257,7 +257,7 @@ class TestAssembleTestSet:
             ds, _ = self._fixture_index()
             ts = assemble_test_set(
                 ds, PcaReducer(), DbscanClusterer(ClusterParams(eps=0.2, min_pts=6)),
-                [WhitespacePunctCounter()], MockQuestionGenClient(seed=4),
+                WhitespacePunctCounter(), MockQuestionGenClient(seed=4),
             )
             path = tmp_path / f"ts{run}.jsonl"
             write_test_set_jsonl(ts, path)

@@ -63,8 +63,8 @@ def make_oversize_topic_doc(vocab_words, doc_id="bigdoc", sentences=20, words_pe
 
 def corpus_pipeline(docs):
     """documents -> (paragraphs, filtered sentences) with the baseline counter."""
-    counters = [WhitespacePunctCounter()]
-    paragraphs = [p for d in docs for p in split_paragraphs(d, counters)]
+    counter = WhitespacePunctCounter()
+    paragraphs = [p for d in docs for p in split_paragraphs(d, counter)]
     sentences = filter_sentences(extract_sentences(paragraphs))
     return paragraphs, sentences
 
