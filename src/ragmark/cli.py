@@ -38,6 +38,7 @@ from .experiment import (
     BASELINE_ARM,
     SWEEP_ARMS,
     ExperimentConfig,
+    SweepMemo,
     emit_report,
     run_baseline,
     run_sweep,
@@ -335,7 +336,9 @@ def _cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     manifest: dict = {"baseline": "scores_baseline.jsonl", "sweeps": {}}
 
-    baseline_rows = run_baseline(exp, testset=testset, gen_client=gen_client, embedder=embedder)
+    memo = SweepMemo()
+    baseline_rows = run_baseline(exp, testset=testset, gen_client=gen_client, embedder=embedder,
+                                 memo=memo)
     write_score_rows_jsonl(baseline_rows, out / "scores_baseline.jsonl")
     write_score_rows_csv(baseline_rows, out / "scores_baseline.csv")
 
@@ -346,7 +349,7 @@ def _cmd_sweep(args) -> int:
         if not path:
             continue
         by_threshold = run_sweep(exp, kind, testset=testset,
-                                 gen_client=gen_client, embedder=embedder)
+                                 gen_client=gen_client, embedder=embedder, memo=memo)
         sweeps[label] = by_threshold
         manifest["sweeps"][label] = {}
         for threshold, rows in by_threshold.items():

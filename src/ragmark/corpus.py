@@ -13,7 +13,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Protocol
+from typing import Iterable, Iterator, Protocol, runtime_checkable
 
 from .errors import EmptyDocumentError
 from .wire import FlatRecord, read_jsonl, write_jsonl
@@ -50,6 +50,7 @@ _TERMINATORS = ".!?"
 # Token counting
 # ---------------------------------------------------------------------------
 
+@runtime_checkable
 class TokenCounter(Protocol):
     """Deterministic token counter; count("") must be 0.
 
@@ -61,6 +62,18 @@ class TokenCounter(Protocol):
     name: str
 
     def count(self, text: str) -> int: ...
+
+
+def require_counter(counter: object) -> None:
+    """Raise ``TypeError`` unless ``counter`` is one ``TokenCounter``.
+
+    A list or str also has a ``count`` method, which would silently count
+    list items or substrings; neither has a ``name``, so both fail here.
+    """
+    if not isinstance(counter, TokenCounter):
+        raise TypeError(
+            f"expected one TokenCounter with name and count, got {type(counter).__name__}"
+        )
 
 
 class WhitespacePunctCounter:
@@ -95,6 +108,7 @@ def truncate_to_token_budget(
     ``counter``. Returns (prefix, remainder); prefix is "" when not even one
     token fits.
     """
+    require_counter(counter)
     spans = token_spans(text)
     if not spans or budget <= 0:
         return "", text
@@ -302,6 +316,7 @@ def split_paragraphs(
     hard-split on a token boundary and flagged ``hard_split`` in the chunk's
     source_meta so lossy-looking joins remain auditable.
     """
+    require_counter(counter)
     if budget < 16:
         raise ValueError("budget must be at least 16 tokens")
     body = doc.body.strip()

@@ -165,6 +165,37 @@ class RemoteEmbedder:
         return vectors
 
 
+class CachingEmbedder:
+    """An embedder that embeds each distinct batch once and then reuses its vectors.
+
+    ``batches`` maps a batch's texts, in order, to what ``inner`` returned
+    for it, so a cached result is bit-identical to a fresh call even for an
+    embedder whose vectors depend on the rest of the batch. A failed call
+    stores nothing. The stored arrays are shared and read-only.
+    """
+
+    def __init__(self, inner: Embedder, batches: dict[tuple[str, ...], np.ndarray]):
+        self.inner = inner
+        self.batches = batches
+
+    @property
+    def name(self) -> str:
+        return self.inner.name
+
+    @property
+    def dim(self) -> int:
+        return self.inner.dim
+
+    def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
+        key = tuple(texts)
+        vectors = self.batches.get(key)
+        if vectors is None:
+            vectors = self.inner.embed_batch(texts)
+            vectors.flags.writeable = False
+            self.batches[key] = vectors
+        return vectors
+
+
 def make_embedder(
     spec: str,
     *,

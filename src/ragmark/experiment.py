@@ -16,8 +16,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from xml.sax.saxutils import escape
 
+import numpy as np
+
 from .config import as_float, as_float_list, as_int
-from .embed import Embedder, make_embedder
+from .embed import CachingEmbedder, Embedder, make_embedder
 from .errors import ConfigError, RagmarkError, RunAbortedError
 from .generate import GenerationClient, make_generation_client
 from .index import IndexedDataset, IndexKind, load_index
@@ -135,22 +137,63 @@ def _check_failures(failures: int, total: int, budget: float) -> None:
         )
 
 
+class SweepMemo:
+    """What one sweep command has already generated and scored.
+
+    ``_cmd_sweep`` shares one memo between the baseline and both sweep arms.
+    Generation at temperature 0 must repeat itself, and the empty-context
+    prompt is the baseline prompt, so each distinct prompt is generated once
+    per command. Scores depend only on the generated text and the reference,
+    so each distinct pair is scored once and each row carries the question id
+    of the cell that asked for it. Scoring embeds each distinct sentence batch
+    once (``CachingEmbedder``), so a reference is embedded once per command.
+    A failed generate or score stores nothing, so the next cell with the same
+    prompt tries again. A memo serves one generation client, one embedder and
+    one set of budgets, as a command has.
+    """
+
+    def __init__(self):
+        self.texts: dict[str, str] = {}
+        self.scores: dict[tuple[str, str], tuple[float, float, float, float]] = {}
+        self.batches: dict[tuple[str, ...], np.ndarray] = {}
+
+    def row(self, qid: str, prompt: str, reference: str, gen_client: GenerationClient,
+            embedder: Embedder, budgets: Budgets) -> ScoreRow:
+        """``qid``'s score row for the answer to ``prompt``; raises what generate or score raise."""
+        generated = self.texts.get(prompt)
+        if generated is None:
+            generated = gen_client.generate(generation_request(prompt, budgets))
+            self.texts[prompt] = generated
+        scores = self.scores.get((generated, reference))
+        if scores is not None:
+            return ScoreRow(qid, *scores)
+        row = score_row(qid, generated, reference, CachingEmbedder(embedder, self.batches))
+        self.scores[(generated, reference)] = (row.rouge, row.meteor, row.bleu, row.cs)
+        return row
+
+
 def run_baseline(
     cfg: ExperimentConfig,
     *,
     testset: TestSet,
     gen_client: GenerationClient,
     embedder: Embedder,
+    memo: SweepMemo | None = None,
 ) -> list[ScoreRow]:
-    """Score every test question with a context-free prompt."""
+    """Score every test question with a context-free prompt.
+
+    Without ``memo``, a fresh one is used; the rows are the same either way.
+    """
+    if memo is None:
+        memo = SweepMemo()
     rows: list[ScoreRow] = []
     failures = 0
     ids = _question_ids(testset)
     for qid, pair in zip(ids, testset.pairs):
         prompt = render_prompt(pair.question, "", cfg.template)
         try:
-            generated = gen_client.generate(generation_request(prompt, cfg.budgets))
-            rows.append(score_row(qid, generated, pair.answer_text, embedder))
+            rows.append(memo.row(qid, prompt, pair.answer_text, gen_client, embedder,
+                                 cfg.budgets))
         except RagmarkError as exc:
             log.warning("%s: %s; zero row", qid, exc)
             failures += 1
@@ -167,18 +210,21 @@ def run_sweep(
     index: IndexedDataset | None = None,
     gen_client: GenerationClient,
     embedder: Embedder,
+    memo: SweepMemo | None = None,
 ) -> dict[float, list[ScoreRow]]:
     """Score every test question at every configured threshold for one index kind.
 
     One pass per question: a single embed and search serve every threshold
-    (``retrieve_at``), and each distinct prompt is generated and scored once,
-    since generation at temperature 0 must repeat itself. A failed embed or
-    search zeroes the question at every threshold; a failed generate or score
-    zeroes one cell and is not remembered, so the next threshold with the same
-    prompt tries again. Each zero row counts against its own threshold's
-    failure budget. Without ``index``, the configured index of ``ds_kind`` is
-    loaded.
+    (``retrieve_at``), and ``memo`` generates each distinct prompt and scores
+    each distinct answer once; without ``memo``, a fresh one is used and the
+    rows are the same. A failed embed or search zeroes the question at every
+    threshold; a failed generate or score zeroes one cell and is not
+    remembered, so the next cell with the same prompt tries again. Each zero
+    row counts against its own threshold's failure budget. Without
+    ``index``, the configured index of ``ds_kind`` is loaded.
     """
+    if memo is None:
+        memo = SweepMemo()
     if index is None:
         path = {
             IndexKind.SENTENCES: cfg.index_sentences_path,
@@ -208,17 +254,13 @@ def run_sweep(
             for threshold in cfg.thresholds:
                 zero_row(qid, threshold, exc)
             continue
-        by_prompt: dict[str, ScoreRow] = {}
         for cell in cells:
-            row = by_prompt.get(cell.prompt)
-            if row is None:
-                try:
-                    generated = gen_client.generate(generation_request(cell.prompt, cfg.budgets))
-                    row = score_row(qid, generated, pair.answer_text, embedder)
-                except RagmarkError as exc:
-                    zero_row(qid, cell.threshold, exc)
-                    continue
-                by_prompt[cell.prompt] = row
+            try:
+                row = memo.row(qid, cell.prompt, pair.answer_text, gen_client, embedder,
+                               cfg.budgets)
+            except RagmarkError as exc:
+                zero_row(qid, cell.threshold, exc)
+                continue
             results[cell.threshold].append(row)
     return results
 

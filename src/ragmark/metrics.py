@@ -108,20 +108,26 @@ def bleu(candidate: str, reference: str, max_n: int = 4) -> float:
 # ---------------------------------------------------------------------------
 
 def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    """Longest common subsequence length via the classic rolling-row DP."""
-    if not a or not b:
+    """Longest common subsequence length, bit-parallel over Python ints.
+
+    Allison-Dix/Hyyro: ``v`` holds one row of the DP over the longer sequence
+    as its steps, a zero bit at position i where the row rises by one, so the
+    zero bits count the LCS. One add, subtract and or per token of the shorter
+    sequence advance the whole row. Gives exactly the rolling-row DP's value.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
         return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0]
-        for j, y in enumerate(b, 1):
-            if x == y:
-                cur.append(prev[j - 1] + 1)
-            else:
-                p, q = cur[j - 1], prev[j]
-                cur.append(p if p >= q else q)
-        prev = cur
-    return prev[-1]
+    masks: dict[str, int] = {}
+    for i, x in enumerate(a):
+        masks[x] = masks.get(x, 0) | 1 << i
+    full = (1 << len(a)) - 1
+    v = full
+    for y in b:
+        u = v & masks.get(y, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(a) - v.bit_count()
 
 
 def rouge_tokens(cand: Sequence[str], ref: Sequence[str]) -> float:
@@ -158,25 +164,32 @@ def _align(cand: Sequence[str], ref: Sequence[str]) -> list[tuple[int, int]]:
     """Greedy one-to-one alignment: exact matches first, then stem matches.
 
     Candidates are scanned left to right and take the earliest unmatched
-    reference token, which keeps the alignment deterministic.
+    reference token, which keeps the alignment deterministic. Within a pass,
+    the tokens of one word (or stem) are taken in reference order, so each
+    pass hands out a per-word stack of free positions. Reference stems are
+    computed once, and only when the exact pass leaves a candidate unmatched.
     """
-    taken = [False] * len(ref)
+    free: dict[str, list[int]] = {}
+    for ri in range(len(ref) - 1, -1, -1):  # descending, so pop() gives the earliest
+        free.setdefault(ref[ri], []).append(ri)
     pairs: dict[int, int] = {}
+    unmatched: list[int] = []
     for ci, word in enumerate(cand):
-        for ri, rword in enumerate(ref):
-            if not taken[ri] and rword == word:
-                pairs[ci] = ri
-                taken[ri] = True
-                break
-    for ci, word in enumerate(cand):
-        if ci in pairs:
-            continue
-        stem = _stem(word)
-        for ri, rword in enumerate(ref):
-            if not taken[ri] and _stem(rword) == stem:
-                pairs[ci] = ri
-                taken[ri] = True
-                break
+        slots = free.get(word)
+        if slots:
+            pairs[ci] = slots.pop()
+        else:
+            unmatched.append(ci)
+    if unmatched:
+        taken = set(pairs.values())
+        free = {}
+        for ri in range(len(ref) - 1, -1, -1):
+            if ri not in taken:
+                free.setdefault(_stem(ref[ri]), []).append(ri)
+        for ci in unmatched:
+            slots = free.get(_stem(cand[ci]))
+            if slots:
+                pairs[ci] = slots.pop()
     return sorted(pairs.items())
 
 

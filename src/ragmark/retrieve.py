@@ -13,7 +13,12 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field, replace
 
-from .corpus import TokenCounter, WhitespacePunctCounter, truncate_to_token_budget
+from .corpus import (
+    TokenCounter,
+    WhitespacePunctCounter,
+    require_counter,
+    truncate_to_token_budget,
+)
 from .embed import Embedder
 from .errors import GenerationError, RagmarkError
 from .generate import GenerationClient, GenerationRequest
@@ -83,6 +88,7 @@ def pack_context(
     stops there. Each payload is counted once: the counter's counts add over
     newline joins, so the running total is the joined context's count.
     """
+    require_counter(counter)
     if budget < 1:
         raise ValueError("budget must be at least 1 token")
     parts: list[str] = []

@@ -16,7 +16,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .corpus import TokenCounter
+from .corpus import TokenCounter, require_counter
 from .errors import DegenerateCloudError, EmptyTestSetError, NoClustersError, PersistenceError
 from .index import IndexedDataset, IndexKind
 from .qagen import QAPair, QuestionGenClient, _usable_questions, decode_pair, encode_pair
@@ -240,6 +240,7 @@ def assemble_test_set(
     questions follow the same dedup and fallback rules as the training
     pipeline.
     """
+    require_counter(counter)
     if ds.kind is not IndexKind.SENTENCES:
         raise ValueError("test set generation needs a sentence-keyed index")
     points = reduce_dim(ds.keys, 2, reducer)

@@ -1,11 +1,13 @@
 """Independent brute-force oracles used to cross-check the implementations.
 
 Deliberately naive: list scans instead of count dictionaries, subsequence
-enumeration instead of the LCS recurrence, per-pair python cosines instead
-of the matrix scan, one n x n x 2 array and one whole-matrix norm instead
-of row blocks, re-counting
-the whole joined context per packed payload, and one search, pack and
-generate per sweep cell. Slow is fine; different code paths are the point.
+enumeration instead of the LCS recurrence, the rolling-row LCS DP instead of
+the bit-parallel one, reference scans that re-stem every token instead of
+per-word position stacks, per-pair python cosines instead of the matrix
+scan, one n x n x 2 array and one whole-matrix norm instead of row blocks,
+re-counting the whole joined context per packed payload, and one search,
+pack, generate and score per sweep cell. Slow is fine; different code paths
+are the point.
 """
 
 import logging
@@ -18,7 +20,7 @@ from ragmark.errors import RagmarkError
 from ragmark.experiment import _check_failures, _question_ids
 from ragmark.generate import GenerationRequest
 from ragmark.index import search
-from ragmark.metrics import ScoreRow, score_row
+from ragmark.metrics import ScoreRow, _stem, score_row
 from ragmark.retrieve import PackedContext, render_prompt
 
 log = logging.getLogger(__name__)
@@ -66,6 +68,45 @@ def oracle_rouge(cand, ref):
     p = lcs / len(cand)
     r = lcs / len(ref)
     return 2 * p * r / (p + r)
+
+
+def oracle_lcs_length(a, b):
+    """Longest common subsequence length via the classic rolling-row DP."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, 1):
+            if x == y:
+                cur.append(prev[j - 1] + 1)
+            else:
+                p, q = cur[j - 1], prev[j]
+                cur.append(p if p >= q else q)
+        prev = cur
+    return prev[-1]
+
+
+def oracle_align(cand, ref):
+    """METEOR's greedy alignment by scanning the reference per candidate, re-stemming as it goes."""
+    taken = [False] * len(ref)
+    pairs = {}
+    for ci, word in enumerate(cand):
+        for ri, rword in enumerate(ref):
+            if not taken[ri] and rword == word:
+                pairs[ci] = ri
+                taken[ri] = True
+                break
+    for ci, word in enumerate(cand):
+        if ci in pairs:
+            continue
+        stem = _stem(word)
+        for ri, rword in enumerate(ref):
+            if not taken[ri] and _stem(rword) == stem:
+                pairs[ci] = ri
+                taken[ri] = True
+                break
+    return sorted(pairs.items())
 
 
 def oracle_cosine(x, y):

@@ -28,6 +28,8 @@ from ragmark.corpus import (
     write_sentences_jsonl,
 )
 from ragmark.errors import EmptyDocumentError
+from ragmark.retrieve import pack_context
+from ragmark.testgen import assemble_test_set
 
 
 def _record(**overrides):
@@ -174,6 +176,21 @@ class TestTokenCounter:
         # the TokenCounter contract that pack_context's running total relies on
         counter = WhitespacePunctCounter()
         assert counter.count(a + "\n" + b) == counter.count(a) + counter.count(b)
+
+    @pytest.mark.parametrize("counter", [[WhitespacePunctCounter()], "ws-punct"],
+                             ids=["list", "str"])
+    @pytest.mark.parametrize("call", [
+        lambda c: split_paragraphs(Document("d", "t", "Some words here."), c),
+        lambda c: truncate_to_token_budget("Some words here.", c, 2),
+        # the counter is checked first, so the other arguments are never read
+        lambda c: assemble_test_set(None, None, None, c, None),
+        lambda c: pack_context([], None, c, 10),
+    ], ids=["split_paragraphs", "truncate_to_token_budget", "assemble_test_set",
+            "pack_context"])
+    def test_list_or_str_counter_is_rejected(self, call, counter):
+        # both have a count method, which would count list items or substrings
+        with pytest.raises(TypeError, match="TokenCounter"):
+            call(counter)
 
     def test_tokenize_matches_spans(self):
         text = "One, two... three!"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ragmark.embed import LocalHashEmbedder, RemoteEmbedder, cosine, fnv1a64
+from ragmark.embed import CachingEmbedder, LocalHashEmbedder, RemoteEmbedder, cosine, fnv1a64
 from ragmark.errors import (
     BadResponseError,
     DimMismatchError,
@@ -99,6 +99,44 @@ class TestLocalHashEmbedder:
         # reference values for the 64-bit FNV-1a parameters
         assert fnv1a64(b"") == 0xCBF29CE484222325
         assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
+
+
+class TestCachingEmbedder:
+    class Counting:
+        """A local embedder that records each batch and fails on texts holding "down"."""
+
+        def __init__(self):
+            self.inner = LocalHashEmbedder(dim=16)
+            self.name, self.dim = self.inner.name, 16
+            self.batches = []
+
+        def embed_batch(self, texts):
+            self.batches.append(list(texts))
+            if any("down" in t for t in texts):
+                raise TransportError("down")
+            return self.inner.embed_batch(texts)
+
+    def test_each_distinct_batch_embedded_once_and_bit_identical(self):
+        inner = self.Counting()
+        cached = CachingEmbedder(inner, {})
+        first = cached.embed_batch(["Alpha beta.", "Gamma."])
+        again = cached.embed_batch(["Alpha beta.", "Gamma."])
+        other = cached.embed_batch(["Gamma.", "Alpha beta."])
+        assert inner.batches == [["Alpha beta.", "Gamma."], ["Gamma.", "Alpha beta."]]
+        assert again is first and not first.flags.writeable
+        fresh = LocalHashEmbedder(dim=16).embed_batch(["Alpha beta.", "Gamma."])
+        assert np.array_equal(first.view(np.uint64), fresh.view(np.uint64))
+        assert np.array_equal(other[::-1], first)
+        assert (cached.name, cached.dim) == (inner.name, inner.dim)
+
+    def test_failed_batch_is_not_stored(self):
+        inner = self.Counting()
+        store = {}
+        cached = CachingEmbedder(inner, store)
+        for _ in range(2):
+            with pytest.raises(TransportError):
+                cached.embed_batch(["Going down."])
+        assert len(inner.batches) == 2 and store == {}
 
 
 class TestRemoteEmbedder:

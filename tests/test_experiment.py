@@ -1,5 +1,7 @@
 import json
 import xml.etree.ElementTree as ET
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 
 from topicfix import EMBED_DIM, corpus_pipeline, make_test_pairs, make_topic_corpus
 from oracles import oracle_run_sweep, streaming_means
+from ragmark import experiment
+from ragmark.cli import main
 from ragmark.corpus import Sentence
 from ragmark.embed import LocalHashEmbedder, RemoteEmbedder
 from ragmark.errors import ConfigError, RunAbortedError, TransportError
@@ -21,11 +25,11 @@ from ragmark.experiment import (
     run_sweep,
     summarize,
 )
-from ragmark.generate import ExtractiveMockClient
-from ragmark.index import IndexKind, build_question_index, build_sentence_index
-from ragmark.metrics import ScoreRow
+from ragmark.generate import ExtractiveMockClient, GenerationRequest
+from ragmark.index import IndexKind, build_question_index, build_sentence_index, save_index
+from ragmark.metrics import ScoreRow, read_score_rows_jsonl
 from ragmark.qagen import MockQuestionGenClient, QAPair, build_qa_dataset
-from ragmark.retrieve import Budgets
+from ragmark.retrieve import Budgets, render_prompt, retrieve_at
 from ragmark import testgen
 
 # Published averages the relative-delta conventions are anchored on.
@@ -345,6 +349,114 @@ class TestSweepMatchesPerThresholdOracle:
             cfg, testset, index, FailOn(poison_words), embedder,
         ))
         assert got == expected
+
+
+class CountingMock:
+    """The extractive mock, recording every prompt; each prompt in ``fail_once`` fails once."""
+
+    name = "counting"
+
+    def __init__(self, fail_once=()):
+        self.prompts = []
+        self.fail_once = set(fail_once)
+
+    def generate(self, request):
+        self.prompts.append(request.prompt)
+        if request.prompt in self.fail_once:
+            self.fail_once.discard(request.prompt)
+            raise TransportError("down once")
+        return ExtractiveMockClient().generate(request)
+
+
+class TestSweepCommandMemo:
+    """One ``ragmark sweep`` command generates each prompt and scores each answer once."""
+
+    def _command(self, tmp_path, monkeypatch, client):
+        cfg, testset, ids, idq, embedder = desk_fixture()
+        # a second question with q0000's reference: the same (generated, reference) pairs
+        first = testset.pairs[0]
+        testset.pairs.append(QAPair("Tell me about " + first.question, first.paragraph_ref,
+                                    first.answer_text))
+        paths = {name: tmp_path / f"{name}.jsonl" for name in ("ts", "ids", "idq")}
+        testgen.write_test_set_jsonl(testset, paths["ts"])
+        save_index(ids, paths["ids"])
+        save_index(idq, paths["idq"])
+        scored = []
+        real_score_row = experiment.score_row
+
+        def counting_score_row(qid, generated, reference, embedder):
+            scored.append((generated, reference))
+            return real_score_row(qid, generated, reference, embedder)
+
+        monkeypatch.setattr(ExperimentConfig, "build_gen_client", lambda self: client)
+        monkeypatch.setattr(experiment, "score_row", counting_score_row)
+        out = tmp_path / "out"
+        assert main(["sweep", "--testset", str(paths["ts"]), "--index-sentences",
+                     str(paths["ids"]), "--index-questions", str(paths["idq"]),
+                     "--output-dir", str(out), "--embedder", f"local:{EMBED_DIM}"]) == 0
+        return cfg, testset, (ids, idq), embedder, scored, out
+
+    def _expected_prompts(self, cfg, testset, indexes, embedder):
+        """Each question's baseline prompt, then its prompt at every threshold of each arm."""
+        by_question = []
+        for pair in testset.pairs:
+            prompts = [render_prompt(pair.question, "", cfg.template)]
+            for index in indexes:
+                prompts += [cell.prompt for cell in retrieve_at(
+                    pair.question, index, cfg.thresholds, embedder, cfg.budgets,
+                    template=cfg.template)]
+            by_question.append(prompts)
+        return by_question
+
+    def test_each_prompt_generated_and_each_answer_scored_once(self, tmp_path, monkeypatch):
+        client = CountingMock()
+        cfg, testset, indexes, embedder, scored, out = self._command(
+            tmp_path, monkeypatch, client)
+        by_question = self._expected_prompts(cfg, testset, indexes, embedder)
+        distinct = {p for prompts in by_question for p in prompts}
+        assert Counter(client.prompts) == Counter(distinct)
+        # the arms reach the baseline prompt at thresholds no key reaches
+        assert len(distinct) < sum(len(set(p[1:])) + 1 for p in by_question)
+        mock = ExtractiveMockClient()
+        pairs = {
+            (mock.generate(GenerationRequest(prompt, cfg.budgets.answer_reserve, 0.0)),
+             pair.answer_text)
+            for pair, prompts in zip(testset.pairs, by_question) for prompt in prompts
+        }
+        assert Counter(scored) == Counter(pairs)
+
+    def test_rows_match_library_calls_without_a_memo(self, tmp_path, monkeypatch):
+        cfg, testset, (ids, idq), embedder, scored, out = self._command(
+            tmp_path, monkeypatch, CountingMock())
+        qids = [f"q{i:04d}" for i in range(len(testset.pairs))]
+        baseline = read_score_rows_jsonl(out / "scores_baseline.jsonl")
+        assert [r.question_id for r in baseline] == qids
+        # q0000 and the last question share every pair, and keep their own ids
+        assert replace(baseline[-1], question_id="q0000") == baseline[0]
+        mock = ExtractiveMockClient()
+        assert baseline == run_baseline(cfg, testset=testset, gen_client=mock,
+                                        embedder=embedder)
+        for index, label in ((ids, "rag_sentences"), (idq, "rag_questions")):
+            rows = run_sweep(cfg, index.kind, testset=testset, index=index, gen_client=mock,
+                             embedder=embedder)
+            for t in cfg.thresholds:
+                got = read_score_rows_jsonl(out / f"scores_{label}_t{t}.jsonl")
+                assert [r.question_id for r in got] == qids
+                assert got == rows[t]
+
+    def test_failed_prompt_is_generated_again_in_a_later_arm(self, tmp_path, monkeypatch):
+        cfg, testset, *_ = desk_fixture()
+        prompt = render_prompt(testset.pairs[0].question, "", cfg.template)
+        client = CountingMock(fail_once={prompt})
+        cfg, testset, _, embedder, _, out = self._command(tmp_path, monkeypatch, client)
+        assert client.prompts.count(prompt) == 2
+        baseline = read_score_rows_jsonl(out / "scores_baseline.jsonl")
+        assert baseline[0] == ScoreRow("q0000", 0.0, 0.0, 0.0, 0.0)
+        # 1.0 is above the fixture's best cosine: no context, so the baseline prompt
+        retried = read_score_rows_jsonl(out / "scores_rag_sentences_t1.0.jsonl")[0]
+        fresh = run_baseline(cfg, testset=testset, gen_client=ExtractiveMockClient(),
+                             embedder=embedder)[0]
+        assert retried == fresh != ScoreRow("q0000", 0.0, 0.0, 0.0, 0.0)
 
 
 class TestExperimentConfig:

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_bleu, oracle_rouge, streaming_means
+from oracles import oracle_align, oracle_bleu, oracle_lcs_length, oracle_rouge, streaming_means
 from ragmark.embed import LocalHashEmbedder
 from ragmark.errors import EmptyReferenceError
 from ragmark.metrics import (
     CsMatrix,
+    _align,
     ScoreRow,
     bleu,
     bleu_tokens,
@@ -25,6 +26,10 @@ from ragmark.metrics import (
     write_score_rows_csv,
     write_score_rows_jsonl,
 )
+
+
+# words sharing the stem "walk" (and one sharing "talk"), plus words with no suffix
+STEM_VOCAB = ["walk", "walks", "walked", "walking", "talks", "talk", "the", "a"]
 
 
 class TestBleu:
@@ -95,6 +100,14 @@ class TestRouge:
     def test_case_invariance(self, a, b):
         assert rouge(a.upper(), b) == rouge(a, b)
 
+    @given(st.lists(st.sampled_from("abcd"), max_size=90),
+           st.lists(st.sampled_from("abcd"), max_size=90))
+    @settings(max_examples=500)
+    def test_bit_parallel_lcs_equals_the_dp(self, a, b):
+        # up to 90 tokens: the bit vector spans more than one machine word
+        assert lcs_length(a, b) == oracle_lcs_length(a, b)
+        assert lcs_length(b, a) == oracle_lcs_length(a, b)
+
 
 class TestMeteor:
     def test_identity_six_tokens(self):
@@ -124,6 +137,12 @@ class TestMeteor:
     def test_empty_inputs(self):
         assert meteor("", "a") == 0.0
         assert meteor("a", "") == 0.0
+
+    @given(st.lists(st.sampled_from(STEM_VOCAB), max_size=14),
+           st.lists(st.sampled_from(STEM_VOCAB), max_size=14))
+    @settings(max_examples=500)
+    def test_alignment_equals_the_reference_scan(self, cand, ref):
+        assert _align(cand, ref) == oracle_align(cand, ref)
 
 
 class TestCsScore:
