@@ -65,12 +65,25 @@ class Embedder(Protocol):
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray: ...
 
 
+class _WordBuckets(dict):
+    """Lowercased word -> its FNV-1a 64 bucket, hashed on first lookup."""
+
+    def __init__(self, dim: int):
+        super().__init__()
+        self.dim = dim
+
+    def __missing__(self, word: str) -> int:
+        bucket = self[word] = fnv1a64(word.encode("utf-8")) % self.dim
+        return bucket
+
+
 class LocalHashEmbedder:
     """Hashed bag-of-words embedder: no model, no network, fully deterministic.
 
     Each lowercase word is hashed (FNV-1a 64) to one of ``dim`` buckets;
     bucket counts are L2-normalized, so identical texts map to identical
-    unit vectors.
+    unit vectors. Each word is hashed once per instance: the vocabulary
+    bounds the memo.
     """
 
     def __init__(self, dim: int = 64):
@@ -78,19 +91,21 @@ class LocalHashEmbedder:
             raise ValueError("dim must be at least 8")
         self.dim = dim
         self.name = f"local-hash-{dim}"
+        self._buckets = _WordBuckets(dim)
 
     def bucket(self, word: str) -> int:
-        return fnv1a64(word.lower().encode("utf-8")) % self.dim
+        return self._buckets[word.lower()]
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
         out = np.empty((len(texts), self.dim), dtype=np.float64)
+        buckets = self._buckets
         for i, text in enumerate(texts):
             words = _WORD_RE.findall(text.lower())
             if not words:
                 raise ZeroVectorError(f"no embeddable words in {text!r}")
             counts = np.zeros(self.dim, dtype=np.float64)
             for w in words:
-                counts[fnv1a64(w.encode("utf-8")) % self.dim] += 1.0
+                counts[buckets[w]] += 1.0
             counts /= np.linalg.norm(counts)
             out[i] = counts
         return out

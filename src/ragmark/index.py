@@ -2,16 +2,23 @@
 
 Corpora here are small enough (tens of thousands of entries) that a full
 scan is both fast and exactly reproducible, so no approximate structure is
-used. Persistence is line-oriented JSON with a CRC32 trailer: metadata stays
-human-auditable while vectors travel as packed little-endian float32.
+used.
+
+An index saved at ``X`` is two files that travel together. ``X`` is
+line-oriented JSON: a header, one record per entry (texts and paragraph
+ref), and a CRC32 trailer over everything before it. ``X.f32`` holds the
+keys as raw little-endian float32, row-major, with no header; the header
+of ``X`` records its size (count x dim) and CRC32, so the trailer's CRC
+covers the whole index and two byte-identical ``X`` files mean two
+identical indexes.
 """
 
 from __future__ import annotations
 
-import base64
 import bisect
 import json
 import logging
+import os
 import zlib
 from dataclasses import dataclass, field
 from enum import Enum
@@ -33,7 +40,7 @@ from .qagen import QADataset
 
 log = logging.getLogger(__name__)
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 # Slack for float rounding in threshold comparisons: a key identical to the
 # query must pass threshold 1.0 even when its cosine lands at 1 - 1e-16.
@@ -189,34 +196,72 @@ def search(ds: IndexedDataset, query: np.ndarray, threshold: float) -> list[Retr
 # Persistence
 # ---------------------------------------------------------------------------
 
+def keys_path(path: str | Path) -> Path:
+    """The keys file that travels with the index file at ``path``."""
+    path = Path(path)
+    return path.with_name(path.name + ".f32")
+
+
 def save_index(ds: IndexedDataset, path: str | Path) -> None:
-    """Header record, one record per entry, CRC32 trailer."""
-    lines = []
+    """Write the keys file, then the header, one record per entry and the CRC32 trailer.
+
+    The keys go first: a crash between the two writes leaves either no index
+    file or an older one whose keys CRC does not match, which ``load_index``
+    reports.
+    """
+    keys = np.ascontiguousarray(ds.keys, dtype="<f4")
+    with open(keys_path(path), "wb") as f:
+        f.write(keys.data)
     header = {
         "format_version": FORMAT_VERSION,
         "kind": ds.kind.value,
         "embedder_name": ds.embedder_name,
         "dim": ds.dim,
         "count": len(ds.entries),
+        "keys_crc32": zlib.crc32(keys) & 0xFFFFFFFF,
     }
-    lines.append(json.dumps(header, sort_keys=True))
-    keys = ds.keys.astype("<f4")
-    for e, key in zip(ds.entries, keys):
+    lines = [json.dumps(header, sort_keys=True)]
+    for e in ds.entries:
         rec = {
             "key_text": e.key_text,
             "payload_text": e.payload_text,
             "doc_id": e.paragraph_ref[0],
             "ordinal": e.paragraph_ref[1],
-            "vec_b64": base64.b64encode(key.tobytes()).decode("ascii"),
         }
         lines.append(json.dumps(rec, sort_keys=True))
     body = "".join(line + "\n" for line in lines).encode("utf-8")
     trailer = json.dumps({"crc32": zlib.crc32(body) & 0xFFFFFFFF}) + "\n"
-    Path(path).write_bytes(body + trailer.encode("utf-8"))
+    with open(path, "wb") as f:
+        f.write(body)
+        f.write(trailer.encode("utf-8"))
+
+
+def _int_at_least(value, low: int) -> bool:
+    return type(value) is int and value >= low
+
+
+def _entry(rec, path, line: int) -> IndexEntry:
+    """The entry one record describes; a malformed record is a PersistenceError."""
+    if isinstance(rec, dict):
+        key_text, payload_text = rec.get("key_text"), rec.get("payload_text")
+        doc_id, ordinal = rec.get("doc_id"), rec.get("ordinal")
+        if (isinstance(key_text, str) and isinstance(payload_text, str)
+                and isinstance(doc_id, str) and type(ordinal) is int):
+            return IndexEntry(key_text, payload_text, (doc_id, ordinal))
+    raise PersistenceError(
+        f"{path}:{line}: an entry record is an object with string key_text, "
+        f"payload_text and doc_id and an integer ordinal"
+    )
 
 
 def load_index(path: str | Path) -> IndexedDataset:
-    """Inverse of ``save_index``; entries are parsed straight from the file's bytes."""
+    """Inverse of ``save_index``.
+
+    Checks the CRC, parses every entry record in one ``json.loads``, then
+    reads the keys file straight into the key array and checks its size and
+    CRC. A damaged file is a ``ChecksumError``; a missing keys file or a
+    malformed but checksum-valid file is a ``PersistenceError``.
+    """
     raw = Path(path).read_bytes()
     end = len(raw) - 1 if raw.endswith(b"\n") else len(raw)
     body_end = raw.rfind(b"\n", 0, end) + 1  # the trailer starts here
@@ -238,38 +283,64 @@ def load_index(path: str | Path) -> IndexedDataset:
         header = json.loads(raw[:pos])
     except ValueError as exc:
         raise PersistenceError(f"{path}: unreadable header") from exc
+    if not isinstance(header, dict):
+        raise PersistenceError(f"{path}: header is not an object")
     if header.get("format_version") != FORMAT_VERSION:
         raise PersistenceError(
-            f"{path}: unsupported format_version {header.get('format_version')!r}"
+            f"{path}: unsupported format_version {header.get('format_version')!r} "
+            f"(this version reads {FORMAT_VERSION}); rebuild it with `ragmark index`"
         )
-    dim = int(header["dim"])
+    kind, embedder_name, dim, promised, keys_crc = (
+        header.get(name) for name in ("kind", "embedder_name", "dim", "count", "keys_crc32")
+    )
+    valid = {
+        "kind": kind in tuple(k.value for k in IndexKind),
+        "embedder_name": isinstance(embedder_name, str),
+        "dim": _int_at_least(dim, 1),
+        "count": _int_at_least(promised, 0),
+        "keys_crc32": _int_at_least(keys_crc, 0),
+    }
+    bad = [name for name, ok in valid.items() if not ok]
+    if bad:
+        raise PersistenceError(f"{path}: header lacks a valid {', '.join(bad)}")
     count = raw.count(b"\n", pos, body_end)
-    if count != int(header["count"]):
-        raise PersistenceError(
-            f"{path}: header promises {header['count']} entries, found {count}"
-        )
+    if count != promised:
+        raise PersistenceError(f"{path}: header promises {promised} entries, found {count}")
 
-    entries = []
-    keys = np.empty((count, dim), dtype=np.float32)
-    for i in range(count):
-        line_end = raw.index(b"\n", pos)
-        rec = json.loads(raw[pos:line_end])
-        pos = line_end + 1
-        vec = np.frombuffer(base64.b64decode(rec["vec_b64"]), dtype="<f4")
-        if len(vec) != dim:
-            raise DimMismatchError(f"{path}: entry vector has dim {len(vec)}, header says {dim}")
-        keys[i] = vec
-        entries.append(
-            IndexEntry(
-                key_text=rec["key_text"],
-                payload_text=rec["payload_text"],
-                paragraph_ref=(rec["doc_id"], int(rec["ordinal"])),
-            )
-        )
+    # json.dumps escapes newlines inside strings, so each record is one line
+    # and the lines joined by commas form one JSON array.
+    try:
+        records = json.loads(b"[" + raw[pos:body_end - 1].replace(b"\n", b",") + b"]")
+    except ValueError as exc:
+        raise PersistenceError(f"{path}: unreadable entry record") from exc
+    if len(records) != count:
+        raise PersistenceError(f"{path}: {count} entry lines hold {len(records)} JSON values")
     del raw  # the file's bytes need not outlive the parse
+    entries = [_entry(rec, path, line) for line, rec in enumerate(records, start=2)]
+
+    kpath = keys_path(path)
+    try:
+        with open(kpath, "rb") as f:
+            size = os.fstat(f.fileno()).st_size
+            if size != count * dim * 4:
+                raise ChecksumError(f"{kpath}: {size} bytes, {path} promises {count} x {dim} float32")
+            keys = np.empty((count, dim), dtype="<f4")
+            read = f.readinto(keys.data)
+    except FileNotFoundError as exc:
+        raise PersistenceError(
+            f"{kpath}: missing; an index file and its .f32 keys file travel together"
+        ) from exc
+    if read != size:
+        raise ChecksumError(f"{kpath}: read {read} of {size} bytes")
+    actual_keys_crc = zlib.crc32(keys) & 0xFFFFFFFF
+    if actual_keys_crc != keys_crc:
+        raise ChecksumError(
+            f"{kpath}: keys checksum mismatch (stored in {path}: {keys_crc}, "
+            f"computed {actual_keys_crc})"
+        )
     return IndexedDataset(
-        kind=IndexKind(header["kind"]),
+        kind=IndexKind(kind),
         entries=entries,
-        embedder_name=str(header["embedder_name"]),
+        embedder_name=embedder_name,
         keys=keys,
     )

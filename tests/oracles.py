@@ -5,21 +5,26 @@ enumeration instead of the LCS recurrence, the rolling-row LCS DP instead of
 the bit-parallel one, reference scans that re-stem every token instead of
 per-word position stacks, per-pair python cosines instead of the matrix
 scan, one n x n x 2 array and one whole-matrix norm instead of row blocks,
-re-counting the whole joined context per packed payload, and one search,
+format-1 index files with one base64 vector per record instead of a raw
+keys file, re-counting the whole joined context per packed payload, and one search,
 pack, generate and score per sweep cell. Slow is fine; different code paths
 are the point.
 """
 
+import base64
+import json
 import logging
 import math
+import zlib
+from pathlib import Path
 
 import numpy as np
 
 from ragmark.corpus import WhitespacePunctCounter, token_spans, truncate_to_token_budget
-from ragmark.errors import RagmarkError
+from ragmark.errors import ChecksumError, DimMismatchError, PersistenceError, RagmarkError
 from ragmark.experiment import _check_failures, _question_ids
 from ragmark.generate import GenerationRequest
-from ragmark.index import search
+from ragmark.index import IndexedDataset, IndexEntry, IndexKind, search
 from ragmark.metrics import ScoreRow, _stem, score_row
 from ragmark.retrieve import PackedContext, render_prompt
 
@@ -137,6 +142,70 @@ def oracle_unit_keys(keys):
     unit = keys.astype(np.float64)
     unit /= np.linalg.norm(unit, axis=1, keepdims=True)
     return unit
+
+
+def oracle_save_index_v1(ds, path):
+    """Format 1: header record, one record per entry with its key as base64 float32, CRC32 trailer."""
+    lines = []
+    header = {
+        "format_version": 1,
+        "kind": ds.kind.value,
+        "embedder_name": ds.embedder_name,
+        "dim": ds.dim,
+        "count": len(ds.entries),
+    }
+    lines.append(json.dumps(header, sort_keys=True))
+    keys = ds.keys.astype("<f4")
+    for e, key in zip(ds.entries, keys):
+        rec = {
+            "key_text": e.key_text,
+            "payload_text": e.payload_text,
+            "doc_id": e.paragraph_ref[0],
+            "ordinal": e.paragraph_ref[1],
+            "vec_b64": base64.b64encode(key.tobytes()).decode("ascii"),
+        }
+        lines.append(json.dumps(rec, sort_keys=True))
+    body = "".join(line + "\n" for line in lines).encode("utf-8")
+    trailer = json.dumps({"crc32": zlib.crc32(body) & 0xFFFFFFFF}) + "\n"
+    Path(path).write_bytes(body + trailer.encode("utf-8"))
+
+
+def oracle_load_index_v1(path):
+    """Inverse of ``oracle_save_index_v1``, one record and one base64 vector at a time."""
+    raw = Path(path).read_bytes()
+    end = len(raw) - 1 if raw.endswith(b"\n") else len(raw)
+    body_end = raw.rfind(b"\n", 0, end) + 1
+    if body_end == 0:
+        raise ChecksumError(f"{path}: truncated index file")
+    try:
+        trailer = json.loads(raw[body_end:end])
+        expected_crc = int(trailer["crc32"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ChecksumError(f"{path}: missing or unreadable checksum trailer") from exc
+    if zlib.crc32(memoryview(raw)[:body_end]) & 0xFFFFFFFF != expected_crc:
+        raise ChecksumError(f"{path}: checksum mismatch")
+    pos = raw.index(b"\n") + 1
+    header = json.loads(raw[:pos])
+    if header.get("format_version") != 1:
+        raise PersistenceError(f"{path}: unsupported format_version {header.get('format_version')!r}")
+    dim = int(header["dim"])
+    count = raw.count(b"\n", pos, body_end)
+    if count != int(header["count"]):
+        raise PersistenceError(f"{path}: header promises {header['count']} entries, found {count}")
+    entries = []
+    keys = np.empty((count, dim), dtype=np.float32)
+    for i in range(count):
+        line_end = raw.index(b"\n", pos)
+        rec = json.loads(raw[pos:line_end])
+        pos = line_end + 1
+        vec = np.frombuffer(base64.b64decode(rec["vec_b64"]), dtype="<f4")
+        if len(vec) != dim:
+            raise DimMismatchError(f"{path}: entry vector has dim {len(vec)}, header says {dim}")
+        keys[i] = vec
+        entries.append(IndexEntry(key_text=rec["key_text"], payload_text=rec["payload_text"],
+                                  paragraph_ref=(rec["doc_id"], int(rec["ordinal"]))))
+    return IndexedDataset(kind=IndexKind(header["kind"]), entries=entries,
+                          embedder_name=str(header["embedder_name"]), keys=keys)
 
 
 def streaming_means(values):

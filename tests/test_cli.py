@@ -1,12 +1,15 @@
 import json
+import zlib
 
 import pytest
 
 from topicfix import EMBED_DIM, make_topic_corpus
 from ragmark.cli import main
 from ragmark.config import REGISTRY, config_lines, parse_config_text, resolve_config
+from ragmark.corpus import Sentence
+from ragmark.embed import LocalHashEmbedder
 from ragmark.errors import ConfigError
-from ragmark.index import load_index
+from ragmark.index import build_sentence_index, keys_path, load_index, save_index
 
 
 @pytest.fixture
@@ -155,6 +158,28 @@ class TestCliBasics:
                    "--embedder", f"local:{EMBED_DIM}",
                    "--endpoint", "http://127.0.0.1:9", "--thresholds", "0.5")
         assert code == 2
+
+    @pytest.mark.parametrize("damage", ["missing-keys-file", "record-without-payload"])
+    def test_damaged_index_is_io_error_naming_the_file(self, tmp_path, capsys, damage):
+        idx = tmp_path / "i.jsonl"
+        sentences = [Sentence("d", 0, i, f"alpha beta gamma {i} delta words", 6) for i in range(3)]
+        save_index(build_sentence_index(sentences, LocalHashEmbedder(EMBED_DIM)), idx)
+        if damage == "missing-keys-file":
+            keys_path(idx).unlink()
+            named = str(keys_path(idx))
+        else:
+            lines = idx.read_bytes().split(b"\n")[:-2]
+            record = json.loads(lines[1])
+            del record["payload_text"]
+            lines[1] = json.dumps(record, sort_keys=True).encode()
+            body = b"".join(line + b"\n" for line in lines)
+            idx.write_bytes(body + json.dumps({"crc32": zlib.crc32(body)}).encode() + b"\n")
+            named = f"{idx}:2"
+        assert run("ask", "--question", "Alpha beta?", "--index", str(idx),
+                   "--embedder", f"local:{EMBED_DIM}") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error")
+        assert named in err
 
 
 class TestDryRun:

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ragmark.embed import CachingEmbedder, LocalHashEmbedder, RemoteEmbedder, cosine, fnv1a64
+from ragmark.embed import (
+    _WORD_RE,
+    CachingEmbedder,
+    LocalHashEmbedder,
+    RemoteEmbedder,
+    cosine,
+    fnv1a64,
+)
 from ragmark.errors import (
     BadResponseError,
     DimMismatchError,
@@ -94,6 +101,19 @@ class TestLocalHashEmbedder:
         out = LocalHashEmbedder(16).embed_batch(["one two", "three", "four five six"])
         assert out.shape == (3, 16)
         assert out.dtype == np.float64
+
+    def test_warm_word_memo_gives_the_hashed_vectors_bit_for_bit(self):
+        texts = ["Apple apple APPLE pie", "pie and cream", "Ünïcode wörds, pie too"]
+        expected = np.zeros((len(texts), 64))
+        for i, text in enumerate(texts):
+            for word in _WORD_RE.findall(text.lower()):
+                expected[i, fnv1a64(word.encode("utf-8")) % 64] += 1.0
+            expected[i] /= np.linalg.norm(expected[i])
+        emb = LocalHashEmbedder(64)
+        assert emb.bucket("PIE") == fnv1a64(b"pie") % 64
+        for _ in range(2):  # the second pass reads every bucket from the memo
+            got = emb.embed_batch(texts)
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     def test_fnv1a64_known_values(self):
         # reference values for the 64-bit FNV-1a parameters

@@ -1,19 +1,24 @@
+import base64
 import json
 import math
 import random
+import re
+import tempfile
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_search, oracle_unit_keys
+from oracles import oracle_load_index_v1, oracle_save_index_v1, oracle_search, oracle_unit_keys
 from ragmark.corpus import Sentence
 from ragmark.embed import LocalHashEmbedder
 from ragmark.errors import ChecksumError, DimMismatchError, EmptyIndexError, PersistenceError
 from ragmark.index import (
+    FORMAT_VERSION,
     NORM_BLOCK_ROWS,
     IndexedDataset,
     IndexEntry,
@@ -21,6 +26,7 @@ from ragmark.index import (
     build_question_index,
     build_sentence_index,
     hits_at,
+    keys_path,
     load_index,
     save_index,
     search,
@@ -59,10 +65,31 @@ def unit(angle):
     return np.array([math.cos(angle), math.sin(angle)])
 
 
+class RawJson(str):
+    """A line that ``reseal`` writes as it is, not as a JSON string."""
+
+
+def reseal(path, edit):
+    """Apply ``edit`` to the decoded header and entry records of ``path``, with a valid trailer."""
+    records = [json.loads(line) for line in path.read_bytes().split(b"\n")[:-2]]
+    edit(records)
+    body = "".join((rec if isinstance(rec, RawJson) else json.dumps(rec, sort_keys=True)) + "\n"
+                   for rec in records).encode()
+    path.write_bytes(body + json.dumps({"crc32": zlib.crc32(body) & 0xFFFFFFFF}).encode() + b"\n")
+
+
 def tiny_index(angles, kind=IndexKind.SENTENCES):
     entries = [IndexEntry(f"key{i}", f"payload{i}", ("doc", i)) for i in range(len(angles))]
     keys = np.array([unit(a) for a in angles])
     return IndexedDataset(kind=kind, entries=entries, embedder_name="hand", keys=keys)
+
+
+# Texts with unicode, newlines and JSON-special characters; float32 keys with
+# -0.0, subnormals and magnitudes near the float32 limit.
+TEXTS = st.text(max_size=12) | st.sampled_from(
+    ["line one\nline two", 'quote " and \\ slash', "\u2028\u00e9\U0001f600", "\r\n\t", ""])
+FLOAT32S = st.floats(width=32, allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 1e-45, -1e-45, 1.1754942e-38, 3.4028235e38, -3.4028235e38])
 
 
 class TestBuild:
@@ -303,7 +330,8 @@ class TestPersistence:
             load_index(path)
 
     def test_load_peak_memory_stays_under_twice_the_index(self, tmp_path):
-        # 10k x 512 keys: a 28 MiB file that loads into about 63 MiB of index
+        # 10k x 512 keys: a 20 MiB keys file beside a 1.2 MiB .jsonl, which
+        # load into about 63 MiB of index
         n, dim = 10_000, 512
         rng = np.random.default_rng(5)
         entries = [IndexEntry(f"key sentence {i} about things", f"payload sentence {i} text",
@@ -344,7 +372,7 @@ class TestPersistence:
         ds = build_sentence_index(sentences(2), embedder)
         path = tmp_path / "idx.jsonl"
         save_index(ds, path)
-        text = path.read_text().replace('"format_version": 1', '"format_version": 99')
+        text = path.read_text().replace(f'"format_version": {FORMAT_VERSION}', '"format_version": 99')
         # recompute a valid checksum so only the version check can fail
         import json
         import zlib
@@ -368,3 +396,122 @@ class TestPersistence:
         expected = tuple(float(v) for v in np.asarray(raw, dtype=np.float32))
         assert tuple(loaded.keys[0].tolist()) == expected
         assert np.array_equal(loaded.keys[0], ds.keys[0])
+
+    def test_keys_file_travels_beside_the_index(self, tmp_path, embedder):
+        ds = build_sentence_index(sentences(3), embedder)
+        path = tmp_path / "idx.jsonl"
+        save_index(ds, path)
+        assert keys_path(path) == tmp_path / "idx.jsonl.f32"
+        assert keys_path(path).read_bytes() == ds.keys.astype("<f4").tobytes()
+        assert json.loads(path.read_bytes().split(b"\n")[0])["keys_crc32"] == zlib.crc32(
+            keys_path(path).read_bytes())
+
+    def test_missing_keys_file_is_persistence_error_naming_it(self, tmp_path, embedder):
+        path = tmp_path / "idx.jsonl"
+        save_index(build_sentence_index(sentences(3), embedder), path)
+        keys_path(path).unlink()
+        with pytest.raises(PersistenceError, match=re.escape(str(keys_path(path)))):
+            load_index(path)
+
+    @pytest.mark.parametrize("damage", ["truncated", "extra-byte", "flipped-byte", "swapped"])
+    def test_damaged_keys_file_fails_checksum(self, tmp_path, embedder, damage):
+        path = tmp_path / "idx.jsonl"
+        save_index(build_sentence_index(sentences(3), embedder), path)
+        data = keys_path(path).read_bytes()
+        if damage == "truncated":
+            data = data[: len(data) // 2]
+        elif damage == "extra-byte":
+            data += b"\x00"
+        elif damage == "flipped-byte":
+            data = bytearray(data)
+            data[len(data) // 2] ^= 0x01
+        else:
+            other = [Sentence("doc", 0, i, f"other words {i} about unrelated matters", 6)
+                     for i in range(3)]
+            save_index(build_sentence_index(other, embedder), tmp_path / "other.jsonl")
+            swapped = keys_path(tmp_path / "other.jsonl").read_bytes()
+            assert len(swapped) == len(data) and swapped != data
+            data = swapped
+        keys_path(path).write_bytes(bytes(data))
+        with pytest.raises(ChecksumError, match=re.escape(str(keys_path(path)))):
+            load_index(path)
+
+    def test_format_1_index_must_be_rebuilt(self, tmp_path, embedder):
+        path = tmp_path / "idx.jsonl"
+        oracle_save_index_v1(build_sentence_index(sentences(3), embedder), path)
+        with pytest.raises(PersistenceError, match="rebuild it with `ragmark index`") as info:
+            load_index(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("line, field, value", [
+        (0, "dim", None), (0, "count", None), (0, "kind", None), (0, "keys_crc32", None),
+        (0, "kind", "paragraphs"),
+        (1, "", [1, 2]),
+        (2, "payload_text", None),
+        (1, "ordinal", "3"),
+        (3, "ordinal", 1.5),
+        (1, "", RawJson('{"a": 1}, {"b": 2}')),
+    ], ids=["no-dim", "no-count", "no-kind", "no-keys-crc", "unknown-kind", "record-not-object",
+            "record-without-payload", "string-ordinal", "float-ordinal", "two-values-on-a-line"])
+    def test_malformed_but_checksum_valid_is_persistence_error(self, tmp_path, embedder,
+                                                                line, field, value):
+        path = tmp_path / "idx.jsonl"
+        save_index(build_sentence_index(sentences(3), embedder), path)
+
+        def edit(records):
+            if not field:
+                records[line] = value
+            elif value is None:
+                del records[line][field]
+            else:
+                records[line][field] = value
+
+        reseal(path, edit)
+        with pytest.raises(PersistenceError, match=re.escape(str(path))) as info:
+            load_index(path)
+        assert not isinstance(info.value, ChecksumError)
+
+    @given(
+        rows=st.lists(st.tuples(TEXTS, TEXTS, st.text(max_size=6), st.integers(-2**40, 2**40)),
+                      max_size=6),
+        dim=st.integers(1, 5),
+        kind=st.sampled_from(list(IndexKind)),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_roundtrip_equals_the_format_1_oracle(self, rows, dim, kind, dtype, data):
+        key_row = st.lists(FLOAT32S, min_size=dim, max_size=dim).filter(
+            lambda r: any(v != 0.0 for v in r))
+        keys = np.array([data.draw(key_row) for _ in rows], dtype=dtype).reshape(len(rows), dim)
+        entries = [IndexEntry(k, p, (d, o)) for k, p, d, o in rows]
+        ds = IndexedDataset(kind, entries, "hypothesis\nembedder", keys)
+        with tempfile.TemporaryDirectory() as tmp:
+            new, old = Path(tmp) / "v2.jsonl", Path(tmp) / "v1.jsonl"
+            save_index(ds, new)
+            oracle_save_index_v1(ds, old)
+            got, want = load_index(new), oracle_load_index_v1(old)
+            v1_rows = [base64.b64decode(json.loads(line)["vec_b64"])
+                       for line in old.read_bytes().split(b"\n")[1:-2]]
+            assert keys_path(new).read_bytes() == b"".join(v1_rows)
+        assert (got.kind, got.embedder_name, got.entries) == (want.kind, want.embedder_name,
+                                                               want.entries)
+        assert got.keys.dtype == want.keys.dtype == np.float32
+        assert np.array_equal(got.keys.view(np.uint32), want.keys.view(np.uint32))
+        assert np.array_equal(got.unit_keys.view(np.uint64), want.unit_keys.view(np.uint64))
+
+    def test_save_peak_memory_stays_under_one_and_a_half_times_the_bytes_written(self, tmp_path):
+        n, dim = 10_000, 512
+        rng = np.random.default_rng(6)
+        entries = [IndexEntry(f"key sentence {i} about things", f"payload sentence {i} text",
+                              ("doc", i)) for i in range(n)]
+        ds = IndexedDataset(IndexKind.SENTENCES, entries, "rand",
+                            rng.standard_normal((n, dim)).astype(np.float32))
+        path = tmp_path / "big.jsonl"
+        tracemalloc.start()
+        try:
+            save_index(ds, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (path.stat().st_size + keys_path(path).stat().st_size)
