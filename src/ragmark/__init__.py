@@ -36,14 +36,13 @@ from .index import (
 from .metrics import ScoreRow, bleu, cs_score, meteor, rouge, score_row
 from .qagen import QADataset, QAPair, build_qa_dataset, generate_questions, split_train_validation
 from .retrieve import Budgets, PackedContext, RagAnswer, answer, pack_context
-from .testgen import ClusterParams, DbscanClusterer, PcaReducer, TestSet, assemble_test_set
+from .testgen import ClusterParams, TestSet, assemble_test_set
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Budgets",
     "ClusterParams",
-    "DbscanClusterer",
     "Document",
     "ExperimentConfig",
     "ExtractiveMockClient",
@@ -54,7 +53,6 @@ __all__ = [
     "LocalHashEmbedder",
     "PackedContext",
     "Paragraph",
-    "PcaReducer",
     "QADataset",
     "QAPair",
     "RagAnswer",

@@ -32,7 +32,7 @@ from .corpus import (
     write_paragraphs_jsonl,
     write_sentences_jsonl,
 )
-from .embed import make_embedder
+from .embed import Embedder, make_embedder
 from .errors import ConfigError, PersistenceError, RagmarkError, RunAbortedError
 from .experiment import (
     BASELINE_ARM,
@@ -44,6 +44,7 @@ from .experiment import (
     run_sweep,
     summarize,
 )
+from .generate import GenerationClient, make_generation_client
 from .index import (
     IndexKind,
     build_question_index,
@@ -53,6 +54,7 @@ from .index import (
 )
 from .metrics import score_row, write_score_rows_csv, write_score_rows_jsonl
 from .qagen import (
+    QuestionGenClient,
     build_qa_dataset,
     make_question_client,
     read_qa_jsonl,
@@ -62,8 +64,6 @@ from .qagen import (
 from .retrieve import answer
 from .testgen import (
     ClusterParams,
-    DbscanClusterer,
-    PcaReducer,
     assemble_test_set,
     read_test_set_jsonl,
     write_test_set_jsonl,
@@ -171,6 +171,30 @@ def _require_files(*paths: str) -> None:
             raise FileNotFoundError(f"input not found: {p}")
 
 
+def _embedder(cfg: dict[str, str]) -> Embedder:
+    return make_embedder(
+        cfg["embed.endpoint"],
+        batch_size=cfgmod.as_int(cfg, "embed.batch_size"),
+        timeout_ms=cfgmod.as_int(cfg, "embed.timeout_ms"),
+    )
+
+
+def _gen_client(cfg: dict[str, str]) -> GenerationClient:
+    return make_generation_client(
+        cfg["gen.endpoint"],
+        timeout_ms=cfgmod.as_int(cfg, "gen.timeout_ms"),
+        retries=cfgmod.as_int(cfg, "gen.retries"),
+    )
+
+
+def _question_client(cfg: dict[str, str]) -> QuestionGenClient:
+    return make_question_client(
+        cfg["qg.endpoint"],
+        timeout_ms=cfgmod.as_int(cfg, "qg.timeout_ms"),
+        retries=cfgmod.as_int(cfg, "qg.retries"),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Subcommand bodies
 # ---------------------------------------------------------------------------
@@ -202,6 +226,9 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_qa_gen(args) -> int:
+    if bool(args.train_out) != bool(args.val_out):
+        missing = "--val-out" if args.train_out else "--train-out"
+        raise UsageError(f"--train-out and --val-out go together; {missing} is missing")
     _require_files(args.paragraphs)
     cfg = _resolve(args, {"qg.endpoint": args.endpoint})
     paragraphs = read_paragraphs_jsonl(args.paragraphs)
@@ -209,16 +236,11 @@ def _cmd_qa_gen(args) -> int:
         print(f"dry-run: would generate up to {args.questions_per_paragraph} questions "
               f"for {len(paragraphs)} paragraphs via {cfg['qg.endpoint']} into {args.out}")
         return 0
-    client = make_question_client(
-        cfg["qg.endpoint"],
-        timeout_ms=cfgmod.as_int(cfg, "qg.timeout_ms"),
-        retries=cfgmod.as_int(cfg, "qg.retries"),
-    )
-    ds = build_qa_dataset(paragraphs, client, k=args.questions_per_paragraph)
+    ds = build_qa_dataset(paragraphs, _question_client(cfg), k=args.questions_per_paragraph)
     write_qa_jsonl(ds, args.out)
     n_paragraphs, n_questions = ds.counts
     print(f"built {args.out}: {n_paragraphs} paragraphs, {n_questions} questions")
-    if args.train_out and args.val_out:
+    if args.train_out:
         train, val = split_train_validation(ds, ratio=args.ratio, seed=args.seed)
         write_qa_jsonl(train, args.train_out)
         write_qa_jsonl(val, args.val_out)
@@ -233,11 +255,7 @@ def _cmd_index(args) -> int:
         print(f"dry-run: would embed {args.input} with {cfg['embed.endpoint']} "
               f"into a {args.kind} index at {args.out}")
         return 0
-    embedder = make_embedder(
-        cfg["embed.endpoint"],
-        batch_size=cfgmod.as_int(cfg, "embed.batch_size"),
-        timeout_ms=cfgmod.as_int(cfg, "embed.timeout_ms"),
-    )
+    embedder = _embedder(cfg)
     if IndexKind(args.kind) is IndexKind.SENTENCES:
         ds = build_sentence_index(read_sentences_jsonl(args.input), embedder)
     else:
@@ -251,20 +269,15 @@ def _cmd_index(args) -> int:
 def _cmd_testgen(args) -> int:
     _require_files(args.index)
     cfg = _resolve(args, {"qg.endpoint": args.qg_endpoint})
+    params = ClusterParams(eps=args.eps, min_pts=args.min_pts, max_clusters=args.max_clusters)
     ds = load_index(args.index)
     if args.dry_run:
         print(f"dry-run: would cluster {len(ds.entries)} entries "
               f"(eps={args.eps}, min_pts={args.min_pts}, max_clusters={args.max_clusters}) "
               f"into {args.out}")
         return 0
-    client = make_question_client(
-        cfg["qg.endpoint"],
-        timeout_ms=cfgmod.as_int(cfg, "qg.timeout_ms"),
-        retries=cfgmod.as_int(cfg, "qg.retries"),
-    )
-    params = ClusterParams(eps=args.eps, min_pts=args.min_pts, max_clusters=args.max_clusters)
     ts = assemble_test_set(
-        ds, PcaReducer(), DbscanClusterer(params), WhitespacePunctCounter(), client,
+        ds, params, WhitespacePunctCounter(), _question_client(cfg),
         questions_per_cluster=args.questions_per_cluster,
     )
     write_test_set_jsonl(ts, args.out)
@@ -279,11 +292,11 @@ def _cmd_ask(args) -> int:
         print(f"dry-run: would answer {args.question!r} from {args.index} "
               f"at threshold {args.threshold}")
         return 0
-    exp = ExperimentConfig.from_config({**cfg, "exp.testset": "unused"})
+    exp = ExperimentConfig.from_config(cfg)
     ds = load_index(args.index)
-    embedder = exp.build_embedder()
+    embedder = _embedder(cfg)
     result = answer(args.question, ds, args.threshold, embedder,
-                    exp.build_gen_client(), exp.budgets, template=exp.template)
+                    _gen_client(cfg), exp.budgets, template=exp.template)
     print(f"question : {result.question}")
     print(f"threshold: {result.threshold} ({result.dataset_kind.value} index, "
           f"{len(result.hits)} hits, {len(result.context.included)} packed"
@@ -314,25 +327,23 @@ def _sweep_overrides(args) -> dict[str, str]:
 def _cmd_sweep(args) -> int:
     cfg = _resolve(args, _sweep_overrides(args))
     exp = ExperimentConfig.from_config(cfg)
-    if not exp.testset_path:
+    cfgmod.as_int(cfg, "exp.seed")  # no result depends on it yet, but it must stay an integer
+    if not cfg["exp.testset"]:
         raise ConfigError("exp.testset is required (flag --testset or config)")
-    _require_files(exp.testset_path, exp.index_sentences_path, exp.index_questions_path)
-    arms = [kind.value for kind, path in (
-        (IndexKind.SENTENCES, exp.index_sentences_path),
-        (IndexKind.QUESTIONS, exp.index_questions_path),
-    ) if path]
-    if not arms:
+    _require_files(cfg["exp.testset"], exp.index_sentences_path, exp.index_questions_path)
+    kinds = [kind for kind in SWEEP_ARMS if exp.index_path(kind)]
+    if not kinds:
         raise ConfigError("at least one index path is required")
+    embedder = _embedder(cfg)
+    gen_client = _gen_client(cfg)
     if args.dry_run:
-        print(f"dry-run: would sweep {exp.thresholds} over {arms} "
-              f"with {exp.gen_endpoint} and {exp.embed_endpoint}, "
-              f"writing reports to {exp.output_dir}")
+        print(f"dry-run: would sweep {exp.thresholds} over {[k.value for k in kinds]} "
+              f"with {cfg['gen.endpoint']} and {cfg['embed.endpoint']}, "
+              f"writing reports to {cfg['exp.output_dir']}")
         return 0
 
-    testset = read_test_set_jsonl(exp.testset_path)
-    embedder = exp.build_embedder()
-    gen_client = exp.build_gen_client()
-    out = Path(exp.output_dir)
+    testset = read_test_set_jsonl(cfg["exp.testset"])
+    out = Path(cfg["exp.output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     manifest: dict = {"baseline": "scores_baseline.jsonl", "sweeps": {}}
 
@@ -343,11 +354,8 @@ def _cmd_sweep(args) -> int:
     write_score_rows_csv(baseline_rows, out / "scores_baseline.csv")
 
     sweeps = {}
-    for kind in (IndexKind.SENTENCES, IndexKind.QUESTIONS):
+    for kind in kinds:
         label = SWEEP_ARMS[kind]
-        path = exp.index_sentences_path if kind is IndexKind.SENTENCES else exp.index_questions_path
-        if not path:
-            continue
         by_threshold = run_sweep(exp, kind, testset=testset,
                                  gen_client=gen_client, embedder=embedder, memo=memo)
         sweeps[label] = by_threshold

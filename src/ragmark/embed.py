@@ -219,12 +219,12 @@ def make_embedder(
 ) -> Embedder:
     """Build an embedder from a spec string.
 
-    ``local:<dim>`` gives the hashing embedder; an http(s) URL gives the
-    remote client.
+    ``local`` or ``local:<dim>`` gives the hashing embedder (dim 64 by
+    default); an http(s) URL gives the remote client.
     """
-    if spec.startswith("local"):
-        _, _, dim = spec.partition(":")
-        return LocalHashEmbedder(dim=int(dim) if dim else 64)
+    local = re.fullmatch(r"local(?::(-?\d+))?", spec)
+    if local:
+        return LocalHashEmbedder(dim=int(local[1]) if local[1] else 64)
     if spec.startswith("http://") or spec.startswith("https://"):
         return RemoteEmbedder(spec, batch_size=batch_size, timeout_ms=timeout_ms)
     raise ValueError(f"unrecognized embedder spec: {spec!r}")

@@ -19,9 +19,9 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .config import as_float, as_float_list, as_int
-from .embed import CachingEmbedder, Embedder, make_embedder
+from .embed import CachingEmbedder, Embedder
 from .errors import ConfigError, RagmarkError, RunAbortedError
-from .generate import GenerationClient, make_generation_client
+from .generate import GenerationClient
 from .index import IndexedDataset, IndexKind, load_index
 from .metrics import METRIC_NAMES, ScoreRow, score_row
 from .retrieve import DEFAULT_TEMPLATE, Budgets, generation_request, render_prompt, retrieve_at
@@ -37,20 +37,13 @@ SWEEP_ARMS = {IndexKind.SENTENCES: "rag_sentences", IndexKind.QUESTIONS: "rag_qu
 
 @dataclass
 class ExperimentConfig:
-    testset_path: str
+    """What a baseline run or a sweep reads; the caller supplies the clients."""
+
     index_sentences_path: str = ""
     index_questions_path: str = ""
     thresholds: list[float] = field(default_factory=lambda: [i / 10 for i in range(11)])
-    embed_endpoint: str = "local:256"
-    embed_batch_size: int = 64
-    embed_timeout_ms: int = 10000
-    gen_endpoint: str = "mock:extractive"
-    gen_timeout_ms: int = 30000
-    gen_retries: int = 1
     budgets: Budgets = field(default_factory=Budgets)
     template: str = DEFAULT_TEMPLATE
-    seed: int = 0
-    output_dir: str = "out"
     failure_budget: float = 0.2
 
     def __post_init__(self):
@@ -61,6 +54,8 @@ class ExperimentConfig:
                 raise ConfigError(f"threshold {t} outside [0, 1]")
         if any(b <= a for a, b in zip(self.thresholds, self.thresholds[1:])):
             raise ConfigError("thresholds must be strictly increasing")
+        if not 0.0 <= self.failure_budget <= 1.0:  # NaN fails too
+            raise ConfigError(f"exp.failure_budget {self.failure_budget} outside [0, 1]")
 
     @classmethod
     def from_config(cls, cfg: dict[str, str]) -> "ExperimentConfig":
@@ -69,39 +64,22 @@ class ExperimentConfig:
         if template_path:
             template = Path(template_path).read_text(encoding="utf-8")
         return cls(
-            testset_path=cfg["exp.testset"],
             index_sentences_path=cfg["exp.index_sentences"],
             index_questions_path=cfg["exp.index_questions"],
             thresholds=as_float_list(cfg, "exp.thresholds"),
-            embed_endpoint=cfg["embed.endpoint"],
-            embed_batch_size=as_int(cfg, "embed.batch_size"),
-            embed_timeout_ms=as_int(cfg, "embed.timeout_ms"),
-            gen_endpoint=cfg["gen.endpoint"],
-            gen_timeout_ms=as_int(cfg, "gen.timeout_ms"),
-            gen_retries=as_int(cfg, "gen.retries"),
             budgets=Budgets(
                 model_max_input=as_int(cfg, "rag.model_max_input"),
                 answer_reserve=as_int(cfg, "rag.answer_reserve"),
             ),
             template=template,
-            seed=as_int(cfg, "exp.seed"),
-            output_dir=cfg["exp.output_dir"],
             failure_budget=as_float(cfg, "exp.failure_budget"),
         )
 
-    def build_embedder(self) -> Embedder:
-        return make_embedder(
-            self.embed_endpoint,
-            batch_size=self.embed_batch_size,
-            timeout_ms=self.embed_timeout_ms,
-        )
-
-    def build_gen_client(self) -> GenerationClient:
-        return make_generation_client(
-            self.gen_endpoint,
-            timeout_ms=self.gen_timeout_ms,
-            retries=self.gen_retries,
-        )
+    def index_path(self, kind: IndexKind) -> str:
+        """The configured index of ``kind``; empty when there is none."""
+        if kind is IndexKind.SENTENCES:
+            return self.index_sentences_path
+        return self.index_questions_path
 
 
 @dataclass(frozen=True)
@@ -226,10 +204,7 @@ def run_sweep(
     if memo is None:
         memo = SweepMemo()
     if index is None:
-        path = {
-            IndexKind.SENTENCES: cfg.index_sentences_path,
-            IndexKind.QUESTIONS: cfg.index_questions_path,
-        }[ds_kind]
+        path = cfg.index_path(ds_kind)
         if not path:
             raise ConfigError(f"no index path configured for {ds_kind.value}")
         index = load_index(path)

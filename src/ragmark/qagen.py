@@ -243,10 +243,10 @@ class MockQuestionGenClient:
 def make_question_client(
     spec: str, *, timeout_ms: int = 10000, retries: int = 2
 ) -> QuestionGenClient:
-    """``mock:<seed>`` gives the offline mock, an http(s) URL the HTTP client."""
-    if spec.startswith("mock"):
-        _, _, seed = spec.partition(":")
-        return MockQuestionGenClient(seed=int(seed) if seed else 0)
+    """``mock`` or ``mock:<seed>`` gives the offline mock, an http(s) URL the HTTP client."""
+    mock = re.fullmatch(r"mock(?::(-?\d+))?", spec)
+    if mock:
+        return MockQuestionGenClient(seed=int(mock[1]) if mock[1] else 0)
     if spec.startswith("http://") or spec.startswith("https://"):
         return HttpQuestionGenClient(spec, timeout_ms=timeout_ms, retries=retries)
     raise ValueError(f"unrecognized question generator spec: {spec!r}")

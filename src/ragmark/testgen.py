@@ -1,10 +1,10 @@
 """Held-out test set construction from a sentence index.
 
-Sentence embeddings are projected to 2D, density-clustered into topics,
-outliers and over-budget clusters dropped, and each surviving cluster's
-concatenated text becomes a reference answer with generated questions. The
-reducer and clusterer are contracts; the shipped baselines (exact PCA,
-DBSCAN) are deterministic so a fixed seed reproduces the set byte for byte.
+Sentence embeddings are projected to 2D by exact PCA, density-clustered
+into topics by DBSCAN, outliers and over-budget clusters dropped, and each
+surviving cluster's concatenated text becomes a reference answer with
+generated questions. Both steps are deterministic, so a fixed seed
+reproduces the set byte for byte.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Protocol
 
 import numpy as np
 
@@ -41,13 +40,13 @@ class ClusterParams:
     min_pts: int = DEFAULT_MIN_PTS  # neighborhood size that makes a core point (self included)
     max_clusters: int = DEFAULT_MAX_CLUSTERS
 
-
-@dataclass
-class Cluster:
-    id: int
-    sentence_refs: list[int]  # entry indices into the source index
-    concatenated_text: str
-    token_count: int
+    def __post_init__(self):
+        if not self.eps > 0:  # NaN fails too
+            raise ValueError(f"eps must be positive, got {self.eps}")
+        if self.min_pts < 1:
+            raise ValueError(f"min_pts must be at least 1, got {self.min_pts}")
+        if self.max_clusters < 1:
+            raise ValueError(f"max_clusters must be at least 1, got {self.max_clusters}")
 
 
 @dataclass
@@ -60,53 +59,28 @@ class TestSet:
 # Dimensionality reduction
 # ---------------------------------------------------------------------------
 
-class Reducer(Protocol):
-    name: str
+def reduce_dim(vectors: np.ndarray, target_dim: int = 2) -> np.ndarray:
+    """Project an (n, dim) array of embedding vectors to (n, target_dim) by exact PCA.
 
-    def reduce(self, matrix: np.ndarray, target_dim: int) -> np.ndarray: ...
-
-
-class PcaReducer:
-    """Exact PCA via eigendecomposition of the covariance matrix.
-
-    Deterministic sign convention: each principal axis is flipped so its
-    largest-magnitude component is positive. After ``reduce`` the instance
-    exposes ``explained_variance_ratio_`` for the selected components.
+    The principal axes come from an eigendecomposition of the covariance
+    matrix. Deterministic sign convention: each axis is flipped so its
+    largest-magnitude component is positive.
     """
-
-    name = "pca"
-
-    def __init__(self):
-        self.explained_variance_ratio_: np.ndarray | None = None
-
-    def reduce(self, matrix: np.ndarray, target_dim: int) -> np.ndarray:
-        x = np.asarray(matrix, dtype=np.float64)
-        centered = x - x.mean(axis=0)
-        cov = centered.T @ centered / (len(x) - 1)
-        total = float(np.trace(cov))
-        if total <= 1e-12:
-            raise DegenerateCloudError("all points are identical; nothing to project")
-        eigenvalues, eigenvectors = np.linalg.eigh(cov)
-        order = np.argsort(-eigenvalues, kind="stable")[:target_dim]
-        components = eigenvectors[:, order].T
-        for i, component in enumerate(components):
-            pivot = int(np.argmax(np.abs(component)))
-            if component[pivot] < 0:
-                components[i] = -component
-        self.explained_variance_ratio_ = np.maximum(eigenvalues[order], 0.0) / total
-        return centered @ components.T
-
-
-def reduce_dim(
-    vectors: np.ndarray,
-    target_dim: int = 2,
-    reducer: Reducer | None = None,
-) -> np.ndarray:
-    """Project an (n, dim) array of embedding vectors to (n, target_dim) (PCA by default)."""
     if len(vectors) < target_dim + 1:
         raise ValueError(f"need more than {target_dim} vectors to reduce")
-    reducer = reducer or PcaReducer()
-    return reducer.reduce(vectors, target_dim)
+    x = np.asarray(vectors, dtype=np.float64)
+    centered = x - x.mean(axis=0)
+    cov = centered.T @ centered / (len(x) - 1)
+    if float(np.trace(cov)) <= 1e-12:
+        raise DegenerateCloudError("all points are identical; nothing to project")
+    eigenvalues, eigenvectors = np.linalg.eigh(cov)
+    order = np.argsort(-eigenvalues, kind="stable")[:target_dim]
+    components = eigenvectors[:, order].T
+    for i, component in enumerate(components):
+        pivot = int(np.argmax(np.abs(component)))
+        if component[pivot] < 0:
+            components[i] = -component
+    return centered @ components.T
 
 
 # ---------------------------------------------------------------------------
@@ -194,46 +168,19 @@ def _merge_to_cap(
     return clusters
 
 
-class DbscanClusterer:
-    name = "dbscan"
-
-    def __init__(self, params: ClusterParams | None = None):
-        self.params = params or ClusterParams()
-
-    def cluster(self, points: np.ndarray) -> tuple[list[list[int]], list[int]]:
-        return cluster_points(points, self.params)
-
-    def describe(self) -> dict:
-        return {
-            "clusterer": self.name,
-            "eps": self.params.eps,
-            "min_pts": self.params.min_pts,
-            "max_clusters": self.params.max_clusters,
-        }
-
-
-class Clusterer(Protocol):
-    name: str
-
-    def cluster(self, points: np.ndarray) -> tuple[list[list[int]], list[int]]: ...
-
-    def describe(self) -> dict: ...
-
-
 # ---------------------------------------------------------------------------
 # Test set assembly
 # ---------------------------------------------------------------------------
 
 def assemble_test_set(
     ds: IndexedDataset,
-    reducer: Reducer,
-    clusterer: Clusterer,
+    params: ClusterParams,
     counter: TokenCounter,
     qg_client: QuestionGenClient,
     *,
     questions_per_cluster: int = 5,
 ) -> TestSet:
-    """reduce -> cluster -> drop outliers and over-budget clusters -> questions.
+    """PCA to 2D -> DBSCAN -> drop outliers and over-budget clusters -> questions.
 
     Cluster text concatenates member sentences in their original corpus
     order. A cluster over the token budget under ``counter`` is dropped;
@@ -241,58 +188,53 @@ def assemble_test_set(
     pipeline.
     """
     require_counter(counter)
+    if questions_per_cluster < 1:
+        raise ValueError(f"questions_per_cluster must be at least 1, got {questions_per_cluster}")
     if ds.kind is not IndexKind.SENTENCES:
         raise ValueError("test set generation needs a sentence-keyed index")
-    points = reduce_dim(ds.keys, 2, reducer)
-    raw_clusters, outliers = clusterer.cluster(points)
+    points = reduce_dim(ds.keys, 2)
+    raw_clusters, outliers = cluster_points(points, params)
     if outliers:
         log.info("dropping %d outlier sentences", len(outliers))
 
-    clusters: list[Cluster] = []
+    texts: list[str] = []  # of the surviving clusters; a cluster's id is its position here
     for members in raw_clusters:
-        ordered = sorted(members)
-        text = " ".join(ds.entries[i].key_text for i in ordered)
+        text = " ".join(ds.entries[i].key_text for i in sorted(members))
         tokens = counter.count(text)
         if tokens > CLUSTER_TOKEN_BUDGET:
             log.info("dropping %d-token cluster (budget %d)", tokens, CLUSTER_TOKEN_BUDGET)
             continue
-        clusters.append(
-            Cluster(
-                id=len(clusters),
-                sentence_refs=ordered,
-                concatenated_text=text,
-                token_count=tokens,
-            )
-        )
-    if not clusters:
+        texts.append(text)
+    if not texts:
         raise EmptyTestSetError("no cluster survived the token budget")
 
     pairs = []
-    for cluster in clusters:
-        questions, synthetic = _usable_questions(
-            cluster.concatenated_text, qg_client, questions_per_cluster
-        )
+    for cluster_id, text in enumerate(texts):
+        questions, synthetic = _usable_questions(text, qg_client, questions_per_cluster)
         for q in questions:
             pairs.append(
                 QAPair(
                     question=q,
-                    paragraph_ref=("cluster", cluster.id),
-                    answer_text=cluster.concatenated_text,
+                    paragraph_ref=("cluster", cluster_id),
+                    answer_text=text,
                     synthetic=synthetic,
                 )
             )
 
-    params = {
-        "reducer": reducer.name,
-        **clusterer.describe(),
+    header = {
+        "reducer": "pca",
+        "clusterer": "dbscan",
+        "eps": params.eps,
+        "min_pts": params.min_pts,
+        "max_clusters": params.max_clusters,
         "token_budget": CLUSTER_TOKEN_BUDGET,
         "embedder": ds.embedder_name,
         "questions_per_cluster": questions_per_cluster,
         "source_entries": len(ds.entries),
-        "clusters": len(clusters),
+        "clusters": len(texts),
         "outliers": len(outliers),
     }
-    return TestSet(pairs=pairs, params=params)
+    return TestSet(pairs=pairs, params=header)
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,6 @@ from ragmark.qagen import MockQuestionGenClient, build_qa_dataset
 from ragmark.retrieve import DEFAULT_TEMPLATE, pack_context, render_prompt
 from ragmark.testgen import (
     ClusterParams,
-    DbscanClusterer,
-    PcaReducer,
     assemble_test_set,
     cluster_points,
     reduce_dim,
@@ -368,9 +366,7 @@ def _desk_run(tmp_path, tag):
     qa = build_qa_dataset(paragraphs, MockQuestionGenClient(seed=3), k=3)
     idq = build_question_index(qa, embedder)
     testset = testgen.TestSet(pairs=make_test_pairs(vocab, sentences), params={"fixture": "topics"})
-    cfg = ExperimentConfig(
-        testset_path="in-memory", embed_endpoint=f"local:{EMBED_DIM}", seed=11
-    )
+    cfg = ExperimentConfig()
     mock = ExtractiveMockClient()
 
     baseline = run_baseline(cfg, testset=testset, gen_client=mock, embedder=embedder)
@@ -412,7 +408,7 @@ def test_criterion_7_test_set_generation():
     _, sentences = corpus_pipeline(docs)
     embedder = LocalHashEmbedder(dim=EMBED_DIM)
     ds = build_sentence_index(sentences, embedder)
-    points = reduce_dim(ds.keys, 2, PcaReducer())
+    points = reduce_dim(ds.keys, 2)
     clusters, outliers = cluster_points(points, ClusterParams(eps=0.2, min_pts=6))
     assert outliers == []
     assert sorted(sorted(c) for c in clusters) == [
@@ -420,8 +416,7 @@ def test_criterion_7_test_set_generation():
     ]  # zero mislabeled sentences
 
     ts = assemble_test_set(
-        ds, PcaReducer(), DbscanClusterer(ClusterParams(eps=0.2, min_pts=6)),
-        COUNTER, MockQuestionGenClient(seed=1),
+        ds, ClusterParams(eps=0.2, min_pts=6), COUNTER, MockQuestionGenClient(seed=1),
     )
     assert all(COUNTER.count(p.answer_text) <= 256 for p in ts.pairs)
 
@@ -435,8 +430,7 @@ def test_criterion_7_test_set_generation():
     )
     assert COUNTER.count(oversize_text) == 300
     ts_big = assemble_test_set(
-        ds_big, PcaReducer(), DbscanClusterer(ClusterParams(eps=0.2, min_pts=6)),
-        COUNTER, MockQuestionGenClient(seed=1),
+        ds_big, ClusterParams(eps=0.2, min_pts=6), COUNTER, MockQuestionGenClient(seed=1),
     )
     answers = {p.answer_text for p in ts_big.pairs}
     assert len(answers) == 2

@@ -45,7 +45,7 @@ def test_sweep_search_and_pack_are_traced():
     index = build_sentence_index([Sentence("d", 0, i, t, 4) for i, t in enumerate(texts)],
                                  embedder)
     testset = testgen.TestSet(pairs=[QAPair("What about alpha beta?", ("d", 0), texts[0])], params={})
-    cfg = ExperimentConfig(testset_path="unused", thresholds=[0.0, 0.5])
+    cfg = ExperimentConfig(thresholds=[0.0, 0.5])
     tracer = _load_tracer().Tracer()
     try:
         tracer.install()

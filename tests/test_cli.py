@@ -3,7 +3,7 @@ import zlib
 
 import pytest
 
-from topicfix import EMBED_DIM, make_topic_corpus
+from topicfix import EMBED_DIM, corpus_pipeline, make_topic_corpus
 from ragmark.cli import main
 from ragmark.config import REGISTRY, config_lines, parse_config_text, resolve_config
 from ragmark.corpus import Sentence
@@ -180,6 +180,60 @@ class TestCliBasics:
         err = capsys.readouterr().err
         assert err.startswith("i/o error")
         assert named in err
+
+
+@pytest.fixture
+def topic_index(tmp_path):
+    """The three-topic fixture's sentence index; testgen at eps 0.2 finds its 3 clusters."""
+    docs, _ = make_topic_corpus()
+    _, sentences = corpus_pipeline(docs)
+    idx = tmp_path / "index.jsonl"
+    save_index(build_sentence_index(sentences, LocalHashEmbedder(EMBED_DIM)), idx)
+    return idx
+
+
+class TestSettingsChecked:
+    """A setting outside its range is a usage error, before any file is written."""
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--eps", "-0.2"], "eps"),
+        (["--eps", "nan"], "eps"),
+        (["--min-pts", "0"], "min_pts"),
+        (["--max-clusters", "0"], "max_clusters"),
+        (["--questions-per-cluster", "0"], "questions_per_cluster"),
+        (["--eps", "-0.2", "--dry-run"], "eps"),
+        (["--max-clusters", "0", "--dry-run"], "max_clusters"),
+    ], ids=["negative-eps", "nan-eps", "zero-min-pts", "zero-max-clusters",
+            "zero-questions", "dry-run-negative-eps", "dry-run-zero-max-clusters"])
+    def test_testgen_setting_out_of_range(self, topic_index, tmp_path, capsys, flags, named):
+        before = snapshot(tmp_path)
+        assert run("testgen", "--index", str(topic_index), "--out", str(tmp_path / "ts.jsonl"),
+                   "--eps", "0.2", "--min-pts", "6", "--qg-endpoint", "mock:1", *flags) == 1
+        assert snapshot(tmp_path) == before
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("given, missing", [("--train-out", "--val-out"),
+                                                ("--val-out", "--train-out")])
+    def test_qa_gen_split_needs_both_outputs(self, tmp_path, capsys, given, missing):
+        paragraphs = tmp_path / "p.jsonl"
+        paragraphs.write_text(GOOD_PARAGRAPH + "\n")
+        before = snapshot(tmp_path)
+        assert run("qa-gen", "--paragraphs", str(paragraphs), "--out", str(tmp_path / "qa.jsonl"),
+                   given, str(tmp_path / "split.jsonl")) == 1
+        assert snapshot(tmp_path) == before
+        assert f"{missing} is missing" in capsys.readouterr().err
+
+    def test_failure_budget_outside_unit_interval(self, topic_index, tmp_path, capsys):
+        cfg = tmp_path / "budget.cfg"
+        cfg.write_text("exp.failure_budget = 20\n")
+        testset = tmp_path / "ts.jsonl"
+        testset.write_text('{"params": {}}\n{"question": "q?", "answer_text": "a.", "cluster_id": 0}\n')
+        before = snapshot(tmp_path)
+        assert run("--config", str(cfg), "sweep", "--testset", str(testset),
+                   "--index-sentences", str(topic_index), "--output-dir", str(tmp_path / "out"),
+                   "--embedder", f"local:{EMBED_DIM}", "--thresholds", "0.5") == 1
+        assert snapshot(tmp_path) == before
+        assert "exp.failure_budget" in capsys.readouterr().err
 
 
 class TestDryRun:

@@ -183,7 +183,7 @@ class TestTokenCounter:
         lambda c: split_paragraphs(Document("d", "t", "Some words here."), c),
         lambda c: truncate_to_token_budget("Some words here.", c, 2),
         # the counter is checked first, so the other arguments are never read
-        lambda c: assemble_test_set(None, None, None, c, None),
+        lambda c: assemble_test_set(None, None, c, None),
         lambda c: pack_context([], None, c, 10),
     ], ids=["split_paragraphs", "truncate_to_token_budget", "assemble_test_set",
             "pack_context"])

@@ -12,6 +12,7 @@ from ragmark.embed import (
     RemoteEmbedder,
     cosine,
     fnv1a64,
+    make_embedder,
 )
 from ragmark.errors import (
     BadResponseError,
@@ -119,6 +120,19 @@ class TestLocalHashEmbedder:
         # reference values for the 64-bit FNV-1a parameters
         assert fnv1a64(b"") == 0xCBF29CE484222325
         assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
+
+
+class TestMakeEmbedder:
+    def test_local_specs(self):
+        assert make_embedder("local").dim == 64
+        assert make_embedder("local:128").dim == 128
+        assert isinstance(make_embedder("http://x/"), RemoteEmbedder)
+
+    @pytest.mark.parametrize("spec", ["localhost:9000", "local:", "local:abc", "locale",
+                                      "carrier-pigeon"])
+    def test_unknown_spec_rejected(self, spec):
+        with pytest.raises(ValueError, match="unrecognized embedder spec"):
+            make_embedder(spec)
 
 
 class TestCachingEmbedder:

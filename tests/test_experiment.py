@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from topicfix import EMBED_DIM, corpus_pipeline, make_test_pairs, make_topic_corpus
 from oracles import oracle_run_sweep, streaming_means
-from ragmark import experiment
+from ragmark import cli, experiment
 from ragmark.cli import main
 from ragmark.corpus import Sentence
 from ragmark.embed import LocalHashEmbedder, RemoteEmbedder
@@ -108,7 +108,7 @@ def desk_fixture():
     qa = build_qa_dataset(paragraphs, MockQuestionGenClient(seed=3), k=3)
     idq = build_question_index(qa, embedder)
     testset = testgen.TestSet(pairs=make_test_pairs(vocab, sentences), params={"fixture": "topics"})
-    cfg = ExperimentConfig(testset_path="unused", embed_endpoint=f"local:{EMBED_DIM}")
+    cfg = ExperimentConfig()
     return cfg, testset, ids, idq, embedder
 
 
@@ -333,7 +333,7 @@ class TestSweepMatchesPerThresholdOracle:
         ]
         testset = testgen.TestSet(pairs=pairs, params={})
         cfg = ExperimentConfig(
-            testset_path="unused", thresholds=thresholds, failure_budget=failure_budget,
+            thresholds=thresholds, failure_budget=failure_budget,
             budgets=Budgets(model_max_input=model_max_input, answer_reserve=4),
         )
         # failing on chosen prompts: those holding a poison word, and every
@@ -388,7 +388,7 @@ class TestSweepCommandMemo:
             scored.append((generated, reference))
             return real_score_row(qid, generated, reference, embedder)
 
-        monkeypatch.setattr(ExperimentConfig, "build_gen_client", lambda self: client)
+        monkeypatch.setattr(cli, "_gen_client", lambda cfg: client)
         monkeypatch.setattr(experiment, "score_row", counting_score_row)
         out = tmp_path / "out"
         assert main(["sweep", "--testset", str(paths["ts"]), "--index-sentences",
@@ -462,11 +462,17 @@ class TestSweepCommandMemo:
 class TestExperimentConfig:
     def test_thresholds_must_increase(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig(testset_path="x", thresholds=[0.1, 0.1])
+            ExperimentConfig(thresholds=[0.1, 0.1])
 
     def test_thresholds_must_be_in_range(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig(testset_path="x", thresholds=[0.5, 1.2])
+            ExperimentConfig(thresholds=[0.5, 1.2])
+
+    @pytest.mark.parametrize("budget", [float("nan"), 20.0, -0.1])
+    def test_failure_budget_must_be_a_fraction(self, budget):
+        # outside [0, 1] the abort could never fire (or always would)
+        with pytest.raises(ConfigError, match="exp.failure_budget"):
+            ExperimentConfig(failure_budget=budget)
 
     def test_from_config_defaults(self):
         from ragmark.config import default_config
@@ -475,6 +481,8 @@ class TestExperimentConfig:
         assert cfg.thresholds == [i / 10 for i in range(11)]
         assert cfg.budgets.model_max_input == 4096
         assert cfg.budgets.answer_reserve == 256
+        # the library defaults are the registry defaults
+        assert cfg == ExperimentConfig()
 
 
 class TestReports:

@@ -211,6 +211,15 @@ class TestClients:
         with pytest.raises(ValueError):
             make_question_client("carrier-pigeon")
 
+    def test_factory_mock_specs(self):
+        assert make_question_client("mock").seed == 0
+        assert make_question_client("mock:-2").seed == -2
+
+    @pytest.mark.parametrize("spec", ["mockingbird", "mock:", "mock:x", "mock:3:4"])
+    def test_factory_rejects_near_mock_specs(self, spec):
+        with pytest.raises(ValueError, match="unrecognized question generator spec"):
+            make_question_client(spec)
+
 
 class TestPersistence:
     def test_jsonl_roundtrip_and_schema(self, tmp_path):

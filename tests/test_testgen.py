@@ -16,8 +16,6 @@ from ragmark.qagen import MockQuestionGenClient, build_qa_dataset
 from ragmark import testgen
 from ragmark.testgen import (
     ClusterParams,
-    DbscanClusterer,
-    PcaReducer,
     assemble_test_set,
     cluster_points,
     neighbor_matrix,
@@ -33,9 +31,7 @@ class TestPcaReducer:
         basis = rng.normal(size=(2, 64))
         coords = rng.normal(size=(40, 2))
         cloud = coords @ basis
-        reducer = PcaReducer()
-        points = reducer.reduce(cloud, 2)
-        assert float(reducer.explained_variance_ratio_.sum()) == pytest.approx(1.0, abs=1e-9)
+        points = reduce_dim(cloud, 2)
         centered = cloud - cloud.mean(axis=0)
         for i in range(0, 30, 7):
             for j in range(i + 1, 30, 5):
@@ -48,19 +44,11 @@ class TestPcaReducer:
         with pytest.raises(DegenerateCloudError):
             reduce_dim(vecs, 2)
 
-    def test_isotropic_gaussian_evr_near_expected(self):
-        rng = np.random.default_rng(0)
-        cloud = rng.normal(size=(500, 32))
-        reducer = PcaReducer()
-        reducer.reduce(cloud, 2)
-        evr = float(reducer.explained_variance_ratio_.sum())
-        assert evr == pytest.approx(2 / 32, abs=0.05)
-
     def test_deterministic_with_sign_convention(self):
         rng = np.random.default_rng(8)
         cloud = rng.normal(size=(30, 6))
-        a = PcaReducer().reduce(cloud, 2)
-        b = PcaReducer().reduce(cloud, 2)
+        a = reduce_dim(cloud, 2)
+        b = reduce_dim(cloud, 2)
         assert np.array_equal(a, b)
 
     def test_too_few_vectors(self):
@@ -175,7 +163,7 @@ class TestAssembleTestSet:
 
     def test_three_topic_blobs_recovered_exactly(self):
         ds, _ = self._fixture_index()
-        points = reduce_dim(ds.keys, 2, PcaReducer())
+        points = reduce_dim(ds.keys, 2)
         clusters, outliers = cluster_points(points, ClusterParams(eps=0.2, min_pts=6))
         assert outliers == []
         assert sorted(sorted(c) for c in clusters) == [
@@ -185,23 +173,33 @@ class TestAssembleTestSet:
     def test_assembles_pairs_with_cluster_answers(self):
         ds, _ = self._fixture_index()
         ts = assemble_test_set(
-            ds, PcaReducer(), DbscanClusterer(ClusterParams(eps=0.2, min_pts=6)),
-            WhitespacePunctCounter(), MockQuestionGenClient(seed=1),
+            ds, ClusterParams(eps=0.2, min_pts=6), WhitespacePunctCounter(),
+            MockQuestionGenClient(seed=1),
         )
         assert len(ts.pairs) >= 3
         answers = {p.answer_text for p in ts.pairs}
         assert len(answers) == 3
         counter = WhitespacePunctCounter()
         assert all(counter.count(a) <= 256 for a in answers)
-        assert ts.params["clusters"] == 3
-        assert ts.params["reducer"] == "pca"
+        assert ts.params == {
+            "reducer": "pca",
+            "clusterer": "dbscan",
+            "eps": 0.2,
+            "min_pts": 6,
+            "max_clusters": 15,
+            "token_budget": 256,
+            "embedder": f"local-hash-{EMBED_DIM}",
+            "questions_per_cluster": 5,
+            "source_entries": 24,
+            "clusters": 3,
+            "outliers": 0,
+        }
 
     def test_oversize_cluster_excluded(self):
         ds, vocab = self._fixture_index(with_oversize=True)
         counter = WhitespacePunctCounter()
         ts = assemble_test_set(
-            ds, PcaReducer(), DbscanClusterer(ClusterParams(eps=0.2, min_pts=6)),
-            counter, MockQuestionGenClient(seed=1),
+            ds, ClusterParams(eps=0.2, min_pts=6), counter, MockQuestionGenClient(seed=1),
         )
         answers = {p.answer_text for p in ts.pairs}
         assert len(answers) == 2
@@ -220,8 +218,7 @@ class TestAssembleTestSet:
         idq = build_question_index(qa, embedder)
         with pytest.raises(ValueError):
             assemble_test_set(
-                idq, PcaReducer(), DbscanClusterer(), WhitespacePunctCounter(),
-                MockQuestionGenClient(seed=1),
+                idq, ClusterParams(), WhitespacePunctCounter(), MockQuestionGenClient(seed=1),
             )
 
     def test_all_clusters_oversize_is_error(self):
@@ -235,8 +232,8 @@ class TestAssembleTestSet:
 
         with pytest.raises(EmptyTestSetError):
             assemble_test_set(
-                ds, PcaReducer(), DbscanClusterer(ClusterParams(eps=0.2, min_pts=6)),
-                TinyBudgetCounter(), MockQuestionGenClient(seed=1),
+                ds, ClusterParams(eps=0.2, min_pts=6), TinyBudgetCounter(),
+                MockQuestionGenClient(seed=1),
             )
 
     def test_no_test_answer_equals_training_answer_verbatim(self):
@@ -245,8 +242,8 @@ class TestAssembleTestSet:
         paragraphs, _ = corpus_pipeline(docs)
         training = build_qa_dataset(paragraphs, MockQuestionGenClient(seed=1), k=3)
         ts = assemble_test_set(
-            ds, PcaReducer(), DbscanClusterer(ClusterParams(eps=0.2, min_pts=6)),
-            WhitespacePunctCounter(), MockQuestionGenClient(seed=1),
+            ds, ClusterParams(eps=0.2, min_pts=6), WhitespacePunctCounter(),
+            MockQuestionGenClient(seed=1),
         )
         training_answers = {p.answer_text for p in training.pairs}
         assert not training_answers & {p.answer_text for p in ts.pairs}
@@ -256,8 +253,8 @@ class TestAssembleTestSet:
         for run in range(2):
             ds, _ = self._fixture_index()
             ts = assemble_test_set(
-                ds, PcaReducer(), DbscanClusterer(ClusterParams(eps=0.2, min_pts=6)),
-                WhitespacePunctCounter(), MockQuestionGenClient(seed=4),
+                ds, ClusterParams(eps=0.2, min_pts=6), WhitespacePunctCounter(),
+                MockQuestionGenClient(seed=4),
             )
             path = tmp_path / f"ts{run}.jsonl"
             write_test_set_jsonl(ts, path)
