@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage or validation error, 2 aborted run, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -40,6 +41,7 @@ from .experiment import (
     ExperimentConfig,
     SweepMemo,
     emit_report,
+    prompt_settings,
     run_baseline,
     run_sweep,
     summarize,
@@ -81,6 +83,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every main() call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ragmark", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -270,6 +273,9 @@ def _cmd_testgen(args) -> int:
     _require_files(args.index)
     cfg = _resolve(args, {"qg.endpoint": args.qg_endpoint})
     params = ClusterParams(eps=args.eps, min_pts=args.min_pts, max_clusters=args.max_clusters)
+    if args.questions_per_cluster < 1:  # assemble_test_set checks it too, after the dry run
+        raise ValueError(
+            f"questions_per_cluster must be at least 1, got {args.questions_per_cluster}")
     ds = load_index(args.index)
     if args.dry_run:
         print(f"dry-run: would cluster {len(ds.entries)} entries "
@@ -292,11 +298,11 @@ def _cmd_ask(args) -> int:
         print(f"dry-run: would answer {args.question!r} from {args.index} "
               f"at threshold {args.threshold}")
         return 0
-    exp = ExperimentConfig.from_config(cfg)
+    budgets, template = prompt_settings(cfg)
     ds = load_index(args.index)
     embedder = _embedder(cfg)
     result = answer(args.question, ds, args.threshold, embedder,
-                    _gen_client(cfg), exp.budgets, template=exp.template)
+                    _gen_client(cfg), budgets, template=template)
     print(f"question : {result.question}")
     print(f"threshold: {result.threshold} ({result.dataset_kind.value} index, "
           f"{len(result.hits)} hits, {len(result.context.included)} packed"

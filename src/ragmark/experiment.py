@@ -35,6 +35,19 @@ BASELINE_ARM = "baseline"
 SWEEP_ARMS = {IndexKind.SENTENCES: "rag_sentences", IndexKind.QUESTIONS: "rag_questions"}
 
 
+def prompt_settings(cfg: dict[str, str]) -> tuple[Budgets, str]:
+    """The token budgets and prompt template that the ``rag.*`` keys of ``cfg`` give."""
+    template = DEFAULT_TEMPLATE
+    template_path = cfg["rag.template_path"]
+    if template_path:
+        template = Path(template_path).read_text(encoding="utf-8")
+    budgets = Budgets(
+        model_max_input=as_int(cfg, "rag.model_max_input"),
+        answer_reserve=as_int(cfg, "rag.answer_reserve"),
+    )
+    return budgets, template
+
+
 @dataclass
 class ExperimentConfig:
     """What a baseline run or a sweep reads; the caller supplies the clients."""
@@ -59,18 +72,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_config(cls, cfg: dict[str, str]) -> "ExperimentConfig":
-        template = DEFAULT_TEMPLATE
-        template_path = cfg["rag.template_path"]
-        if template_path:
-            template = Path(template_path).read_text(encoding="utf-8")
+        budgets, template = prompt_settings(cfg)
         return cls(
             index_sentences_path=cfg["exp.index_sentences"],
             index_questions_path=cfg["exp.index_questions"],
             thresholds=as_float_list(cfg, "exp.thresholds"),
-            budgets=Budgets(
-                model_max_input=as_int(cfg, "rag.model_max_input"),
-                answer_reserve=as_int(cfg, "rag.answer_reserve"),
-            ),
+            budgets=budgets,
             template=template,
             failure_budget=as_float(cfg, "exp.failure_budget"),
         )

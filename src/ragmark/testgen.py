@@ -1,7 +1,8 @@
 """Held-out test set construction from a sentence index.
 
-Sentence embeddings are projected to 2D by exact PCA, density-clustered
-into topics by DBSCAN, outliers and over-budget clusters dropped, and each
+Sentence embeddings are projected to 2D by exact PCA (computed on the
+smaller of the covariance and the Gram matrix), density-clustered into
+topics by DBSCAN, outliers and over-budget clusters dropped, and each
 surviving cluster's concatenated text becomes a reference answer with
 generated questions. Both steps are deterministic, so a fixed seed
 reproduces the set byte for byte.
@@ -62,20 +63,43 @@ class TestSet:
 def reduce_dim(vectors: np.ndarray, target_dim: int = 2) -> np.ndarray:
     """Project an (n, dim) array of embedding vectors to (n, target_dim) by exact PCA.
 
-    The principal axes come from an eigendecomposition of the covariance
-    matrix. Deterministic sign convention: each axis is flipped so its
-    largest-magnitude component is positive.
+    The principal axes come from an eigendecomposition of whichever of the
+    dim x dim covariance and the n x n Gram matrix is smaller. With fewer
+    vectors than dimensions (48 sentences of 512-dim keys at desk scale), the
+    Gram matrix ``centered @ centered.T / (n - 1)`` has the same nonzero
+    eigenvalues, and each of its eigenvectors ``u`` maps to the covariance
+    axis ``centered.T @ u``, normalised. An axis along which the cloud has no
+    spread (a rank-deficient cloud) projects every point to 0. Otherwise the
+    covariance path runs unchanged.
+
+    Deterministic sign convention: each axis is flipped so its
+    largest-magnitude component is positive. When two components tie for
+    the largest magnitude (on hashed bag-of-words keys, equal loadings on a
+    topic's core-word buckets), rounding decides the sign, on either path.
+    Clustering cannot tell: a flipped axis leaves every distance and
+    centroid norm unchanged.
     """
     if len(vectors) < target_dim + 1:
         raise ValueError(f"need more than {target_dim} vectors to reduce")
     x = np.asarray(vectors, dtype=np.float64)
     centered = x - x.mean(axis=0)
-    cov = centered.T @ centered / (len(x) - 1)
-    if float(np.trace(cov)) <= 1e-12:
+    n, dim = x.shape
+    gram_side = n < dim
+    # covariance or Gram matrix; both have the cloud's variances as eigenvalues
+    moments = (centered @ centered.T if gram_side else centered.T @ centered) / (n - 1)
+    if float(np.trace(moments)) <= 1e-12:
         raise DegenerateCloudError("all points are identical; nothing to project")
-    eigenvalues, eigenvectors = np.linalg.eigh(cov)
+    eigenvalues, eigenvectors = np.linalg.eigh(moments)
     order = np.argsort(-eigenvalues, kind="stable")[:target_dim]
     components = eigenvectors[:, order].T
+    if gram_side:
+        components = components @ centered  # row i: centered.T @ u_i
+        # An eigenvalue at rounding level belongs to no axis: centered.T @ u
+        # is then rounding noise inside the cloud's own span, and normalising
+        # it would copy an earlier axis.
+        spread = eigenvalues[order] > eigenvalues[order[0]] * dim * np.finfo(float).eps
+        components[~spread] = 0.0
+        components[spread] /= np.linalg.norm(components[spread], axis=1, keepdims=True)
     for i, component in enumerate(components):
         pivot = int(np.argmax(np.abs(component)))
         if component[pivot] < 0:

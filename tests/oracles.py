@@ -5,6 +5,7 @@ enumeration instead of the LCS recurrence, the rolling-row LCS DP instead of
 the bit-parallel one, reference scans that re-stem every token instead of
 per-word position stacks, per-pair python cosines instead of the matrix
 scan, one n x n x 2 array and one whole-matrix norm instead of row blocks,
+the dim x dim covariance instead of the n x n Gram matrix for PCA,
 format-1 index files with one base64 vector per record instead of a raw
 keys file, re-counting the whole joined context per packed payload, and one search,
 pack, generate and score per sweep cell. Slow is fine; different code paths
@@ -21,7 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from ragmark.corpus import WhitespacePunctCounter, token_spans, truncate_to_token_budget
-from ragmark.errors import ChecksumError, DimMismatchError, PersistenceError, RagmarkError
+from ragmark.errors import (
+    ChecksumError,
+    DegenerateCloudError,
+    DimMismatchError,
+    PersistenceError,
+    RagmarkError,
+)
 from ragmark.experiment import _check_failures, _question_ids
 from ragmark.generate import GenerationRequest
 from ragmark.index import IndexedDataset, IndexEntry, IndexKind, search
@@ -135,6 +142,25 @@ def oracle_within(points, eps):
     pts = np.asarray(points, dtype=np.float64)
     diff = pts[:, None, :] - pts[None, :, :]
     return (diff ** 2).sum(axis=2) <= eps ** 2
+
+
+def oracle_reduce_dim(vectors, target_dim=2):
+    """PCA through an eigendecomposition of the dim x dim covariance, at any n."""
+    if len(vectors) < target_dim + 1:
+        raise ValueError(f"need more than {target_dim} vectors to reduce")
+    x = np.asarray(vectors, dtype=np.float64)
+    centered = x - x.mean(axis=0)
+    cov = centered.T @ centered / (len(x) - 1)
+    if float(np.trace(cov)) <= 1e-12:
+        raise DegenerateCloudError("all points are identical; nothing to project")
+    eigenvalues, eigenvectors = np.linalg.eigh(cov)
+    order = np.argsort(-eigenvalues, kind="stable")[:target_dim]
+    components = eigenvectors[:, order].T
+    for i, component in enumerate(components):
+        pivot = int(np.argmax(np.abs(component)))
+        if component[pivot] < 0:
+            components[i] = -component
+    return centered @ components.T
 
 
 def oracle_unit_keys(keys):

@@ -203,8 +203,10 @@ class TestSettingsChecked:
         (["--questions-per-cluster", "0"], "questions_per_cluster"),
         (["--eps", "-0.2", "--dry-run"], "eps"),
         (["--max-clusters", "0", "--dry-run"], "max_clusters"),
+        (["--questions-per-cluster", "0", "--dry-run"], "questions_per_cluster"),
     ], ids=["negative-eps", "nan-eps", "zero-min-pts", "zero-max-clusters",
-            "zero-questions", "dry-run-negative-eps", "dry-run-zero-max-clusters"])
+            "zero-questions", "dry-run-negative-eps", "dry-run-zero-max-clusters",
+            "dry-run-zero-questions"])
     def test_testgen_setting_out_of_range(self, topic_index, tmp_path, capsys, flags, named):
         before = snapshot(tmp_path)
         assert run("testgen", "--index", str(topic_index), "--out", str(tmp_path / "ts.jsonl"),
@@ -234,6 +236,34 @@ class TestSettingsChecked:
                    "--embedder", f"local:{EMBED_DIM}", "--thresholds", "0.5") == 1
         assert snapshot(tmp_path) == before
         assert "exp.failure_budget" in capsys.readouterr().err
+
+    def test_ask_ignores_sweep_settings(self, topic_index, tmp_path, capsys):
+        cfg = tmp_path / "sweep-only.cfg"
+        cfg.write_text("exp.thresholds = 0.5,0.1\nexp.failure_budget = 20\n")
+        assert run("--config", str(cfg), "ask", "--question", "What is new?",
+                   "--index", str(topic_index), "--embedder", f"local:{EMBED_DIM}") == 0
+        assert "answer   :" in capsys.readouterr().out
+
+
+class TestParserReuse:
+    """main() builds its parser once per process; no call may see another's flags."""
+
+    def test_flags_do_not_carry_over_between_calls(self, topic_index, capsys):
+        ask = ["ask", "--question", "Why?", "--index", str(topic_index), "--dry-run"]
+        assert run(*ask, "--threshold", "0.9") == 0
+        assert "at threshold 0.9" in capsys.readouterr().out
+        assert run(*ask) == 0
+        assert "at threshold 0.5" in capsys.readouterr().out
+
+        assert run("ask", "--index", str(topic_index)) == 1  # --question missing
+        assert "usage" in capsys.readouterr().err.lower()
+        with pytest.raises(SystemExit) as exit_info:
+            run("ask", "--help")
+        assert exit_info.value.code == 0
+        assert "--threshold" in capsys.readouterr().out
+        assert run("config", "--list") == 0
+        assert run(*ask) == 0
+        assert "at threshold 0.5" in capsys.readouterr().out
 
 
 class TestDryRun:

@@ -1,12 +1,15 @@
+import importlib.util
 import json
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_within
+from oracles import oracle_reduce_dim, oracle_within
 from topicfix import EMBED_DIM, corpus_pipeline, make_oversize_topic_doc, make_topic_corpus
 from ragmark.corpus import WhitespacePunctCounter
 from ragmark.embed import LocalHashEmbedder
@@ -58,6 +61,105 @@ class TestPcaReducer:
     def test_output_length_matches_input(self):
         vecs = np.array([np.random.default_rng(i).normal(size=8) for i in range(9)])
         assert len(reduce_dim(vecs, 2)) == 9
+
+
+def _load_bench_topics():
+    """``bench/topics.py``, the benchmark's corpus generator (it imports nothing from ragmark)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "topics.py"
+    spec = importlib.util.spec_from_file_location("bench_topics", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_topics = _load_bench_topics()
+
+
+def _topic_keys(topics, seed):
+    corpus = bench_topics.make_corpus(seed, topics, 16)
+    sentences = [s for topic in corpus.topics for s in topic.sentences]
+    return LocalHashEmbedder(EMBED_DIM).embed_batch(sentences).astype(np.float32)
+
+
+def _gapped_cloud(seed, n, dim):
+    """n points near a 2-D plane: axis spreads 10 and 3, noise 0.1, so both axes are well defined."""
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.normal(size=(dim, 2)))
+    coords = rng.normal(size=(n, 2)) * [10.0, 3.0]
+    return coords @ basis.T + rng.normal(0, 0.1, size=(n, dim)) + rng.normal(size=dim)
+
+
+def _clusters(points, eps, min_pts=6):
+    try:
+        return cluster_points(points, ClusterParams(eps=eps, min_pts=min_pts))
+    except NoClustersError:
+        return None
+
+
+def _assert_same_axes_up_to_sign(points, expected, tol=1e-9):
+    assert points.shape == expected.shape
+    for axis in range(points.shape[1]):
+        a, b = points[:, axis], expected[:, axis]
+        assert min(np.abs(a - b).max(), np.abs(a + b).max()) <= tol
+
+
+class TestReduceDimMatchesCovarianceOracle:
+    """Fewer points than dimensions take the Gram path; the rest must be the oracle, bit for bit."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 40), st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_covariance_path_bit_identical(self, seed, dim, extra):
+        cloud = np.random.default_rng(seed).normal(size=(dim + extra - 1, dim))
+        assert np.array_equal(reduce_dim(cloud, 2), oracle_reduce_dim(cloud, 2))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(4, 40), st.integers(1, 80))
+    @settings(max_examples=60, deadline=None)
+    def test_gram_path_same_axes_and_clusters(self, seed, n, extra):
+        cloud = _gapped_cloud(seed, n, n + extra)
+        points, expected = reduce_dim(cloud, 2), oracle_reduce_dim(cloud, 2)
+        _assert_same_axes_up_to_sign(points, expected)
+        for eps in (0.5, 2.0):
+            assert _clusters(points, eps, min_pts=3) == _clusters(expected, eps, min_pts=3)
+
+    @pytest.mark.parametrize("topics", [3, 4, 8, 20])
+    def test_topic_corpora_same_axes_and_clusters(self, topics):
+        for seed in range(5):
+            keys = _topic_keys(topics, seed)
+            assert len(keys) < keys.shape[1]
+            points, expected = reduce_dim(keys, 2), oracle_reduce_dim(keys, 2)
+            _assert_same_axes_up_to_sign(points, expected)
+            for eps in (0.1, 0.2, 0.5):
+                assert _clusters(points, eps) == _clusters(expected, eps)
+
+    def test_identical_vectors_degenerate_with_fewer_points_than_dims(self):
+        with pytest.raises(DegenerateCloudError):
+            reduce_dim(np.full((5, 64), 0.1), 2)
+
+    def test_collinear_cloud_gets_a_zero_second_axis(self):
+        rng = np.random.default_rng(4)
+        direction, offset = rng.normal(size=256), rng.normal(size=256)
+        direction /= np.linalg.norm(direction)
+        along = np.concatenate([rng.normal(-3, 0.2, 20), rng.normal(3, 0.2, 28)])
+        cloud = along[:, None] * direction + offset  # rank 1, target 2
+        points, expected = reduce_dim(cloud, 2), oracle_reduce_dim(cloud, 2)
+        assert np.isfinite(points).all()
+        assert np.array_equal(points[:, 1], np.zeros(len(cloud)))
+        _assert_same_axes_up_to_sign(points, expected)
+        clusters = _clusters(points, 2.0)
+        assert clusters == _clusters(expected, 2.0)
+        assert [len(c) for c in clusters[0]] == [20, 28]
+
+    def test_peak_memory_at_48_by_4096(self):
+        keys = np.random.default_rng(2).normal(size=(48, 4096)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            points = reduce_dim(keys, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert points.shape == (48, 2)
+        assert peak < 8 * 2**20  # the 4096 x 4096 covariance alone is 128 MiB
 
 
 class TestClusterPoints:
