@@ -12,7 +12,6 @@ from .corpus import (
     Document,
     Paragraph,
     Sentence,
-    WhitespacePunctCounter,
     filter_cord19,
     filter_sentences,
     split_paragraphs,
@@ -34,7 +33,7 @@ from .index import (
     search,
 )
 from .metrics import ScoreRow, bleu, cs_score, meteor, rouge, score_row
-from .qagen import QADataset, QAPair, build_qa_dataset, generate_questions, split_train_validation
+from .qagen import QADataset, QAPair, build_qa_dataset, split_train_validation
 from .retrieve import Budgets, PackedContext, RagAnswer, answer, pack_context
 from .testgen import ClusterParams, TestSet, assemble_test_set
 
@@ -64,7 +63,6 @@ __all__ = [
     "ScoreRow",
     "Sentence",
     "TestSet",
-    "WhitespacePunctCounter",
     "answer",
     "assemble_test_set",
     "bleu",
@@ -76,7 +74,6 @@ __all__ = [
     "emit_report",
     "filter_cord19",
     "filter_sentences",
-    "generate_questions",
     "load_index",
     "meteor",
     "pack_context",

@@ -21,7 +21,6 @@ from pathlib import Path
 
 from . import config as cfgmod
 from .corpus import (
-    WhitespacePunctCounter,
     extract_sentences,
     filter_cord19,
     filter_sentences,
@@ -204,7 +203,6 @@ def _question_client(cfg: dict[str, str]) -> QuestionGenClient:
 
 def _cmd_ingest(args) -> int:
     _require_files(args.input)
-    counter = WhitespacePunctCounter()
     if args.format == "cord19":
         rejections: list[tuple[int, str]] = []
         docs = filter_cord19(load_cord19_jsonl(args.input), rejections)
@@ -219,7 +217,7 @@ def _cmd_ingest(args) -> int:
         return 0
     paragraphs = []
     for doc in docs:
-        paragraphs.extend(split_paragraphs(doc, counter, args.budget))
+        paragraphs.extend(split_paragraphs(doc, args.budget))
     sentences = filter_sentences(extract_sentences(paragraphs), args.min_words, args.max_words)
     write_paragraphs_jsonl(paragraphs, args.out_paragraphs)
     write_sentences_jsonl(sentences, args.out_sentences)
@@ -283,7 +281,7 @@ def _cmd_testgen(args) -> int:
               f"into {args.out}")
         return 0
     ts = assemble_test_set(
-        ds, params, WhitespacePunctCounter(), _question_client(cfg),
+        ds, params, _question_client(cfg),
         questions_per_cluster=args.questions_per_cluster,
     )
     write_test_set_jsonl(ts, args.out)
@@ -445,10 +443,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.cmd is None:
             parser.print_usage(sys.stderr)
             return 1
-        logging.basicConfig(
-            level=logging.DEBUG if args.verbose else logging.WARNING,
-            format="%(levelname)s %(name)s: %(message)s",
-        )
+        # basicConfig does nothing once the root logger has a handler, so the
+        # level is set on every call, not only the first one in a process
+        logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+        logging.getLogger().setLevel(logging.DEBUG if args.verbose else logging.WARNING)
         return _COMMANDS[args.cmd](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

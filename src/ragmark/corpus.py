@@ -1,9 +1,10 @@
 """Corpus ingestion and chunking.
 
 Raw documents are split into token-budgeted paragraphs and word-count
-filtered sentences. Token accounting is pluggable: a run counts with one
-counter, the tokenizer of the model it targets, and every emitted paragraph
-fits the budget under that counter.
+filtered sentences. Every token budget in ragmark (paragraphs, test-set
+clusters, the model input) is counted by ``count_tokens``: words plus
+standalone punctuation marks. No token spans a newline, so counts add over
+newline joins, which context packing's running total relies on.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Protocol, runtime_checkable
+from typing import Iterable, Iterator
 
 from .errors import EmptyDocumentError
 from .wire import FlatRecord, read_jsonl, write_jsonl
@@ -50,39 +51,9 @@ _TERMINATORS = ".!?"
 # Token counting
 # ---------------------------------------------------------------------------
 
-@runtime_checkable
-class TokenCounter(Protocol):
-    """Deterministic token counter; count("") must be 0.
-
-    Counts must also add over newline joins: count(a + "\n" + b) must equal
-    count(a) + count(b). Context packing relies on this to count each
-    payload once instead of re-counting the joined context.
-    """
-
-    name: str
-
-    def count(self, text: str) -> int: ...
-
-
-def require_counter(counter: object) -> None:
-    """Raise ``TypeError`` unless ``counter`` is one ``TokenCounter``.
-
-    A list or str also has a ``count`` method, which would silently count
-    list items or substrings; neither has a ``name``, so both fail here.
-    """
-    if not isinstance(counter, TokenCounter):
-        raise TypeError(
-            f"expected one TokenCounter with name and count, got {type(counter).__name__}"
-        )
-
-
-class WhitespacePunctCounter:
-    """Baseline counter: whitespace-separated words plus standalone punctuation marks."""
-
-    name = "ws-punct"
-
-    def count(self, text: str) -> int:
-        return len(_TOKEN_RE.findall(text))
+def count_tokens(text: str) -> int:
+    """Words plus standalone punctuation marks; adds over newline joins."""
+    return len(_TOKEN_RE.findall(text))
 
 
 def tokenize(text: str) -> list[str]:
@@ -99,34 +70,17 @@ def normalize_ws(text: str) -> str:
     return _WS_RE.sub(" ", text).strip()
 
 
-def truncate_to_token_budget(
-    text: str, counter: TokenCounter, budget: int
-) -> tuple[str, str]:
-    """Longest prefix of ``text`` ending on a token boundary that fits ``budget``.
+def truncate_to_token_budget(text: str, budget: int) -> tuple[str, str]:
+    """Longest prefix of ``text`` ending on a token boundary within ``budget`` tokens.
 
-    Boundaries are the baseline tokenizer's; the fit check runs against
-    ``counter``. Returns (prefix, remainder); prefix is "" when not even one
-    token fits.
+    The prefix that ends at token k holds exactly k tokens, so the cut falls
+    at the end of token ``budget``. Returns (prefix, remainder); prefix is ""
+    when ``budget`` is not positive or ``text`` has no tokens.
     """
-    require_counter(counter)
     spans = token_spans(text)
     if not spans or budget <= 0:
         return "", text
-    lo, hi = 0, len(spans)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if counter.count(text[: spans[mid - 1][1]]) <= budget:
-            lo = mid
-        else:
-            hi = mid - 1
-    # Binary search assumes counts grow with the prefix; verify and back off
-    # in case the counter is not monotone.
-    k = lo
-    while k > 0 and counter.count(text[: spans[k - 1][1]]) > budget:
-        k -= 1
-    if k == 0:
-        return "", text
-    cut = spans[k - 1][1]
+    cut = spans[min(budget, len(spans)) - 1][1]
     return text[:cut].rstrip(), text[cut:].lstrip()
 
 
@@ -304,19 +258,14 @@ def filter_sentences(
 # Paragraph splitting
 # ---------------------------------------------------------------------------
 
-def split_paragraphs(
-    doc: Document,
-    counter: TokenCounter,
-    budget: int = PARAGRAPH_TOKEN_BUDGET,
-) -> list[Paragraph]:
-    """Chunk a document body into paragraphs within ``budget`` tokens of ``counter``.
+def split_paragraphs(doc: Document, budget: int = PARAGRAPH_TOKEN_BUDGET) -> list[Paragraph]:
+    """Chunk a document body into paragraphs within ``budget`` tokens.
 
     Blank lines mark the natural boundaries. A natural paragraph over budget
     is re-packed at sentence boundaries; a single sentence over budget is
     hard-split on a token boundary and flagged ``hard_split`` in the chunk's
     source_meta so lossy-looking joins remain auditable.
     """
-    require_counter(counter)
     if budget < 16:
         raise ValueError("budget must be at least 16 tokens")
     body = doc.body.strip()
@@ -328,24 +277,24 @@ def split_paragraphs(
         text = normalize_ws(natural)
         if not text:
             continue
-        if counter.count(text) <= budget:
+        if count_tokens(text) <= budget:
             chunks.append((text, False))
         else:
-            chunks.extend(_split_oversize(text, counter, budget))
+            chunks.extend(_split_oversize(text, budget))
 
     return [
         Paragraph(
             doc_id=doc.id,
             ordinal=i,
             text=text,
-            token_count=counter.count(text),
+            token_count=count_tokens(text),
             source_meta={"hard_split": "true"} if hard else {},
         )
         for i, (text, hard) in enumerate(chunks)
     ]
 
 
-def _split_oversize(text: str, counter: TokenCounter, budget: int) -> list[tuple[str, bool]]:
+def _split_oversize(text: str, budget: int) -> list[tuple[str, bool]]:
     chunks: list[tuple[str, bool]] = []
     current: list[str] = []
 
@@ -355,28 +304,23 @@ def _split_oversize(text: str, counter: TokenCounter, budget: int) -> list[tuple
             current.clear()
 
     for sentence in split_sentences(text):
-        if counter.count(sentence) > budget:
+        if count_tokens(sentence) > budget:
             flush()
-            chunks.extend((piece, True) for piece in _hard_split(sentence, counter, budget))
+            chunks.extend((piece, True) for piece in _hard_split(sentence, budget))
             continue
-        if current and counter.count(" ".join(current + [sentence])) > budget:
+        if current and count_tokens(" ".join(current + [sentence])) > budget:
             flush()
         current.append(sentence)
     flush()
     return chunks
 
 
-def _hard_split(text: str, counter: TokenCounter, budget: int) -> list[str]:
+def _hard_split(text: str, budget: int) -> list[str]:
     pieces = []
     rest = text
-    while rest:
-        prefix, remainder = truncate_to_token_budget(rest, counter, budget)
-        if not prefix:
-            # Guarantee progress even if one token alone exceeds the budget.
-            spans = token_spans(rest)
-            prefix, remainder = rest[: spans[0][1]], rest[spans[0][1]:].lstrip()
+    while rest:  # rest starts on a token and budget >= 1, so every cut takes one
+        prefix, rest = truncate_to_token_budget(rest, budget)
         pieces.append(prefix)
-        rest = remainder
     return pieces
 
 

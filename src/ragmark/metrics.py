@@ -46,13 +46,6 @@ class ScoreRow:
     cs: float
 
 
-@dataclass
-class CsMatrix:
-    g_sentences: list[str]
-    r_sentences: list[str]
-    values: list[list[float]]  # values[i][j] = cosine(generated i, reference j)
-
-
 def _tokens(text: str) -> list[str]:
     return tokenize(text.lower())
 
@@ -222,27 +215,18 @@ def meteor(candidate: str, reference: str) -> float:
 # Embedding-based best-match score
 # ---------------------------------------------------------------------------
 
-def cs_matrix(generated: str, reference: str, embedder: Embedder) -> CsMatrix:
-    """Pairwise sentence-level cosine matrix between the two texts."""
+def cs_score(generated: str, reference: str, embedder: Embedder) -> float:
+    """Mean over generated sentences of the best cosine against any reference sentence."""
     g_sentences = split_sentences(generated)
     r_sentences = split_sentences(reference)
     if not r_sentences:
         raise EmptyReferenceError("reference text has no sentences")
     if not g_sentences:
-        return CsMatrix(g_sentences=[], r_sentences=r_sentences, values=[])
-    g_vecs = embedder.embed_batch(g_sentences)
-    r_vecs = embedder.embed_batch(r_sentences)
-    values = [[cosine(g, r) for r in r_vecs] for g in g_vecs]
-    return CsMatrix(g_sentences=g_sentences, r_sentences=r_sentences, values=values)
-
-
-def cs_score(generated: str, reference: str, embedder: Embedder) -> float:
-    """Mean over generated sentences of the best cosine against any reference sentence."""
-    matrix = cs_matrix(generated, reference, embedder)
-    if not matrix.g_sentences:
         log.warning("generated text has no sentences; scoring 0.0")
         return 0.0
-    best = [max(row) for row in matrix.values]
+    g_vecs = embedder.embed_batch(g_sentences)
+    r_vecs = embedder.embed_batch(r_sentences)
+    best = [max(cosine(g, r) for r in r_vecs) for g in g_vecs]
     return math.fsum(best) / len(best)
 
 

@@ -73,29 +73,20 @@ def dedupe_questions(questions: Iterable[str]) -> list[str]:
     return out
 
 
-def _usable_questions(
-    paragraph_text: str, client: QuestionGenClient, k: int
-) -> tuple[list[str], bool]:
-    """Deduplicated questions for a text, or the flagged fallback when empty."""
-    raw = client.generate(paragraph_text, k)
+def questions_for(text: str, client: QuestionGenClient, k: int) -> tuple[list[str], bool]:
+    """Between 1 and ``k`` distinct questions for ``text``, and whether they are synthetic.
+
+    Duplicates are removed case-insensitively after whitespace normalization.
+    A text yielding nothing usable gets the fixed fallback question, flagged
+    synthetic.
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    raw = client.generate(text, k)
     questions = dedupe_questions(q for q in raw if isinstance(q, str))[:k]
     if questions:
         return questions, False
     return [FALLBACK_QUESTION], True
-
-
-def generate_questions(
-    paragraph: Paragraph, client: QuestionGenClient, k: int = MAX_QUESTIONS_PER_PARAGRAPH
-) -> list[str]:
-    """Between 1 and ``k`` distinct questions for one paragraph.
-
-    Duplicates are removed case-insensitively after whitespace normalization.
-    A paragraph yielding nothing usable gets the fixed fallback question; the
-    substitution is flagged on the QAPair when built into a dataset.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return _usable_questions(paragraph.text, client, k)[0]
 
 
 def build_qa_dataset(
@@ -114,7 +105,7 @@ def build_qa_dataset(
         raise ValueError("k must be at least 1")
 
     def task(paragraph: Paragraph):
-        return _usable_questions(paragraph.text, client, k)
+        return questions_for(paragraph.text, client, k)
 
     results: dict[int, tuple[list[str], bool]] = {}
     with ThreadPoolExecutor(max_workers=QUESTION_GEN_WORKERS) as pool:

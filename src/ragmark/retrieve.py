@@ -13,12 +13,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field, replace
 
-from .corpus import (
-    TokenCounter,
-    WhitespacePunctCounter,
-    require_counter,
-    truncate_to_token_budget,
-)
+from .corpus import count_tokens, truncate_to_token_budget
 from .embed import Embedder
 from .errors import GenerationError, RagmarkError
 from .generate import GenerationClient, GenerationRequest
@@ -74,21 +69,15 @@ def render_prompt(question: str, context: str, template: str = DEFAULT_TEMPLATE)
     return template.format(context="", question=question)
 
 
-def pack_context(
-    hits: list[RetrievalHit],
-    ds: IndexedDataset,
-    counter: TokenCounter,
-    budget: int,
-) -> PackedContext:
+def pack_context(hits: list[RetrievalHit], ds: IndexedDataset, budget: int) -> PackedContext:
     """Greedy packing of hit payloads, best first, newline-joined.
 
     A payload seen before is skipped (several questions can share one parent
     paragraph). The first payload that would overflow is cut on a token
     boundary so the context fills the remaining budget exactly, and packing
-    stops there. Each payload is counted once: the counter's counts add over
-    newline joins, so the running total is the joined context's count.
+    stops there. Each payload is counted once: token counts add over newline
+    joins, so the running total is the joined context's count.
     """
-    require_counter(counter)
     if budget < 1:
         raise ValueError("budget must be at least 1 token")
     parts: list[str] = []
@@ -100,13 +89,13 @@ def pack_context(
         payload = ds.entries[hit.entry_ref].payload_text
         if payload in seen:
             continue
-        count = counter.count(payload)
+        count = count_tokens(payload)
         if used + count > budget:
             truncated = True
-            payload, _ = truncate_to_token_budget(payload, counter, budget - used)
+            payload, _ = truncate_to_token_budget(payload, budget - used)
             if not payload:
                 break
-            count = counter.count(payload)
+            count = count_tokens(payload)
         if payload or parts:  # empty payloads ahead of all text leave no separator
             parts.append(payload)
         used += count
@@ -125,7 +114,6 @@ def retrieve_at(
     embedder: Embedder,
     budgets: Budgets | None = None,
     *,
-    counter: TokenCounter | None = None,
     template: str = DEFAULT_TEMPLATE,
 ) -> list[Retrieval]:
     """embed -> search -> pack -> render at each threshold, in the given order.
@@ -136,12 +124,11 @@ def retrieve_at(
     scaffold, the question itself, and the reserve for the generated answer.
     """
     budgets = budgets or Budgets()
-    counter = counter or WhitespacePunctCounter()
 
     query = embedder.embed_batch([question])[0]
     lowest = search(ds, query, min(thresholds))
 
-    overhead = counter.count(template.format(context="", question=question))
+    overhead = count_tokens(template.format(context="", question=question))
     context_budget = budgets.model_max_input - budgets.answer_reserve - overhead
     if lowest and context_budget < 1:
         log.warning("no room for context: budget came out at %d tokens", context_budget)
@@ -153,7 +140,7 @@ def retrieve_at(
             out.append(replace(out[-1], threshold=threshold))
             continue
         if hits and context_budget >= 1:
-            packed = pack_context(hits, ds, counter, context_budget)
+            packed = pack_context(hits, ds, context_budget)
         else:
             packed = PackedContext(text="", included=[], truncated=False, token_count=0)
         prompt = render_prompt(question, packed.text, template)
@@ -174,13 +161,11 @@ def answer(
     gen_client: GenerationClient,
     budgets: Budgets | None = None,
     *,
-    counter: TokenCounter | None = None,
     template: str = DEFAULT_TEMPLATE,
 ) -> RagAnswer:
     """embed -> search -> pack -> render -> generate at one threshold, with full audit trail."""
     budgets = budgets or Budgets()
-    [found] = retrieve_at(question, ds, [threshold], embedder, budgets,
-                          counter=counter, template=template)
+    [found] = retrieve_at(question, ds, [threshold], embedder, budgets, template=template)
     try:
         generated = gen_client.generate(generation_request(found.prompt, budgets))
     except RagmarkError as exc:

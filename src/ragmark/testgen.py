@@ -16,10 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import TokenCounter, require_counter
+from .corpus import count_tokens
 from .errors import DegenerateCloudError, EmptyTestSetError, NoClustersError, PersistenceError
 from .index import IndexedDataset, IndexKind
-from .qagen import QAPair, QuestionGenClient, _usable_questions, decode_pair, encode_pair
+from .qagen import QAPair, QuestionGenClient, decode_pair, encode_pair, questions_for
 from .wire import read_jsonl, write_jsonl
 
 log = logging.getLogger(__name__)
@@ -199,7 +199,6 @@ def _merge_to_cap(
 def assemble_test_set(
     ds: IndexedDataset,
     params: ClusterParams,
-    counter: TokenCounter,
     qg_client: QuestionGenClient,
     *,
     questions_per_cluster: int = 5,
@@ -207,11 +206,9 @@ def assemble_test_set(
     """PCA to 2D -> DBSCAN -> drop outliers and over-budget clusters -> questions.
 
     Cluster text concatenates member sentences in their original corpus
-    order. A cluster over the token budget under ``counter`` is dropped;
-    questions follow the same dedup and fallback rules as the training
-    pipeline.
+    order. A cluster over the token budget is dropped; questions follow the
+    same dedup and fallback rules as the training pipeline.
     """
-    require_counter(counter)
     if questions_per_cluster < 1:
         raise ValueError(f"questions_per_cluster must be at least 1, got {questions_per_cluster}")
     if ds.kind is not IndexKind.SENTENCES:
@@ -224,7 +221,7 @@ def assemble_test_set(
     texts: list[str] = []  # of the surviving clusters; a cluster's id is its position here
     for members in raw_clusters:
         text = " ".join(ds.entries[i].key_text for i in sorted(members))
-        tokens = counter.count(text)
+        tokens = count_tokens(text)
         if tokens > CLUSTER_TOKEN_BUDGET:
             log.info("dropping %d-token cluster (budget %d)", tokens, CLUSTER_TOKEN_BUDGET)
             continue
@@ -234,7 +231,7 @@ def assemble_test_set(
 
     pairs = []
     for cluster_id, text in enumerate(texts):
-        questions, synthetic = _usable_questions(text, qg_client, questions_per_cluster)
+        questions, synthetic = questions_for(text, qg_client, questions_per_cluster)
         for q in questions:
             pairs.append(
                 QAPair(

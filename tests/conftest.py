@@ -5,7 +5,6 @@ from urllib.parse import urlsplit
 
 import pytest
 
-from ragmark.corpus import WhitespacePunctCounter
 from ragmark.embed import LocalHashEmbedder
 
 
@@ -72,11 +71,6 @@ def stub_session():
     is, with no JSON encoding and no socket in between.
     """
     return _StubSession
-
-
-@pytest.fixture
-def counter():
-    return WhitespacePunctCounter()
 
 
 @pytest.fixture

@@ -7,9 +7,10 @@ per-word position stacks, per-pair python cosines instead of the matrix
 scan, one n x n x 2 array and one whole-matrix norm instead of row blocks,
 the dim x dim covariance instead of the n x n Gram matrix for PCA,
 format-1 index files with one base64 vector per record instead of a raw
-keys file, re-counting the whole joined context per packed payload, and one search,
-pack, generate and score per sweep cell. Slow is fine; different code paths
-are the point.
+keys file, a binary search over token prefixes instead of a cut at the
+budget-th token, re-counting the whole joined context per packed payload,
+and one search, pack, generate and score per sweep cell. Slow is fine;
+different code paths are the point.
 """
 
 import base64
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ragmark.corpus import WhitespacePunctCounter, token_spans, truncate_to_token_budget
+from ragmark.corpus import count_tokens, token_spans
 from ragmark.errors import (
     ChecksumError,
     DegenerateCloudError,
@@ -242,7 +243,29 @@ def streaming_means(values):
     return mean
 
 
-def oracle_pack_context(hits, ds, counter, budget):
+def oracle_truncate_to_token_budget(text, budget):
+    """Binary search for the longest token-boundary prefix within ``budget``,
+    backing off in case counts do not grow with the prefix."""
+    spans = token_spans(text)
+    if not spans or budget <= 0:
+        return "", text
+    lo, hi = 0, len(spans)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if count_tokens(text[: spans[mid - 1][1]]) <= budget:
+            lo = mid
+        else:
+            hi = mid - 1
+    k = lo
+    while k > 0 and count_tokens(text[: spans[k - 1][1]]) > budget:
+        k -= 1
+    if k == 0:
+        return "", text
+    cut = spans[k - 1][1]
+    return text[:cut].rstrip(), text[cut:].lstrip()
+
+
+def oracle_pack_context(hits, ds, budget):
     """Greedy packing that re-counts the whole joined context for every payload."""
     if budget < 1:
         raise ValueError("budget must be at least 1 token")
@@ -256,51 +279,50 @@ def oracle_pack_context(hits, ds, counter, budget):
         if payload in seen:
             continue
         candidate = payload if not text else text + "\n" + payload
-        count = counter.count(candidate)
+        count = count_tokens(candidate)
         if count <= budget:
             text, used = candidate, count
             seen.add(payload)
             included.append(hit)
             continue
-        prefix = _oracle_truncate_join(text, payload, counter, budget)
+        prefix = _oracle_truncate_join(text, payload, budget)
         if prefix:
             text = prefix if not text else text + "\n" + prefix
-            used = counter.count(text)
+            used = count_tokens(text)
             included.append(hit)
         truncated = True
         break
     return PackedContext(text=text, included=included, truncated=truncated, token_count=used)
 
 
-def _oracle_truncate_join(existing, payload, counter, budget):
+def _oracle_truncate_join(existing, payload, budget):
     """Longest token-boundary prefix of payload that keeps the joined text in budget."""
     if not existing:
-        prefix, _ = truncate_to_token_budget(payload, counter, budget)
+        prefix, _ = oracle_truncate_to_token_budget(payload, budget)
         return prefix
     spans = token_spans(payload)
     lo, hi = 0, len(spans)
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if counter.count(existing + "\n" + payload[: spans[mid - 1][1]]) <= budget:
+        if count_tokens(existing + "\n" + payload[: spans[mid - 1][1]]) <= budget:
             lo = mid
         else:
             hi = mid - 1
     k = lo
-    while k > 0 and counter.count(existing + "\n" + payload[: spans[k - 1][1]]) > budget:
+    while k > 0 and count_tokens(existing + "\n" + payload[: spans[k - 1][1]]) > budget:
         k -= 1
     return payload[: spans[k - 1][1]].rstrip() if k else ""
 
 
 def _oracle_answer_text(question, ds, threshold, embedder, gen_client, budgets, template):
     """One sweep cell from scratch: embed, search at the threshold, pack, generate."""
-    counter = WhitespacePunctCounter()
     query = embedder.embed_batch([question])[0]
     hits = search(ds, query, threshold)
-    overhead = counter.count(template.format(context="", question=question))
+    overhead = count_tokens(template.format(context="", question=question))
     context_budget = budgets.model_max_input - budgets.answer_reserve - overhead
     context = ""
     if hits and context_budget >= 1:
-        context = oracle_pack_context(hits, ds, counter, context_budget).text
+        context = oracle_pack_context(hits, ds, context_budget).text
     request = GenerationRequest(
         prompt=render_prompt(question, context, template),
         max_new_tokens=budgets.answer_reserve,

@@ -12,14 +12,13 @@ import numpy as np
 import pytest
 
 from oracles import oracle_bleu, oracle_rouge, oracle_search, streaming_means
+from reportfiles import parse_report_csv, read_report_json
 from topicfix import EMBED_DIM, corpus_pipeline, make_oversize_topic_doc, make_test_pairs, make_topic_corpus
-from ragmark.corpus import WhitespacePunctCounter
+from ragmark.corpus import count_tokens
 from ragmark.embed import LocalHashEmbedder
 from ragmark.experiment import (
     ExperimentConfig,
     emit_report,
-    parse_report_csv,
-    read_report_json,
     run_baseline,
     run_sweep,
     summarize,
@@ -46,7 +45,6 @@ from ragmark.testgen import (
 )
 from ragmark import testgen
 
-COUNTER = WhitespacePunctCounter()
 
 # Published per-arm averages; the relative claims below are derived from them.
 TABLE3_ROWS = {
@@ -340,16 +338,16 @@ def test_criterion_5_context_budget():
         hits = search(ds, np.array([1.0, 0.0]), 0.0)
 
         budget = rng.randint(1, 600)
-        packed = pack_context(hits, ds, COUNTER, budget)
+        packed = pack_context(hits, ds, budget)
         assert packed.token_count <= budget
-        assert COUNTER.count(packed.text) == packed.token_count
+        assert count_tokens(packed.text) == packed.token_count
 
         question = " ".join(rng.choices(vocab, k=rng.randint(3, 40)))
-        overhead = COUNTER.count(DEFAULT_TEMPLATE.format(context="", question=question))
+        overhead = count_tokens(DEFAULT_TEMPLATE.format(context="", question=question))
         context_budget = model_max - reserve - overhead
-        full = pack_context(hits, ds, COUNTER, context_budget)
+        full = pack_context(hits, ds, context_budget)
         prompt = render_prompt(question, full.text)
-        assert COUNTER.count(prompt) + reserve <= model_max
+        assert count_tokens(prompt) + reserve <= model_max
     _report("criterion 5: 1000 randomized packings within budget; prompts never "
             "exceed the 4096-token input")
 
@@ -416,9 +414,9 @@ def test_criterion_7_test_set_generation():
     ]  # zero mislabeled sentences
 
     ts = assemble_test_set(
-        ds, ClusterParams(eps=0.2, min_pts=6), COUNTER, MockQuestionGenClient(seed=1),
+        ds, ClusterParams(eps=0.2, min_pts=6), MockQuestionGenClient(seed=1),
     )
-    assert all(COUNTER.count(p.answer_text) <= 256 for p in ts.pairs)
+    assert all(count_tokens(p.answer_text) <= 256 for p in ts.pairs)
 
     # same corpus with one topic rebuilt as a 300-token monolith
     docs_big, vocab_big = make_topic_corpus()
@@ -428,9 +426,9 @@ def test_criterion_7_test_set_generation():
     oversize_text = " ".join(
         e.key_text for e in ds_big.entries if e.paragraph_ref[0] == "doc1"
     )
-    assert COUNTER.count(oversize_text) == 300
+    assert count_tokens(oversize_text) == 300
     ts_big = assemble_test_set(
-        ds_big, ClusterParams(eps=0.2, min_pts=6), COUNTER, MockQuestionGenClient(seed=1),
+        ds_big, ClusterParams(eps=0.2, min_pts=6), MockQuestionGenClient(seed=1),
     )
     answers = {p.answer_text for p in ts_big.pairs}
     assert len(answers) == 2

@@ -3,10 +3,13 @@
 ``bench/tracer.py`` patches ragmark functions by module and name. A refactor
 that renames or moves one of them makes ``Tracer.install`` raise
 ``TraceTargetMissing``; these tests turn that into a tier-1 failure, as they
-do a refactor that routes the sweep around the names the tracer wraps.
+do a refactor that routes the sweep around the names the tracer wraps, or
+one that breaks an output check of ``bench/selftest.py``.
 """
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import ragmark.retrieve
@@ -18,7 +21,8 @@ from ragmark.index import IndexKind, build_sentence_index
 from ragmark.qagen import QAPair
 from ragmark import testgen
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def _load_tracer():
@@ -55,3 +59,10 @@ def test_sweep_search_and_pack_are_traced():
         tracer.uninstall()
     names = {span[0] for span in tracer.spans}
     assert {"index.search", "retrieve.pack"} <= names
+
+
+def test_bench_selftest_passes():
+    # every workload at tiny scale, traced and untraced, plus the negative checks
+    done = subprocess.run([sys.executable, "bench/selftest.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]

@@ -1,4 +1,5 @@
 import json
+import logging
 import zlib
 
 import pytest
@@ -264,6 +265,37 @@ class TestParserReuse:
         assert run("config", "--list") == 0
         assert run(*ask) == 0
         assert "at threshold 0.5" in capsys.readouterr().out
+
+
+class TestVerboseEveryCall:
+    """--verbose sets the log level of each main() call, not only of the first."""
+
+    def test_second_call_in_one_interpreter_follows_its_own_flag(self):
+        root = logging.getLogger()
+        seen = []
+
+        class Recorder(logging.Handler):
+            def emit(self, record):
+                seen.append(record.getMessage())
+
+        recorder = Recorder(logging.WARNING)
+        experiment_log = logging.getLogger("ragmark.experiment")
+        experiment_log.addHandler(recorder)
+        saved = root.level
+        try:
+            assert run("config", "--list") == 0
+            assert root.level == logging.WARNING
+            assert run("--verbose", "config") == 0
+            assert root.level == logging.DEBUG
+            assert run("config") == 0
+            assert root.level == logging.WARNING
+            # what a sweep logs when it zeroes a row still reaches ragmark.experiment's handlers
+            experiment_log.warning("q0 @ 0.5: boom; zero row")
+            experiment_log.debug("not at the default level")
+        finally:
+            experiment_log.removeHandler(recorder)
+            root.setLevel(saved)
+        assert seen == ["q0 @ 0.5: boom; zero row"]
 
 
 class TestDryRun:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from topicfix import EMBED_DIM, corpus_pipeline, make_test_pairs, make_topic_corpus
 from oracles import oracle_run_sweep, streaming_means
+from reportfiles import parse_report_csv, read_report_json
 from ragmark import cli, experiment
 from ragmark.cli import main
 from ragmark.corpus import Sentence
@@ -19,8 +20,6 @@ from ragmark.experiment import (
     ExperimentConfig,
     Means,
     emit_report,
-    parse_report_csv,
-    read_report_json,
     run_baseline,
     run_sweep,
     summarize,

@@ -10,12 +10,10 @@ from oracles import oracle_align, oracle_bleu, oracle_lcs_length, oracle_rouge, 
 from ragmark.embed import LocalHashEmbedder
 from ragmark.errors import EmptyReferenceError
 from ragmark.metrics import (
-    CsMatrix,
     _align,
     ScoreRow,
     bleu,
     bleu_tokens,
-    cs_matrix,
     cs_score,
     lcs_length,
     meteor,
@@ -211,10 +209,17 @@ class TestCsScore:
             cs_score("Some text.", "   ", embedder)
 
     def test_matrix_shape(self, embedder):
-        m = cs_matrix("One sentence. Two sentence.", "Ref one. Ref two. Ref three.", embedder)
-        assert isinstance(m, CsMatrix)
-        assert len(m.values) == 2
-        assert all(len(row) == 3 for row in m.values)
+        # a 2 x 3 comparison: one batch of generated sentences, then one of reference sentences
+        batches = []
+
+        class Recording:
+            def embed_batch(self, texts):
+                batches.append(list(texts))
+                return embedder.embed_batch(texts)
+
+        generated, reference = "One sentence. Two sentence.", "Ref one. Ref two. Ref three."
+        assert cs_score(generated, reference, Recording()) == cs_score(generated, reference, embedder)
+        assert batches == [["One sentence.", "Two sentence."], ["Ref one.", "Ref two.", "Ref three."]]
 
 
 class TestScoreRow:

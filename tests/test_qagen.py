@@ -12,9 +12,9 @@ from ragmark.qagen import (
     QAPair,
     build_qa_dataset,
     dedupe_questions,
-    generate_questions,
     make_question_client,
     normalize_question,
+    questions_for,
     read_qa_jsonl,
     split_train_validation,
     write_qa_jsonl,
@@ -38,25 +38,25 @@ class ListClient:
 class TestGenerateQuestions:
     def test_dedup_by_normalization(self):
         client = ListClient({para(0).text: ["Q1", "q1 ", "Q2"]})
-        assert generate_questions(para(0), client) == ["Q1", "Q2"]
+        assert questions_for(para(0).text, client, 5) == (["Q1", "Q2"], False)
 
     def test_five_distinct_all_kept(self):
         qs = [f"Question {i}?" for i in range(5)]
         client = ListClient({para(0).text: qs})
-        assert generate_questions(para(0), client, k=5) == qs
+        assert questions_for(para(0).text, client, 5) == (qs, False)
 
     def test_more_than_k_clipped(self):
         qs = [f"Question {i}?" for i in range(9)]
         client = ListClient({para(0).text: qs})
-        assert len(generate_questions(para(0), client, k=5)) == 5
+        assert len(questions_for(para(0).text, client, 5)[0]) == 5
 
     def test_empty_yield_falls_back(self):
         client = ListClient({})
-        assert generate_questions(para(0), client) == [FALLBACK_QUESTION]
+        assert questions_for(para(0).text, client, 5) == ([FALLBACK_QUESTION], True)
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
-            generate_questions(para(0), ListClient({}), k=0)
+            questions_for(para(0).text, ListClient({}), 0)
 
     def test_normalization_strips_terminal_question_mark(self):
         assert normalize_question("  What   is it? ") == "what is it"

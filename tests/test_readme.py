@@ -4,7 +4,7 @@ import re
 from pathlib import Path
 
 from topicfix import make_topic_corpus
-from ragmark.corpus import WhitespacePunctCounter
+from ragmark.corpus import count_tokens
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -28,8 +28,6 @@ def test_library_use_example_runs(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "(24, 512)"
     assert "ScoreRow(question_id='q1'" in out
-    # a counter passed in the wrong shape would count nothing and leave the budget unchecked
-    counter = WhitespacePunctCounter()
     assert [p.token_count for p in namespace["paragraphs"]] == [
-        counter.count(p.text) for p in namespace["paragraphs"]
+        count_tokens(p.text) for p in namespace["paragraphs"]
     ]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_pack_context
-from ragmark.corpus import WhitespacePunctCounter
+from ragmark.corpus import count_tokens
 from ragmark.embed import LocalHashEmbedder
 from ragmark.errors import GenerationError
 from ragmark.generate import ExtractiveMockClient
@@ -53,60 +53,60 @@ class TestRenderPrompt:
 
 
 class TestPackContext:
-    def test_under_budget_packs_all(self, counter):
+    def test_under_budget_packs_all(self):
         ds = make_index([words(100, "a"), words(100, "b")])
-        packed = pack_context(hits_for(ds), ds, counter, 256)
+        packed = pack_context(hits_for(ds), ds, 256)
         assert packed.truncated is False
         assert packed.token_count == 200  # newline separator adds no token
         assert len(packed.included) == 2
 
-    def test_overflow_payload_truncated_to_fill_budget_exactly(self, counter):
+    def test_overflow_payload_truncated_to_fill_budget_exactly(self):
         ds = make_index([words(150, "a"), words(150, "b"), words(150, "c")])
-        packed = pack_context(hits_for(ds), ds, counter, 256)
+        packed = pack_context(hits_for(ds), ds, 256)
         assert packed.truncated is True
         assert packed.token_count == 256
         assert len(packed.included) == 2
         lines = packed.text.split("\n")
         assert len(lines) == 2
-        assert counter.count(lines[0]) == 150
-        assert counter.count(lines[1]) == 106  # cut on a token boundary
+        assert count_tokens(lines[0]) == 150
+        assert count_tokens(lines[1]) == 106  # cut on a token boundary
 
-    def test_empty_hits_empty_context(self, counter):
+    def test_empty_hits_empty_context(self):
         ds = make_index([words(10)])
-        packed = pack_context([], ds, counter, 100)
+        packed = pack_context([], ds, 100)
         assert packed.text == "" and packed.truncated is False and packed.token_count == 0
 
-    def test_duplicate_payloads_packed_once_first_wins(self, counter):
+    def test_duplicate_payloads_packed_once_first_wins(self):
         ds = make_index(["shared paragraph text", "shared paragraph text", "other text"])
-        packed = pack_context(hits_for(ds), ds, counter, 100)
+        packed = pack_context(hits_for(ds), ds, 100)
         assert packed.text.count("shared paragraph text") == 1
         assert [h.entry_ref for h in packed.included] == [0, 2]
 
-    def test_order_follows_scores(self, counter):
+    def test_order_follows_scores(self):
         ds = make_index([words(5, "a"), words(5, "b"), words(5, "c")])
-        packed = pack_context(hits_for(ds), ds, counter, 100)
+        packed = pack_context(hits_for(ds), ds, 100)
         assert packed.text.splitlines() == [words(5, "a"), words(5, "b"), words(5, "c")]
 
-    def test_budget_must_be_positive(self, counter):
+    def test_budget_must_be_positive(self):
         ds = make_index(["x y z"])
         with pytest.raises(ValueError):
-            pack_context([], ds, counter, 0)
+            pack_context([], ds, 0)
 
-    def test_included_is_prefix_of_deduplicated_hits(self, counter):
+    def test_included_is_prefix_of_deduplicated_hits(self):
         ds = make_index([words(30, f"p{i}") for i in range(6)])
         hits = hits_for(ds)
-        packed = pack_context(hits, ds, counter, 70)
+        packed = pack_context(hits, ds, 70)
         assert packed.included == hits[: len(packed.included)]
 
-    def test_randomized_budget_never_exceeded(self, counter):
+    def test_randomized_budget_never_exceeded(self):
         rng = random.Random(99)
         for _ in range(200):
             payloads = [words(rng.randint(1, 60), f"p{i}") for i in range(rng.randint(1, 8))]
             ds = make_index(payloads)
             budget = rng.randint(1, 120)
-            packed = pack_context(hits_for(ds), ds, counter, budget)
+            packed = pack_context(hits_for(ds), ds, budget)
             assert packed.token_count <= budget
-            assert counter.count(packed.text) == packed.token_count
+            assert count_tokens(packed.text) == packed.token_count
 
 
 # Payload pieces: words, punctuation-only and token-free texts; drawing from a
@@ -119,19 +119,18 @@ class TestPackContextMatchesOracle:
     @given(st.data())
     @settings(max_examples=400, deadline=None)
     def test_same_pack_as_full_recount(self, data):
-        counter = WhitespacePunctCounter()
         payloads = data.draw(st.lists(st.sampled_from(PAYLOAD_PIECES), min_size=1, max_size=12))
         ds = make_index(payloads)
         hits = hits_for(ds)
         # half the budgets land exactly on a payload boundary
         boundaries = [0]
         for p in dict.fromkeys(payloads):
-            boundaries.append(boundaries[-1] + counter.count(p))
+            boundaries.append(boundaries[-1] + count_tokens(p))
         budget = data.draw(st.one_of(
             st.integers(1, 60),
             st.sampled_from([b for b in boundaries if b >= 1] or [1]),
         ))
-        assert pack_context(hits, ds, counter, budget) == oracle_pack_context(hits, ds, counter, budget)
+        assert pack_context(hits, ds, budget) == oracle_pack_context(hits, ds, budget)
 
 
 class TestAnswer:
@@ -176,11 +175,11 @@ class TestAnswer:
         result = answer("What lives near deep sea vents?", ds, 0.3, emb, ExtractiveMockClient())
         assert result.generated_text.endswith("ecosystems.")
 
-    def test_prompt_overhead_accounted(self, counter):
+    def test_prompt_overhead_accounted(self):
         ds, emb = self._corpus_index()
         budgets = Budgets(model_max_input=120, answer_reserve=20)
         result = answer("What lives near deep sea vents?", ds, 0.0, emb, ExtractiveMockClient(), budgets)
-        assert counter.count(result.prompt) + budgets.answer_reserve <= budgets.model_max_input
+        assert count_tokens(result.prompt) + budgets.answer_reserve <= budgets.model_max_input
 
     def test_raising_threshold_never_adds_payload(self):
         ds, emb = self._corpus_index()
@@ -218,7 +217,7 @@ class TestAnswer:
 
 
 class TestFullPromptBudgetProperty:
-    def test_randomized_prompts_fit_model_input(self, counter):
+    def test_randomized_prompts_fit_model_input(self):
         rng = random.Random(4242)
         emb = LocalHashEmbedder(dim=64)
         budgets = Budgets(model_max_input=4096, answer_reserve=256)
@@ -229,8 +228,8 @@ class TestFullPromptBudgetProperty:
             ]
             ds = make_index(payloads)
             question = " ".join(rng.choices(vocab, k=rng.randint(3, 200)))
-            overhead = counter.count(DEFAULT_TEMPLATE.format(context="", question=question))
+            overhead = count_tokens(DEFAULT_TEMPLATE.format(context="", question=question))
             budget = budgets.model_max_input - budgets.answer_reserve - overhead
-            packed = pack_context(hits_for(ds), ds, counter, budget)
+            packed = pack_context(hits_for(ds), ds, budget)
             prompt = render_prompt(question, packed.text)
-            assert counter.count(prompt) + budgets.answer_reserve <= budgets.model_max_input
+            assert count_tokens(prompt) + budgets.answer_reserve <= budgets.model_max_input

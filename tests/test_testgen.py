@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import oracle_reduce_dim, oracle_within
 from topicfix import EMBED_DIM, corpus_pipeline, make_oversize_topic_doc, make_topic_corpus
-from ragmark.corpus import WhitespacePunctCounter
+from ragmark.corpus import count_tokens
 from ragmark.embed import LocalHashEmbedder
 from ragmark.errors import DegenerateCloudError, EmptyTestSetError, NoClustersError, PersistenceError
 from ragmark.index import build_sentence_index
@@ -275,14 +275,12 @@ class TestAssembleTestSet:
     def test_assembles_pairs_with_cluster_answers(self):
         ds, _ = self._fixture_index()
         ts = assemble_test_set(
-            ds, ClusterParams(eps=0.2, min_pts=6), WhitespacePunctCounter(),
-            MockQuestionGenClient(seed=1),
+            ds, ClusterParams(eps=0.2, min_pts=6), MockQuestionGenClient(seed=1),
         )
         assert len(ts.pairs) >= 3
         answers = {p.answer_text for p in ts.pairs}
         assert len(answers) == 3
-        counter = WhitespacePunctCounter()
-        assert all(counter.count(a) <= 256 for a in answers)
+        assert all(count_tokens(a) <= 256 for a in answers)
         assert ts.params == {
             "reducer": "pca",
             "clusterer": "dbscan",
@@ -299,16 +297,15 @@ class TestAssembleTestSet:
 
     def test_oversize_cluster_excluded(self):
         ds, vocab = self._fixture_index(with_oversize=True)
-        counter = WhitespacePunctCounter()
         ts = assemble_test_set(
-            ds, ClusterParams(eps=0.2, min_pts=6), counter, MockQuestionGenClient(seed=1),
+            ds, ClusterParams(eps=0.2, min_pts=6), MockQuestionGenClient(seed=1),
         )
         answers = {p.answer_text for p in ts.pairs}
         assert len(answers) == 2
         oversize_words = set(vocab[1][0])
         for text in answers:
             assert not oversize_words & set(w.lower().rstrip(".") for w in text.split())
-        assert all(counter.count(a) <= 256 for a in answers)
+        assert all(count_tokens(a) <= 256 for a in answers)
 
     def test_wrong_kind_rejected(self):
         docs, _ = make_topic_corpus()
@@ -320,22 +317,16 @@ class TestAssembleTestSet:
         idq = build_question_index(qa, embedder)
         with pytest.raises(ValueError):
             assemble_test_set(
-                idq, ClusterParams(), WhitespacePunctCounter(), MockQuestionGenClient(seed=1),
+                idq, ClusterParams(), MockQuestionGenClient(seed=1),
             )
 
     def test_all_clusters_oversize_is_error(self):
-        ds, vocab = self._fixture_index()
-
-        class TinyBudgetCounter:
-            name = "inflating"
-
-            def count(self, text):
-                return 10 * len(text.split())
-
+        docs, _ = make_topic_corpus(sentences_per_topic=24)  # 24 x 13 = 312 tokens a topic
+        _, sentences = corpus_pipeline(docs)
+        ds = build_sentence_index(sentences, LocalHashEmbedder(dim=EMBED_DIM))
         with pytest.raises(EmptyTestSetError):
             assemble_test_set(
-                ds, ClusterParams(eps=0.2, min_pts=6), TinyBudgetCounter(),
-                MockQuestionGenClient(seed=1),
+                ds, ClusterParams(eps=0.2, min_pts=6), MockQuestionGenClient(seed=1),
             )
 
     def test_no_test_answer_equals_training_answer_verbatim(self):
@@ -344,8 +335,7 @@ class TestAssembleTestSet:
         paragraphs, _ = corpus_pipeline(docs)
         training = build_qa_dataset(paragraphs, MockQuestionGenClient(seed=1), k=3)
         ts = assemble_test_set(
-            ds, ClusterParams(eps=0.2, min_pts=6), WhitespacePunctCounter(),
-            MockQuestionGenClient(seed=1),
+            ds, ClusterParams(eps=0.2, min_pts=6), MockQuestionGenClient(seed=1),
         )
         training_answers = {p.answer_text for p in training.pairs}
         assert not training_answers & {p.answer_text for p in ts.pairs}
@@ -355,8 +345,7 @@ class TestAssembleTestSet:
         for run in range(2):
             ds, _ = self._fixture_index()
             ts = assemble_test_set(
-                ds, ClusterParams(eps=0.2, min_pts=6), WhitespacePunctCounter(),
-                MockQuestionGenClient(seed=4),
+                ds, ClusterParams(eps=0.2, min_pts=6), MockQuestionGenClient(seed=4),
             )
             path = tmp_path / f"ts{run}.jsonl"
             write_test_set_jsonl(ts, path)

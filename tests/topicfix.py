@@ -10,7 +10,6 @@ import random
 
 from ragmark.corpus import (
     Document,
-    WhitespacePunctCounter,
     extract_sentences,
     filter_sentences,
     split_paragraphs,
@@ -62,9 +61,8 @@ def make_oversize_topic_doc(vocab_words, doc_id="bigdoc", sentences=20, words_pe
 
 
 def corpus_pipeline(docs):
-    """documents -> (paragraphs, filtered sentences) with the baseline counter."""
-    counter = WhitespacePunctCounter()
-    paragraphs = [p for d in docs for p in split_paragraphs(d, counter)]
+    """documents -> (paragraphs, filtered sentences) at the default budget."""
+    paragraphs = [p for d in docs for p in split_paragraphs(d)]
     sentences = filter_sentences(extract_sentences(paragraphs))
     return paragraphs, sentences
 
