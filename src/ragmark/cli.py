@@ -292,17 +292,17 @@ def _cmd_testgen(args) -> int:
 def _cmd_ask(args) -> int:
     _require_files(args.index)
     cfg = _resolve(args, {"embed.endpoint": args.embedder, "gen.endpoint": args.endpoint})
+    budgets, template = prompt_settings(cfg)
     if args.dry_run:
         print(f"dry-run: would answer {args.question!r} from {args.index} "
               f"at threshold {args.threshold}")
         return 0
-    budgets, template = prompt_settings(cfg)
     ds = load_index(args.index)
     embedder = _embedder(cfg)
     result = answer(args.question, ds, args.threshold, embedder,
                     _gen_client(cfg), budgets, template=template)
-    print(f"question : {result.question}")
-    print(f"threshold: {result.threshold} ({result.dataset_kind.value} index, "
+    print(f"question : {args.question}")
+    print(f"threshold: {result.threshold} ({ds.kind.value} index, "
           f"{len(result.hits)} hits, {len(result.context.included)} packed"
           f"{', truncated' if result.context.truncated else ''})")
     print("context  :")
@@ -394,9 +394,8 @@ def _cmd_report(args) -> int:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         baseline = manifest["baseline"]
         # rebuild sweep arms in their original run order so reports match byte for byte
-        order = manifest.get("arm_order") or sorted(manifest.get("sweeps", {}))
         sweep_files = {label: {float(t): fname for t, fname in manifest["sweeps"][label].items()}
-                       for label in order}
+                       for label in manifest["arm_order"]}
     except KeyError as exc:
         raise PersistenceError(f"{manifest_path}: manifest has no entry {exc}") from exc
     except (AttributeError, TypeError, ValueError) as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -93,7 +93,6 @@ class Document:
     id: str
     title: str
     body: str
-    source_meta: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass
@@ -102,7 +101,6 @@ class Paragraph:
     ordinal: int
     text: str
     token_count: int
-    source_meta: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass
@@ -136,11 +134,6 @@ def filter_cord19(
                     id=str(rec["paper_id"]),
                     title=str(rec.get("title", "")),
                     body=str(rec["body_text"]),
-                    source_meta={
-                        "repository": str(rec.get("repository", "")),
-                        "arxiv_id": str(rec.get("arxiv_id", "")),
-                        "has_abstract": "true",
-                    },
                 )
             )
         else:
@@ -263,8 +256,8 @@ def split_paragraphs(doc: Document, budget: int = PARAGRAPH_TOKEN_BUDGET) -> lis
 
     Blank lines mark the natural boundaries. A natural paragraph over budget
     is re-packed at sentence boundaries; a single sentence over budget is
-    hard-split on a token boundary and flagged ``hard_split`` in the chunk's
-    source_meta so lossy-looking joins remain auditable.
+    hard-split on token boundaries. A hard-split piece is an ordinary
+    paragraph; nothing records that it was cut.
     """
     if budget < 16:
         raise ValueError("budget must be at least 16 tokens")
@@ -272,41 +265,35 @@ def split_paragraphs(doc: Document, budget: int = PARAGRAPH_TOKEN_BUDGET) -> lis
     if not body:
         raise EmptyDocumentError(f"document {doc.id!r} has an empty body")
 
-    chunks: list[tuple[str, bool]] = []
+    chunks: list[str] = []
     for natural in _BLANK_LINE_RE.split(body):
         text = normalize_ws(natural)
         if not text:
             continue
         if count_tokens(text) <= budget:
-            chunks.append((text, False))
+            chunks.append(text)
         else:
             chunks.extend(_split_oversize(text, budget))
 
     return [
-        Paragraph(
-            doc_id=doc.id,
-            ordinal=i,
-            text=text,
-            token_count=count_tokens(text),
-            source_meta={"hard_split": "true"} if hard else {},
-        )
-        for i, (text, hard) in enumerate(chunks)
+        Paragraph(doc_id=doc.id, ordinal=i, text=text, token_count=count_tokens(text))
+        for i, text in enumerate(chunks)
     ]
 
 
-def _split_oversize(text: str, budget: int) -> list[tuple[str, bool]]:
-    chunks: list[tuple[str, bool]] = []
+def _split_oversize(text: str, budget: int) -> list[str]:
+    chunks: list[str] = []
     current: list[str] = []
 
     def flush():
         if current:
-            chunks.append((" ".join(current), False))
+            chunks.append(" ".join(current))
             current.clear()
 
     for sentence in split_sentences(text):
         if count_tokens(sentence) > budget:
             flush()
-            chunks.extend((piece, True) for piece in _hard_split(sentence, budget))
+            chunks.extend(_hard_split(sentence, budget))
             continue
         if current and count_tokens(" ".join(current + [sentence])) > budget:
             flush()
@@ -335,7 +322,7 @@ def load_text_documents(path: str | Path) -> list[Document]:
     docs = []
     for f in files:
         body = f.read_text(encoding="utf-8")
-        docs.append(Document(id=f.stem, title=f.stem, body=body, source_meta={"path": str(f)}))
+        docs.append(Document(id=f.stem, title=f.stem, body=body))
     return docs
 
 
@@ -353,7 +340,7 @@ def load_cord19_jsonl(path: str | Path) -> list[dict]:
     return records
 
 
-_PARAGRAPH = FlatRecord(Paragraph, omit=("source_meta",))
+_PARAGRAPH = FlatRecord(Paragraph)
 _SENTENCE = FlatRecord(Sentence)
 
 

@@ -77,15 +77,5 @@ class ChecksumError(PersistenceError):
     code = "checksum_mismatch"
 
 
-class GenerationError(RagmarkError):
-    """Generation failed; retains the packed context for post-mortem."""
-
-    code = "generation_failed"
-
-    def __init__(self, message, context=None):
-        super().__init__(message)
-        self.context = context
-
-
 class RunAbortedError(RagmarkError):
     code = "run_aborted"

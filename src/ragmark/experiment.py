@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import string
 from dataclasses import dataclass, field
 from pathlib import Path
 from xml.sax.saxutils import escape
@@ -35,12 +36,28 @@ BASELINE_ARM = "baseline"
 SWEEP_ARMS = {IndexKind.SENTENCES: "rag_sentences", IndexKind.QUESTIONS: "rag_questions"}
 
 
+def _read_template(path: str) -> str:
+    """The prompt template at ``path``, checked to have exactly the two slots and to render."""
+    template = Path(path).read_text(encoding="utf-8")
+    try:
+        slots = {name for _, name, _, _ in string.Formatter().parse(template) if name is not None}
+    except ValueError as exc:
+        raise ConfigError(f"prompt template {path}: {exc}") from exc
+    if slots != {"context", "question"}:
+        raise ConfigError(f"prompt template {path} must have exactly the slots {{context}} "
+                          f"and {{question}}, found {sorted(slots)}")
+    try:  # a conversion or format spec str rejects, or {context} after the context block
+        render_prompt("", "", template)
+        render_prompt("", "x", template)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"prompt template {path}: {exc!r}") from exc
+    return template
+
+
 def prompt_settings(cfg: dict[str, str]) -> tuple[Budgets, str]:
     """The token budgets and prompt template that the ``rag.*`` keys of ``cfg`` give."""
-    template = DEFAULT_TEMPLATE
     template_path = cfg["rag.template_path"]
-    if template_path:
-        template = Path(template_path).read_text(encoding="utf-8")
+    template = _read_template(template_path) if template_path else DEFAULT_TEMPLATE
     budgets = Budgets(
         model_max_input=as_int(cfg, "rag.model_max_input"),
         answer_reserve=as_int(cfg, "rag.answer_reserve"),

@@ -7,7 +7,7 @@ pure function of the request and keeps the whole evaluation loop offline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol
 
 import requests
@@ -25,20 +25,22 @@ _QUESTION_HEADER = "\n\nQuestion:"
 
 @dataclass
 class GenerationRequest:
+    """One prompt, decoded greedily (temperature 0, no stop sequences)."""
+
     prompt: str
     max_new_tokens: int = 256
-    temperature: float = 0.0
-    stop_sequences: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         if self.max_new_tokens < 1:
             raise ValueError("max_new_tokens must be at least 1")
-        if self.temperature < 0.0:
-            raise ValueError("temperature must be nonnegative")
 
 
 class GenerationClient(Protocol):
-    """At temperature 0, repeated calls on one request must return identical text."""
+    """Decoding is greedy, so repeated calls on one request must return identical text.
+
+    ``SweepMemo`` relies on that to generate each distinct prompt once per
+    command. ``name`` identifies the generator.
+    """
 
     name: str
 
@@ -66,8 +68,8 @@ class RemoteGenerationClient:
         body = self._http.post({
             "prompt": request.prompt,
             "max_new_tokens": request.max_new_tokens,
-            "temperature": request.temperature,
-            "stop": request.stop_sequences,
+            "temperature": 0.0,
+            "stop": [],
         })
         text = body.get("text")
         if not isinstance(text, str):

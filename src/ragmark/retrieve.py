@@ -2,22 +2,22 @@
 
 Embed the question, scan the index at a similarity threshold, pack the
 passing payloads into the prompt in descending-similarity order under a hard
-token budget, and hand the rendered prompt to a generation client. Every
-intermediate artifact is kept on the result for audit. A threshold sweep
-embeds and scans once per question, at its lowest threshold, and packs each
-distinct prefix of those hits once.
+token budget, and hand the rendered prompt to a generation client. The
+answer keeps the hits, packed context and prompt it came from. A threshold
+sweep embeds and scans once per question, at its lowest threshold, and packs
+each distinct prefix of those hits once.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .corpus import count_tokens, truncate_to_token_budget
 from .embed import Embedder
-from .errors import GenerationError, RagmarkError
+from .errors import ConfigError
 from .generate import GenerationClient, GenerationRequest
-from .index import IndexedDataset, IndexKind, RetrievalHit, hits_at, search
+from .index import IndexedDataset, RetrievalHit, hits_at, search
 
 log = logging.getLogger(__name__)
 
@@ -29,6 +29,13 @@ _CONTEXT_PREFIX = "Context:\n{context}\n\n"
 class Budgets:
     model_max_input: int = 4096  # prompt plus generated answer must fit this
     answer_reserve: int = 256
+
+    def __post_init__(self):
+        if not 1 <= self.answer_reserve < self.model_max_input:
+            raise ConfigError(
+                f"rag.answer_reserve ({self.answer_reserve}) must be at least 1 and below "
+                f"rag.model_max_input ({self.model_max_input})"
+            )
 
 
 @dataclass
@@ -50,14 +57,10 @@ class Retrieval:
 
 
 @dataclass
-class RagAnswer:
-    question: str
-    context: PackedContext
+class RagAnswer(Retrieval):
+    """A Retrieval plus the text generated from its prompt."""
+
     generated_text: str
-    threshold: float
-    dataset_kind: IndexKind
-    prompt: str = ""
-    hits: list[RetrievalHit] = field(default_factory=list)
 
 
 def render_prompt(question: str, context: str, template: str = DEFAULT_TEMPLATE) -> str:
@@ -150,7 +153,7 @@ def retrieve_at(
 
 def generation_request(prompt: str, budgets: Budgets) -> GenerationRequest:
     """The request every arm sends: greedy decoding up to the answer reserve."""
-    return GenerationRequest(prompt=prompt, max_new_tokens=budgets.answer_reserve, temperature=0.0)
+    return GenerationRequest(prompt=prompt, max_new_tokens=budgets.answer_reserve)
 
 
 def answer(
@@ -163,21 +166,11 @@ def answer(
     *,
     template: str = DEFAULT_TEMPLATE,
 ) -> RagAnswer:
-    """embed -> search -> pack -> render -> generate at one threshold, with full audit trail."""
+    """embed -> search -> pack -> render -> generate at one threshold.
+
+    A failed generate raises the client's own error, code included.
+    """
     budgets = budgets or Budgets()
     [found] = retrieve_at(question, ds, [threshold], embedder, budgets, template=template)
-    try:
-        generated = gen_client.generate(generation_request(found.prompt, budgets))
-    except RagmarkError as exc:
-        raise GenerationError(
-            f"generation failed for {question!r}: {exc}", context=found.context
-        ) from exc
-    return RagAnswer(
-        question=question,
-        context=found.context,
-        generated_text=generated,
-        threshold=threshold,
-        dataset_kind=ds.kind,
-        prompt=found.prompt,
-        hits=found.hits,
-    )
+    generated = gen_client.generate(generation_request(found.prompt, budgets))
+    return RagAnswer(**vars(found), generated_text=generated)

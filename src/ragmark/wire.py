@@ -115,19 +115,14 @@ _COERCE: dict[Any, Callable[[Any], Any]] = {int: int, float: float}
 class FlatRecord(Generic[T]):
     """JSONL field mapping of a dataclass whose fields are plain JSON values.
 
-    Each field is stored under its own name; fields in ``omit`` are not
-    stored and take their defaults on read. int and float fields are coerced
-    on read, which checks values that come from outside.
+    Each field is stored under its own name. int and float fields are
+    coerced on read, which checks values that come from outside.
     """
 
-    def __init__(self, cls: type[T], omit: tuple[str, ...] = ()):
+    def __init__(self, cls: type[T]):
         hints = typing.get_type_hints(cls)
         self.cls = cls
-        self.fields = tuple(
-            (f.name, _COERCE.get(hints[f.name]))
-            for f in dataclasses.fields(cls)
-            if f.name not in omit
-        )
+        self.fields = tuple((f.name, _COERCE.get(hints[f.name])) for f in dataclasses.fields(cls))
 
     def encode(self, obj: T) -> dict[str, Any]:
         return {name: getattr(obj, name) for name, _ in self.fields}

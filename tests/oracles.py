@@ -326,7 +326,6 @@ def _oracle_answer_text(question, ds, threshold, embedder, gen_client, budgets, 
     request = GenerationRequest(
         prompt=render_prompt(question, context, template),
         max_new_tokens=budgets.answer_reserve,
-        temperature=0.0,
     )
     return gen_client.generate(request)
 

@@ -24,6 +24,7 @@ def corpus_dir(tmp_path):
 
 
 GOOD_PARAGRAPH = '{"doc_id": "d", "ordinal": 0, "text": "Alpha beta gamma words.", "token_count": 5}'
+ONE_QUESTION_TESTSET = '{"params": {}}\n{"question": "q?", "answer_text": "a.", "cluster_id": 0}\n'
 
 
 def run(*argv):
@@ -238,12 +239,84 @@ class TestSettingsChecked:
         assert snapshot(tmp_path) == before
         assert "exp.failure_budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("template, setting, named", [
+        ('Context:\n{context}\n\n{"k": 1} {question}', None, "tpl.txt"),
+        ("Context:\n{context}\n\n{0} {question}", None, "tpl.txt"),
+        ("Context:\n{context}\n\nAnswer:", None, "tpl.txt"),
+        ("Context:\n{context}\n\nQuestion: {question:d}", None, "tpl.txt"),
+        (None, "rag.answer_reserve = 0", "rag.answer_reserve"),
+        (None, "rag.model_max_input = 10", "rag.model_max_input"),
+    ], ids=["json-braces", "positional-slot", "no-question-slot", "int-format-spec",
+            "zero-reserve", "model-smaller-than-reserve"])
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+    @pytest.mark.parametrize("command", ["sweep", "ask"])
+    def test_bad_prompt_setting(self, topic_index, tmp_path, capsys, template, setting, named,
+                                dry_run, command):
+        if template is not None:
+            (tmp_path / "tpl.txt").write_text(template)
+            setting = f"rag.template_path = {tmp_path / 'tpl.txt'}"
+        cfg = tmp_path / "prompt.cfg"
+        cfg.write_text(setting + "\n")
+        testset = tmp_path / "ts.jsonl"
+        testset.write_text(ONE_QUESTION_TESTSET)
+        argv = {
+            "sweep": ["sweep", "--testset", str(testset), "--index-sentences", str(topic_index),
+                      "--output-dir", str(tmp_path / "out"), "--thresholds", "0.5"],
+            "ask": ["ask", "--question", "Why?", "--index", str(topic_index)],
+        }[command]
+        before = snapshot(tmp_path)
+        assert run("--config", str(cfg), *argv, "--embedder", f"local:{EMBED_DIM}", *dry_run) == 1
+        assert snapshot(tmp_path) == before
+        assert named in capsys.readouterr().err
+
+    def test_template_with_escaped_braces_and_conversion_runs(self, topic_index, tmp_path,
+                                                              capsys):
+        tpl = tmp_path / "tpl.txt"
+        tpl.write_text("Context:\n{context}\n\n{{literal}} Question: {question!r}\nAnswer:")
+        cfg = tmp_path / "prompt.cfg"
+        cfg.write_text(f"rag.template_path = {tpl}\n")
+        testset = tmp_path / "ts.jsonl"
+        testset.write_text(ONE_QUESTION_TESTSET)
+        embedder = ["--embedder", f"local:{EMBED_DIM}"]
+        assert run("--config", str(cfg), "ask", "--question", "Why?",
+                   "--index", str(topic_index), *embedder) == 0
+        assert run("--config", str(cfg), "sweep", "--testset", str(testset),
+                   "--index-sentences", str(topic_index), "--output-dir", str(tmp_path / "out"),
+                   "--thresholds", "0.5", *embedder) == 0
+
     def test_ask_ignores_sweep_settings(self, topic_index, tmp_path, capsys):
         cfg = tmp_path / "sweep-only.cfg"
         cfg.write_text("exp.thresholds = 0.5,0.1\nexp.failure_budget = 20\n")
         assert run("--config", str(cfg), "ask", "--question", "What is new?",
                    "--index", str(topic_index), "--embedder", f"local:{EMBED_DIM}") == 0
         assert "answer   :" in capsys.readouterr().out
+
+
+class TestFailuresKeepTheirCause:
+    def test_ask_generation_failure_keeps_its_message(self, topic_index, http_stub, capsys):
+        url = http_stub(lambda path, payload: (404, {}))
+        assert run("ask", "--question", "Why?", "--index", str(topic_index),
+                   "--embedder", f"local:{EMBED_DIM}", "--endpoint", url) == 1
+        err = capsys.readouterr().err
+        assert "generation endpoint returned HTTP 404" in err
+        assert "generation failed for" not in err
+
+    def test_report_needs_the_manifest_arm_order(self, topic_index, tmp_path, capsys):
+        testset = tmp_path / "ts.jsonl"
+        testset.write_text(ONE_QUESTION_TESTSET)
+        out = tmp_path / "out"
+        assert run("sweep", "--testset", str(testset), "--index-sentences", str(topic_index),
+                   "--output-dir", str(out), "--embedder", f"local:{EMBED_DIM}",
+                   "--thresholds", "0.5") == 0
+        manifest_path = out / "scores_manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["arm_order"]
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run("report", "--scores-dir", str(out), "--output-dir", str(tmp_path / "again")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error")
+        assert str(manifest_path) in err and "arm_order" in err
 
 
 class TestParserReuse:

@@ -215,7 +215,7 @@ class TestSplitParagraphs:
         paras = split_paragraphs(doc, budget=256)
         assert len(paras) >= 3
         assert all(p.token_count <= 256 for p in paras)
-        assert not any(p.source_meta for p in paras)  # sentence-level split, no hard cuts
+        assert all(p.text.endswith(".") for p in paras)  # sentence-level split, no hard cuts
         joined = normalize_ws(" ".join(p.text for p in paras))
         assert joined == normalize_ws(doc.body)
 
@@ -223,12 +223,11 @@ class TestSplitParagraphs:
         with pytest.raises(EmptyDocumentError):
             split_paragraphs(Document("d", "", "   \n  "))
 
-    def test_giant_sentence_hard_split_and_flagged(self):
+    def test_giant_sentence_hard_split_on_token_boundaries(self):
         body = " ".join(f"tok{i}" for i in range(70))  # one sentence, no terminator
         paras = split_paragraphs(Document("d", "", body), budget=16)
-        assert len(paras) > 1
-        assert all(p.token_count <= 16 for p in paras)
-        assert all(p.source_meta.get("hard_split") == "true" for p in paras)
+        assert [p.token_count for p in paras] == [16, 16, 16, 16, 6]
+        assert paras[1].text == " ".join(f"tok{i}" for i in range(16, 32))
         assert normalize_ws(" ".join(p.text for p in paras)) == body
 
     def test_budget_under_minimum_rejected(self):

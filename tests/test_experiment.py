@@ -418,7 +418,7 @@ class TestSweepCommandMemo:
         assert len(distinct) < sum(len(set(p[1:])) + 1 for p in by_question)
         mock = ExtractiveMockClient()
         pairs = {
-            (mock.generate(GenerationRequest(prompt, cfg.budgets.answer_reserve, 0.0)),
+            (mock.generate(GenerationRequest(prompt, cfg.budgets.answer_reserve)),
              pair.answer_text)
             for pair, prompts in zip(testset.pairs, by_question) for prompt in prompts
         }

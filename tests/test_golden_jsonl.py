@@ -19,7 +19,7 @@ def written(write, obj, tmp_path):
 
 def test_paragraphs(tmp_path):
     paras = [
-        Paragraph("d1", 0, 'Alpha "beta" café.', 5, source_meta={"hard_split": "true"}),
+        Paragraph("d1", 0, 'Alpha "beta" café.', 5),
         Paragraph("d1", 1, "Gamma.", 2),
     ]
     assert written(write_paragraphs_jsonl, paras, tmp_path) == (

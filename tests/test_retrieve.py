@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import oracle_pack_context
 from ragmark.corpus import count_tokens
 from ragmark.embed import LocalHashEmbedder
-from ragmark.errors import GenerationError
+from ragmark.errors import TransportError
 from ragmark.generate import ExtractiveMockClient
 from ragmark.index import IndexedDataset, IndexEntry, IndexKind, search
 from ragmark.retrieve import (
@@ -192,27 +192,25 @@ class TestAnswer:
             )
         assert packed_sets[2] <= packed_sets[1] <= packed_sets[0]
 
-    def test_generation_failure_retains_context(self):
+    def test_generation_failure_keeps_its_code(self):
         class Boom:
             name = "boom"
 
             def generate(self, request):
-                from ragmark.errors import TransportError
-
                 raise TransportError("endpoint gone")
 
         ds, emb = self._corpus_index()
-        with pytest.raises(GenerationError) as err:
+        with pytest.raises(TransportError) as err:
             answer("What lives near deep sea vents?", ds, 0.0, emb, Boom())
-        assert err.value.context is not None
-        assert err.value.context.text != ""
+        assert err.value.code == "transport"
+        assert str(err.value) == "endpoint gone"
 
     def test_audit_trail_retained(self):
         ds, emb = self._corpus_index()
         result = answer("What lives near deep sea vents?", ds, 0.0, emb, ExtractiveMockClient())
         assert result.threshold == 0.0
-        assert result.dataset_kind is IndexKind.QUESTIONS
         assert len(result.hits) == 3
+        assert result.context.text != ""
         assert result.prompt.startswith("Context:\n")
 
 

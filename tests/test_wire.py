@@ -1,5 +1,5 @@
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import pytest
 import requests
@@ -89,16 +89,15 @@ class _Flat:
     name: str
     count: int
     score: float
-    extra: dict = field(default_factory=dict)
 
 
-FLAT = FlatRecord(_Flat, omit=("extra",))
+FLAT = FlatRecord(_Flat)
 
 
 class TestJsonl:
-    def test_flat_roundtrip_omits_and_defaults(self, tmp_path):
+    def test_flat_roundtrip_keeps_every_field(self, tmp_path):
         path = tmp_path / "f.jsonl"
-        items = [_Flat("a", 1, 0.5, extra={"x": "y"}), _Flat("b", 2, 1e-9)]
+        items = [_Flat("a", 1, 0.5), _Flat("b", 2, 1e-9)]
         write_jsonl(map(FLAT.encode, items), path)
         assert path.read_text().splitlines()[0] == '{"count": 1, "name": "a", "score": 0.5}'
         assert read_jsonl(path, FLAT.decode) == [_Flat("a", 1, 0.5), _Flat("b", 2, 1e-9)]
