@@ -19,7 +19,7 @@ from .corpus import (
 )
 from .embed import LocalHashEmbedder, RemoteEmbedder, cosine
 from .errors import RagmarkError
-from .experiment import ExperimentConfig, ReportTable, emit_report, run_baseline, run_sweep, summarize
+from .experiment import ExperimentConfig, emit_report, run_baseline, run_sweep, summarize
 from .generate import ExtractiveMockClient, GenerationRequest, RemoteGenerationClient
 from .index import (
     IndexedDataset,
@@ -58,7 +58,6 @@ __all__ = [
     "RagmarkError",
     "RemoteEmbedder",
     "RemoteGenerationClient",
-    "ReportTable",
     "RetrievalHit",
     "ScoreRow",
     "Sentence",

@@ -53,7 +53,7 @@ from .index import (
     load_index,
     save_index,
 )
-from .metrics import score_row, write_score_rows_csv, write_score_rows_jsonl
+from .metrics import METRIC_NAMES, score_row, write_score_rows_csv, write_score_rows_jsonl
 from .qagen import (
     QuestionGenClient,
     build_qa_dataset,
@@ -374,12 +374,12 @@ def _cmd_sweep(args) -> int:
     (out / "scores_manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
-    table = summarize({BASELINE_ARM: baseline_rows}, sweeps)
-    written = emit_report(table, out, svg=args.svg)
-    for arm in table.arms:
-        best = "" if arm.best_threshold is None else f" (best threshold {arm.best_threshold})"
-        print(f"{arm.label}: rouge={arm.means.rouge:.4f} meteor={arm.means.meteor:.4f} "
-              f"bleu={arm.means.bleu:.4f} cs={arm.means.cs:.4f}{best}")
+    report = summarize({BASELINE_ARM: baseline_rows}, sweeps)
+    written = emit_report(report, out, svg=args.svg)
+    for arm in report["arms"]:
+        means = " ".join(f"{m}={arm['means'][m]:.4f}" for m in METRIC_NAMES)
+        best = "" if arm["best_threshold"] is None else f" (best threshold {arm['best_threshold']})"
+        print(f"{arm['label']}: {means}{best}")
     print(f"reports: {', '.join(str(p) for p in written)}")
     return 0
 
@@ -408,8 +408,7 @@ def _cmd_report(args) -> int:
         label: {t: read_score_rows_jsonl(scores_dir / fname) for t, fname in files.items()}
         for label, files in sweep_files.items()
     }
-    table = summarize(arms, sweeps)
-    written = emit_report(table, args.output_dir, svg=args.svg)
+    written = emit_report(summarize(arms, sweeps), args.output_dir, svg=args.svg)
     print(f"reports: {', '.join(str(p) for p in written)}")
     return 0
 

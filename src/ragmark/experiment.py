@@ -3,8 +3,9 @@
 A run scores every test question against its reference answer, once with no
 retrieved context (the baseline arm) and once per similarity threshold per
 index kind (the sweep arms). Arm averages, per-threshold breakdowns, best
-thresholds, and pairwise relative deltas land in CSV/JSON reports plus a
-radar-plot data file.
+thresholds, and pairwise relative deltas form one report record, the dict
+that report.json holds; report.csv and the radar-plot files are built from
+its arms.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .config import as_float, as_float_list, as_int
+from .corpus import count_tokens
 from .embed import CachingEmbedder, Embedder
 from .errors import ConfigError, RagmarkError, RunAbortedError
 from .generate import GenerationClient
@@ -62,6 +64,15 @@ def prompt_settings(cfg: dict[str, str]) -> tuple[Budgets, str]:
         model_max_input=as_int(cfg, "rag.model_max_input"),
         answer_reserve=as_int(cfg, "rag.answer_reserve"),
     )
+    # retrieve_at also subtracts each question; with no room even for an empty
+    # one, every RAG arm would silently equal the baseline
+    scaffold = count_tokens(template.format(context="", question=""))
+    if budgets.model_max_input - budgets.answer_reserve - scaffold < 1:
+        raise ConfigError(
+            f"no room for context: rag.model_max_input ({budgets.model_max_input}) minus "
+            f"rag.answer_reserve ({budgets.answer_reserve}) leaves no tokens after the "
+            f"{scaffold}-token prompt template"
+        )
     return budgets, template
 
 
@@ -104,28 +115,6 @@ class ExperimentConfig:
         if kind is IndexKind.SENTENCES:
             return self.index_sentences_path
         return self.index_questions_path
-
-
-@dataclass(frozen=True)
-class Means:
-    rouge: float
-    meteor: float
-    bleu: float
-    cs: float
-
-
-@dataclass
-class ArmSummary:
-    label: str
-    means: Means
-    best_threshold: float | None = None
-    per_threshold: dict[float, Means] = field(default_factory=dict)
-
-
-@dataclass
-class ReportTable:
-    arms: list[ArmSummary]
-    deltas: dict[tuple[str, str], dict[str, float | None]]
 
 
 def _question_ids(testset: TestSet) -> list[str]:
@@ -268,129 +257,82 @@ def run_sweep(
 # Summaries
 # ---------------------------------------------------------------------------
 
-def _means(rows: list[ScoreRow]) -> Means:
+def _means(rows: list[ScoreRow]) -> dict[str, float]:
     if not rows:
         raise ValueError("cannot average an empty arm")
-    ordered = sorted(rows, key=lambda r: r.question_id)
-    n = len(ordered)
-    return Means(
-        rouge=math.fsum(r.rouge for r in ordered) / n,
-        meteor=math.fsum(r.meteor for r in ordered) / n,
-        bleu=math.fsum(r.bleu for r in ordered) / n,
-        cs=math.fsum(r.cs for r in ordered) / n,
-    )
+    return {m: math.fsum(getattr(r, m) for r in rows) / len(rows) for m in METRIC_NAMES}
 
 
 def summarize(
     arms: dict[str, list[ScoreRow]],
     sweeps: dict[str, dict[float, list[ScoreRow]]] | None = None,
-) -> ReportTable:
-    """Arm averages plus pairwise relative deltas.
+) -> dict:
+    """The report: arm averages plus pairwise relative deltas, as report.json holds it.
 
-    A sweep arm's headline numbers are taken at its best threshold, chosen
-    by highest mean cs with ties going to the lower threshold. The delta of
-    arm a over arm b is (a - b) / b per metric; both orientations are
+    ``{"arms": [{"label", "means", "best_threshold", "per_threshold"}], "deltas":
+    {"a vs b": {metric: delta}}}``; ``means`` maps each metric to its mean,
+    and ``per_threshold`` maps ``str(threshold)`` to the means there. A sweep
+    arm's headline numbers are taken at its best threshold, chosen by highest
+    mean cs with ties going to the lower threshold; a plain arm has
+    ``best_threshold`` None and no ``per_threshold``. The delta of arm a over
+    arm b is (a - b) / b per metric, None where b is 0; both orientations are
     emitted so either denominator convention can be read off directly.
     """
-    summaries: list[ArmSummary] = []
-    for label, rows in arms.items():
-        summaries.append(ArmSummary(label=label, means=_means(rows)))
+    report_arms = [{"label": label, "means": _means(rows), "best_threshold": None,
+                    "per_threshold": {}} for label, rows in arms.items()]
     for label, by_threshold in (sweeps or {}).items():
         if not by_threshold:
             raise ValueError(f"sweep arm {label!r} has no thresholds")
         per = {t: _means(rows) for t, rows in sorted(by_threshold.items())}
-        best_threshold, best_cs = None, -math.inf
-        for t, m in per.items():
-            if m.cs > best_cs:
-                best_threshold, best_cs = t, m.cs
-        summaries.append(
-            ArmSummary(
-                label=label,
-                means=per[best_threshold],
-                best_threshold=best_threshold,
-                per_threshold=per,
-            )
-        )
+        best = max(per, key=lambda t: per[t]["cs"])  # the first of equal maxima
+        report_arms.append({"label": label, "means": per[best], "best_threshold": best,
+                            "per_threshold": {str(t): means for t, means in per.items()}})
 
-    deltas: dict[tuple[str, str], dict[str, float | None]] = {}
-    for a in summaries:
-        for b in summaries:
-            if a.label == b.label:
-                continue
-            entry: dict[str, float | None] = {}
-            for metric in METRIC_NAMES:
-                base = getattr(b.means, metric)
-                entry[metric] = (getattr(a.means, metric) - base) / base if base else None
-            deltas[(a.label, b.label)] = entry
-    return ReportTable(arms=summaries, deltas=deltas)
+    deltas: dict[str, dict[str, float | None]] = {}
+    for a in report_arms:
+        for b in report_arms:
+            if a["label"] != b["label"]:
+                deltas[f"{a['label']} vs {b['label']}"] = {
+                    m: (a["means"][m] - base) / base if (base := b["means"][m]) else None
+                    for m in METRIC_NAMES
+                }
+    return {"arms": report_arms, "deltas": deltas}
 
 
 # ---------------------------------------------------------------------------
 # Report emission
 # ---------------------------------------------------------------------------
 
-def _table_payload(table: ReportTable) -> dict:
-    return {
-        "arms": [
-            {
-                "label": arm.label,
-                "means": {m: getattr(arm.means, m) for m in METRIC_NAMES},
-                "best_threshold": arm.best_threshold,
-                "per_threshold": {
-                    str(t): {m: getattr(means, m) for m in METRIC_NAMES}
-                    for t, means in arm.per_threshold.items()
-                },
-            }
-            for arm in table.arms
-        ],
-        "deltas": {
-            f"{a} vs {b}": entry for (a, b), entry in sorted(table.deltas.items())
-        },
-    }
-
-
-def emit_report(table: ReportTable, output_dir: str | Path, *, svg: bool = False) -> list[Path]:
-    """Write report.csv, report.json, radar.json, and optionally radar.svg."""
+def emit_report(report: dict, output_dir: str | Path, *, svg: bool = False) -> list[Path]:
+    """Write ``report`` to report.json, its arms to report.csv and radar.json, and
+    optionally radar.svg."""
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    csv_path = out / "report.csv"
+    arms = report["arms"]
     lines = ["arm,rouge,meteor,bleu,cs,best_threshold"]
-    for arm in table.arms:
-        best = "" if arm.best_threshold is None else repr(arm.best_threshold)
-        lines.append(
-            f"{arm.label},{arm.means.rouge!r},{arm.means.meteor!r},"
-            f"{arm.means.bleu!r},{arm.means.cs!r},{best}"
-        )
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    written.append(csv_path)
-
-    json_path = out / "report.json"
-    json_path.write_text(
-        json.dumps(_table_payload(table), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    written.append(json_path)
-
-    radar_path = out / "radar.json"
+    for arm in arms:
+        best = "" if arm["best_threshold"] is None else repr(arm["best_threshold"])
+        lines.append(",".join([arm["label"], *(repr(arm["means"][m]) for m in METRIC_NAMES), best]))
     radar = {
         "axes": list(METRIC_NAMES),
-        "series": [
-            {"label": arm.label, "values": [getattr(arm.means, m) for m in METRIC_NAMES]}
-            for arm in table.arms
-        ],
+        "series": [{"label": arm["label"], "values": [arm["means"][m] for m in METRIC_NAMES]}
+                   for arm in arms],
     }
-    radar_path.write_text(json.dumps(radar, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    written.append(radar_path)
-
+    files = {
+        "report.csv": "\n".join(lines) + "\n",
+        "report.json": json.dumps(report, sort_keys=True, indent=2) + "\n",
+        "radar.json": json.dumps(radar, sort_keys=True, indent=2) + "\n",
+    }
     if svg:
-        svg_path = out / "radar.svg"
-        svg_path.write_text(_radar_svg(table), encoding="utf-8")
-        written.append(svg_path)
+        files["radar.svg"] = _radar_svg(arms)
+    written = []
+    for name, text in files.items():
+        (out / name).write_text(text, encoding="utf-8")
+        written.append(out / name)
     return written
 
 
-def _radar_svg(table: ReportTable, size: int = 420) -> str:
+def _radar_svg(arms: list[dict], size: int = 420) -> str:
     """Self-contained radar render: one axis per metric, one polygon per arm."""
     cx = cy = size / 2
     radius = size * 0.38
@@ -416,16 +358,14 @@ def _radar_svg(table: ReportTable, size: int = 420) -> str:
             f'<text x="{lx:.2f}" y="{ly:.2f}" font-size="12" text-anchor="middle">'
             f"{escape(name)}</text>"
         )
-    top = max(
-        (getattr(arm.means, m) for arm in table.arms for m in METRIC_NAMES), default=1.0
-    )
+    top = max((arm["means"][m] for arm in arms for m in METRIC_NAMES), default=1.0)
     scale = top if top > 0 else 1.0
-    for i, arm in enumerate(table.arms):
+    for i, arm in enumerate(arms):
         color = palette[i % len(palette)]
         poly = " ".join(
             f"{x:.2f},{y:.2f}"
             for x, y in (
-                point(angle, getattr(arm.means, m) / scale)
+                point(angle, arm["means"][m] / scale)
                 for angle, m in zip(angles, METRIC_NAMES)
             )
         )
@@ -434,7 +374,7 @@ def _radar_svg(table: ReportTable, size: int = 420) -> str:
         )
         parts.append(
             f'<text x="12" y="{20 + 16 * i}" font-size="12" fill="{color}">'
-            f"{escape(arm.label)}</text>"
+            f"{escape(arm['label'])}</text>"
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

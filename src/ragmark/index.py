@@ -16,11 +16,12 @@ identical indexes.
 from __future__ import annotations
 
 import bisect
+import functools
 import json
 import logging
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
@@ -69,22 +70,26 @@ class IndexedDataset:
 
     The builders and ``load_index`` keep ``keys`` as float32, the on-disk
     precision, so save/load is an identity. ``unit_keys`` holds the rows
-    scaled to unit length in float64, the matrix that ``search`` scans.
+    scaled to unit length in float64, the matrix that ``search`` scans; it
+    is built on first use, so commands that never search do not pay for it.
     """
 
     kind: IndexKind
     entries: list[IndexEntry]
     embedder_name: str
     keys: np.ndarray
-    unit_keys: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.keys.ndim != 2 or len(self.keys) != len(self.entries):
             raise DimMismatchError(f"{len(self.entries)} entries, key array {self.keys.shape}")
-        self.unit_keys = self.keys.astype(np.float64)
-        for start in range(0, len(self.unit_keys), NORM_BLOCK_ROWS):
-            block = self.unit_keys[start: start + NORM_BLOCK_ROWS]
+
+    @functools.cached_property
+    def unit_keys(self) -> np.ndarray:
+        unit = self.keys.astype(np.float64)
+        for start in range(0, len(unit), NORM_BLOCK_ROWS):
+            block = unit[start: start + NORM_BLOCK_ROWS]
             block /= np.linalg.norm(block, axis=1, keepdims=True)
+        return unit
 
     @property
     def dim(self) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 import typing
 from pathlib import Path
 from typing import Any, Callable, Generic, Iterable, TypeVar
@@ -92,8 +93,8 @@ def read_jsonl(path: str | Path, decode: Callable[[dict], T]) -> list[T]:
     """``decode`` applied to the record on every non-blank line of ``path``.
 
     A line that is not JSON, or a record ``decode`` rejects (a missing field
-    raises KeyError, a value it cannot coerce ValueError or TypeError), is a
-    PersistenceError naming ``path:line``.
+    raises KeyError, a value it cannot coerce ValueError, TypeError or
+    OverflowError), is a PersistenceError naming ``path:line``.
     """
     out = []
     with open(path, encoding="utf-8") as fh:
@@ -104,19 +105,28 @@ def read_jsonl(path: str | Path, decode: Callable[[dict], T]) -> list[T]:
                 out.append(decode(json.loads(text)))
             except KeyError as exc:
                 raise PersistenceError(f"{path}:{lineno}: record has no field {exc}") from exc
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise PersistenceError(f"{path}:{lineno}: bad record: {exc}") from exc
     return out
 
 
-_COERCE: dict[Any, Callable[[Any], Any]] = {int: int, float: float}
+def _finite(value: Any) -> float:
+    """``float(value)``, refusing NaN and the infinities, which JSON cannot hold."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} is not a finite number")
+    return number
+
+
+_COERCE: dict[Any, Callable[[Any], Any]] = {int: int, float: _finite}
 
 
 class FlatRecord(Generic[T]):
     """JSONL field mapping of a dataclass whose fields are plain JSON values.
 
     Each field is stored under its own name. int and float fields are
-    coerced on read, which checks values that come from outside.
+    coerced on read, which checks values that come from outside; a float
+    field must be finite.
     """
 
     def __init__(self, cls: type[T]):

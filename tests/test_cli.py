@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 import zlib
 
 import pytest
@@ -246,8 +247,10 @@ class TestSettingsChecked:
         ("Context:\n{context}\n\nQuestion: {question:d}", None, "tpl.txt"),
         (None, "rag.answer_reserve = 0", "rag.answer_reserve"),
         (None, "rag.model_max_input = 10", "rag.model_max_input"),
+        (None, "rag.model_max_input = 260",
+         "rag.model_max_input (260) minus rag.answer_reserve (256)"),
     ], ids=["json-braces", "positional-slot", "no-question-slot", "int-format-spec",
-            "zero-reserve", "model-smaller-than-reserve"])
+            "zero-reserve", "model-smaller-than-reserve", "no-room-for-context"])
     @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
     @pytest.mark.parametrize("command", ["sweep", "ask"])
     def test_bad_prompt_setting(self, topic_index, tmp_path, capsys, template, setting, named,
@@ -317,6 +320,26 @@ class TestFailuresKeepTheirCause:
         err = capsys.readouterr().err
         assert err.startswith("i/o error")
         assert str(manifest_path) in err and "arm_order" in err
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_report_rejects_a_non_finite_score(self, topic_index, tmp_path, capsys, value):
+        testset = tmp_path / "ts.jsonl"
+        testset.write_text(ONE_QUESTION_TESTSET +
+                           '{"question": "why?", "answer_text": "b.", "cluster_id": 0}\n')
+        out = tmp_path / "out"
+        assert run("sweep", "--testset", str(testset), "--index-sentences", str(topic_index),
+                   "--output-dir", str(out), "--embedder", f"local:{EMBED_DIM}",
+                   "--thresholds", "0.0,0.5") == 0
+        scores = out / "scores_rag_sentences_t0.5.jsonl"
+        first, second = scores.read_text().splitlines()
+        scores.write_text(first + "\n" + re.sub(r'"cs": [^,}]+', f'"cs": {value}', second) + "\n")
+        capsys.readouterr()
+        again = tmp_path / "again"
+        assert run("report", "--scores-dir", str(out), "--output-dir", str(again)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error")
+        assert f"{scores}:2: bad record" in err and "not a finite number" in err
+        assert not again.exists()
 
 
 class TestParserReuse:

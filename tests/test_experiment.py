@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from topicfix import EMBED_DIM, corpus_pipeline, make_test_pairs, make_topic_corpus
 from oracles import oracle_run_sweep, streaming_means
-from reportfiles import parse_report_csv, read_report_json
+from reportfiles import parse_report_csv
 from ragmark import cli, experiment
 from ragmark.cli import main
 from ragmark.corpus import Sentence
@@ -18,7 +18,6 @@ from ragmark.errors import ConfigError, RunAbortedError, TransportError
 from ragmark.experiment import (
     BASELINE_ARM,
     ExperimentConfig,
-    Means,
     emit_report,
     run_baseline,
     run_sweep,
@@ -113,33 +112,30 @@ def desk_fixture():
 
 class TestSummarize:
     def test_table3_relative_deltas(self):
-        table = summarize({label: [row] for label, row in TABLE3.items()})
-        deltas = table.deltas
-        assert deltas[("rag", "fine_tuned")]["rouge"] == pytest.approx(0.161, abs=0.001)
-        assert deltas[("rag", "fine_tuned")]["bleu"] == pytest.approx(0.159, abs=0.001)
-        assert deltas[("rag", "fine_tuned")]["cs"] == pytest.approx(0.529, abs=0.001)
+        deltas = summarize({label: [row] for label, row in TABLE3.items()})["deltas"]
+        assert deltas["rag vs fine_tuned"]["rouge"] == pytest.approx(0.161, abs=0.001)
+        assert deltas["rag vs fine_tuned"]["bleu"] == pytest.approx(0.159, abs=0.001)
+        assert deltas["rag vs fine_tuned"]["cs"] == pytest.approx(0.529, abs=0.001)
         # both denominator conventions for the meteor gap
-        assert deltas[("fine_tuned", "rag")]["meteor"] == pytest.approx(0.091, abs=0.001)
-        assert deltas[("rag", "fine_tuned")]["meteor"] == pytest.approx(-0.083, abs=0.001)
+        assert deltas["fine_tuned vs rag"]["meteor"] == pytest.approx(0.091, abs=0.001)
+        assert deltas["rag vs fine_tuned"]["meteor"] == pytest.approx(-0.083, abs=0.001)
 
     def test_means_match_streaming_oracle(self):
         rows = [ScoreRow(f"q{i}", i / 7, i / 11, i / 13, i / 17) for i in range(100)]
-        table = summarize({"arm": rows})
-        means = table.arms[0].means
-        assert means.rouge == pytest.approx(streaming_means([r.rouge for r in rows]), abs=1e-12)
-        assert means.cs == pytest.approx(streaming_means([r.cs for r in rows]), abs=1e-12)
+        means = summarize({"arm": rows})["arms"][0]["means"]
+        assert means["rouge"] == pytest.approx(streaming_means([r.rouge for r in rows]), abs=1e-12)
+        assert means["cs"] == pytest.approx(streaming_means([r.cs for r in rows]), abs=1e-12)
 
     def test_single_arm_has_no_deltas(self):
-        table = summarize({"only": [ScoreRow("q", 0.1, 0.2, 0.3, 0.4)]})
-        assert table.deltas == {}
+        assert summarize({"only": [ScoreRow("q", 0.1, 0.2, 0.3, 0.4)]})["deltas"] == {}
 
     def test_sweep_arm_best_threshold_ties_take_lower(self):
         rows_same = [ScoreRow("q", 0.1, 0.1, 0.1, 0.5)]
-        table = summarize({}, {"arm": {0.2: rows_same, 0.5: rows_same, 0.8: rows_same}})
-        assert table.arms[0].best_threshold == 0.2
+        report = summarize({}, {"arm": {0.2: rows_same, 0.5: rows_same, 0.8: rows_same}})
+        assert report["arms"][0]["best_threshold"] == 0.2
 
     def test_sweep_arm_headline_at_best_threshold(self):
-        table = summarize(
+        report = summarize(
             {},
             {
                 "arm": {
@@ -149,19 +145,19 @@ class TestSummarize:
                 }
             },
         )
-        arm = table.arms[0]
-        assert arm.best_threshold == 0.5
-        assert arm.means.cs == pytest.approx(0.8)
-        assert set(arm.per_threshold) == {0.0, 0.5, 1.0}
+        arm = report["arms"][0]
+        assert arm["best_threshold"] == 0.5
+        assert arm["means"]["cs"] == pytest.approx(0.8)
+        assert set(arm["per_threshold"]) == {"0.0", "0.5", "1.0"}
 
     def test_zero_denominator_delta_is_none(self):
-        table = summarize(
+        report = summarize(
             {
                 "a": [ScoreRow("q", 0.5, 0.5, 0.5, 0.5)],
                 "b": [ScoreRow("q", 0.0, 0.5, 0.5, 0.5)],
             }
         )
-        assert table.deltas[("a", "b")]["rouge"] is None
+        assert report["deltas"]["a vs b"]["rouge"] is None
 
 
 class TestRuns:
@@ -485,7 +481,7 @@ class TestExperimentConfig:
 
 
 class TestReports:
-    def _table(self):
+    def _report(self):
         return summarize(
             {label: [row] for label, row in TABLE3.items()},
             {
@@ -497,36 +493,28 @@ class TestReports:
         )
 
     def test_emit_and_csv_roundtrip(self, tmp_path):
-        table = self._table()
-        written = emit_report(table, tmp_path)
+        report = self._report()
+        written = emit_report(report, tmp_path)
         assert {p.name for p in written} == {"report.csv", "report.json", "radar.json"}
-        parsed = parse_report_csv(tmp_path / "report.csv")
-        assert [a.label for a in parsed] == [a.label for a in table.arms]
-        for ours, theirs in zip(table.arms, parsed):
-            assert ours.means == theirs.means
-            assert ours.best_threshold == theirs.best_threshold
+        assert parse_report_csv(tmp_path / "report.csv") == [
+            {k: arm[k] for k in ("label", "means", "best_threshold")} for arm in report["arms"]
+        ]
 
     def test_report_json_roundtrip(self, tmp_path):
-        table = self._table()
-        emit_report(table, tmp_path)
-        loaded = read_report_json(tmp_path / "report.json")
-        assert [a.label for a in loaded.arms] == [a.label for a in table.arms]
-        for ours, theirs in zip(table.arms, loaded.arms):
-            assert ours.means == theirs.means
-            assert ours.per_threshold == theirs.per_threshold
-        assert loaded.deltas == table.deltas
+        report = self._report()
+        emit_report(report, tmp_path)
+        assert json.loads((tmp_path / "report.json").read_text()) == report
 
     def test_radar_json_axes_and_series(self, tmp_path):
-        table = self._table()
-        emit_report(table, tmp_path)
+        report = self._report()
+        emit_report(report, tmp_path)
         radar = json.loads((tmp_path / "radar.json").read_text())
         assert radar["axes"] == ["rouge", "meteor", "bleu", "cs"]
-        assert len(radar["series"]) == len(table.arms)
+        assert len(radar["series"]) == len(report["arms"])
         assert all(len(s["values"]) == 4 for s in radar["series"])
 
     def test_radar_svg_is_wellformed_xml(self, tmp_path):
-        table = self._table()
-        emit_report(table, tmp_path, svg=True)
+        emit_report(self._report(), tmp_path, svg=True)
         root = ET.parse(tmp_path / "radar.svg").getroot()
         assert root.tag.endswith("svg")
 
@@ -534,4 +522,4 @@ class TestReports:
         target = tmp_path / "blocked"
         target.write_text("a file, not a directory")
         with pytest.raises(OSError):
-            emit_report(self._table(), target)
+            emit_report(self._report(), target)

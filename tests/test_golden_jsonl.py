@@ -2,11 +2,17 @@
 
 One sorted-key JSON object per line, ASCII-escaped, newline-terminated.
 Optional fields (``synthetic``) appear only when set, and the test set
-starts with its ``params`` header.
+starts with its ``params`` header. The report files of a fixed table are
+compared with the copies under ``golden/``.
 """
+
+from pathlib import Path
+
+import pytest
 
 from ragmark import testgen
 from ragmark.corpus import Paragraph, Sentence, write_paragraphs_jsonl, write_sentences_jsonl
+from ragmark.experiment import emit_report, summarize
 from ragmark.metrics import ScoreRow, write_score_rows_jsonl
 from ragmark.qagen import QADataset, QAPair, write_qa_jsonl
 
@@ -74,3 +80,29 @@ def test_score_rows(tmp_path):
         b'"question_id": "q0001", "rouge": 0.25}\n'
         b'{"bleu": 1e-09, "cs": 0.9999999999, "meteor": 0.0, "question_id": "q0002", "rouge": 1.0}\n'
     )
+
+
+# The published averages as four single-row arms, plus a swept arm with two
+# thresholds whose best one has a zero bleu mean, so every "x vs swept" bleu
+# delta has a zero denominator. Rows come in descending question-id order.
+GOLDEN_ARMS = {
+    "baseline": [ScoreRow("avg", 0.142117, 0.119251, 0.002770, 0.335299)],
+    "fine_tuned": [ScoreRow("avg", 0.254003, 0.242348, 0.050048, 0.356439)],
+    "rag_fine_tuned": [ScoreRow("avg", 0.229296, 0.195219, 0.029378, 0.305797)],
+    "rag": [ScoreRow("avg", 0.294986, 0.222193, 0.057998, 0.544829)],
+}
+GOLDEN_SWEEPS = {
+    "swept": {
+        0.25: [ScoreRow("q0002", 0.25, 0.1, 0.0, 0.2), ScoreRow("q0001", 0.5, 1 / 3, 0.0, 0.7),
+               ScoreRow("q0000", 0.1, 2 / 7, 0.0, 0.3)],
+        0.75: [ScoreRow("q0002", 0.3, 0.2, 0.1, 0.1), ScoreRow("q0001", 0.1, 0.2, 0.3, 0.4),
+               ScoreRow("q0000", 0.2, 0.2, 0.2, 0.2)],
+    },
+}
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name", ["report.csv", "report.json", "radar.json", "radar.svg"])
+def test_report_files(tmp_path, name):
+    emit_report(summarize(GOLDEN_ARMS, GOLDEN_SWEEPS), tmp_path, svg=True)
+    assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes()

@@ -115,7 +115,12 @@ class TestJsonl:
         ('{"name": "a", "count": null, "score": 1.0}', "bad record"),
         ('["name", "a"]', "bad record"),
         ('{"name": "a", ', "bad record"),
-    ], ids=["missing", "non-numeric", "null", "not-an-object", "not-json"])
+        ('{"name": "a", "count": 1, "score": NaN}', "nan is not a finite number"),
+        ('{"name": "a", "count": 1, "score": -Infinity}', "-inf is not a finite number"),
+        ('{"name": "a", "count": 1, "score": "inf"}', "'inf' is not a finite number"),
+        ('{"name": "a", "count": Infinity, "score": 1.0}', "bad record"),
+    ], ids=["missing", "non-numeric", "null", "not-an-object", "not-json", "nan-float",
+            "infinite-float", "infinite-float-string", "infinite-int"])
     def test_bad_record_names_path_and_line(self, tmp_path, line, detail):
         path = tmp_path / "f.jsonl"
         path.write_text('{"name": "a", "count": 1, "score": 1.0}\n\n' + line + "\n")
