@@ -22,6 +22,7 @@ from .errors import RagmarkError
 from .experiment import ExperimentConfig, emit_report, run_baseline, run_sweep, summarize
 from .generate import ExtractiveMockClient, GenerationRequest, RemoteGenerationClient
 from .index import (
+    Hits,
     IndexedDataset,
     IndexEntry,
     IndexKind,
@@ -46,6 +47,7 @@ __all__ = [
     "ExperimentConfig",
     "ExtractiveMockClient",
     "GenerationRequest",
+    "Hits",
     "IndexEntry",
     "IndexKind",
     "IndexedDataset",

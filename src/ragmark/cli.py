@@ -290,6 +290,8 @@ def _cmd_testgen(args) -> int:
 
 
 def _cmd_ask(args) -> int:
+    if not 0.0 <= args.threshold <= 1.0:
+        raise ConfigError(f"--threshold must lie in [0, 1], got {args.threshold}")
     _require_files(args.index)
     cfg = _resolve(args, {"embed.endpoint": args.embedder, "gen.endpoint": args.endpoint})
     budgets, template = prompt_settings(cfg)

@@ -15,20 +15,19 @@ identical indexes.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import json
 import logging
 import os
 import zlib
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .corpus import Sentence
+from .corpus import Sentence, count_tokens
 from .embed import Embedder
 from .errors import (
     ChecksumError,
@@ -72,12 +71,14 @@ class IndexedDataset:
     precision, so save/load is an identity. ``unit_keys`` holds the rows
     scaled to unit length in float64, the matrix that ``search`` scans; it
     is built on first use, so commands that never search do not pay for it.
+    ``payload_tokens`` remembers each payload's token count the same way.
     """
 
     kind: IndexKind
     entries: list[IndexEntry]
     embedder_name: str
     keys: np.ndarray
+    _token_counts: dict[str, int] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.keys.ndim != 2 or len(self.keys) != len(self.entries):
@@ -95,11 +96,50 @@ class IndexedDataset:
     def dim(self) -> int:
         return self.keys.shape[1]
 
+    def payload_tokens(self, i: int) -> int:
+        """``count_tokens`` of entry i's payload, counted once per distinct payload."""
+        payload = self.entries[i].payload_text
+        count = self._token_counts.get(payload)
+        if count is None:
+            count = self._token_counts[payload] = count_tokens(payload)
+        return count
+
 
 @dataclass(frozen=True)
 class RetrievalHit:
     score: float
     entry_ref: int  # index into IndexedDataset.entries
+
+
+class Hits(Sequence[RetrievalHit]):
+    """A ranking as two arrays: ``scores`` best first, ``refs`` the entry of each.
+
+    An int index or iteration makes ``RetrievalHit``s, so only the hits a
+    reader walks become objects; a slice is a ``Hits`` view. A ranking
+    equals any sequence holding the same hits in the same order.
+    """
+
+    __slots__ = ("scores", "refs")
+
+    def __init__(self, scores: np.ndarray, refs: np.ndarray):
+        self.scores = scores
+        self.refs = refs
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Hits(self.scores[i], self.refs[i])
+        return RetrievalHit(float(self.scores[i]), int(self.refs[i]))
+
+    def __iter__(self):
+        return map(RetrievalHit, self.scores.tolist(), self.refs.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
 
 
 def _build(
@@ -153,27 +193,21 @@ def build_question_index(qa: QADataset, embedder: Embedder) -> IndexedDataset:
     )
 
 
-def below_threshold(score: float, threshold: float) -> bool:
-    """The cut rule: whether a hit scoring ``score`` is left out at ``threshold``.
-
-    Threshold 0.0 is the accept-everything case, negative scores included;
-    otherwise a score passes when it reaches the threshold within SCORE_EPS.
-    """
-    return threshold > 0.0 and score < threshold - SCORE_EPS
-
-
-def hits_at(hits: list[RetrievalHit], threshold: float) -> list[RetrievalHit]:
+def hits_at(hits: Hits, threshold: float) -> Hits:
     """The hits of a search at ``threshold``, taken from a search at a lower one.
 
-    ``search`` ranks exactly and sorts stably, so raising the threshold only
-    shortens its result from the end.
+    The cut rule: threshold 0.0 accepts everything, negative scores
+    included; otherwise a score passes when it reaches the threshold within
+    SCORE_EPS. ``search`` ranks exactly and sorts stably, and its scores
+    only fall and are never NaN, so the passing hits are a prefix.
     """
-    cut = bisect.bisect_left(hits, True, key=lambda h: below_threshold(h.score, threshold))
-    return hits[:cut]
+    if threshold <= 0.0:
+        return hits
+    return hits[:np.count_nonzero(hits.scores >= threshold - SCORE_EPS)]
 
 
-def search(ds: IndexedDataset, query: np.ndarray, threshold: float) -> list[RetrievalHit]:
-    """Exact scan: every entry not ``below_threshold``, best first.
+def search(ds: IndexedDataset, query: np.ndarray, threshold: float) -> Hits:
+    """Exact scan: every entry that passes ``threshold`` (see ``hits_at``), best first.
 
     Ties keep insertion order. Threshold 0.0 returns all entries; threshold
     1.0 keeps only perfect directional matches (within float slack).
@@ -188,13 +222,7 @@ def search(ds: IndexedDataset, query: np.ndarray, threshold: float) -> list[Retr
         raise ZeroVectorError("query embedded to a zero vector")
     scores = ds.unit_keys @ (q / nq)
     order = np.argsort(-scores, kind="stable")
-    hits = []
-    for i in order:
-        s = float(scores[i])
-        if below_threshold(s, threshold):
-            break  # scores only fall from here
-        hits.append(RetrievalHit(score=s, entry_ref=int(i)))
-    return hits
+    return hits_at(Hits(scores[order], order), threshold)
 
 
 # ---------------------------------------------------------------------------

@@ -5,19 +5,23 @@ passing payloads into the prompt in descending-similarity order under a hard
 token budget, and hand the rendered prompt to a generation client. The
 answer keeps the hits, packed context and prompt it came from. A threshold
 sweep embeds and scans once per question, at its lowest threshold, and packs
-each distinct prefix of those hits once.
+each distinct prefix of those hits once. The scan's ranking stays two arrays
+(``Hits``); only the hits packing walks become ``RetrievalHit`` objects, and
+each payload's token count is taken once per loaded index
+(``IndexedDataset.payload_tokens``).
 """
 
 from __future__ import annotations
 
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 from .corpus import count_tokens, truncate_to_token_budget
 from .embed import Embedder
 from .errors import ConfigError
 from .generate import GenerationClient, GenerationRequest
-from .index import IndexedDataset, RetrievalHit, hits_at, search
+from .index import Hits, IndexedDataset, RetrievalHit, hits_at, search
 
 log = logging.getLogger(__name__)
 
@@ -51,7 +55,7 @@ class Retrieval:
     """One threshold's hits, packed context and rendered prompt for one question."""
 
     threshold: float
-    hits: list[RetrievalHit]
+    hits: Hits
     context: PackedContext
     prompt: str
 
@@ -72,14 +76,15 @@ def render_prompt(question: str, context: str, template: str = DEFAULT_TEMPLATE)
     return template.format(context="", question=question)
 
 
-def pack_context(hits: list[RetrievalHit], ds: IndexedDataset, budget: int) -> PackedContext:
+def pack_context(hits: Sequence[RetrievalHit], ds: IndexedDataset, budget: int) -> PackedContext:
     """Greedy packing of hit payloads, best first, newline-joined.
 
     A payload seen before is skipped (several questions can share one parent
     paragraph). The first payload that would overflow is cut on a token
     boundary so the context fills the remaining budget exactly, and packing
-    stops there. Each payload is counted once: token counts add over newline
-    joins, so the running total is the joined context's count.
+    stops there. Each payload is counted once per loaded index
+    (``ds.payload_tokens``): token counts add over newline joins, so the
+    running total is the joined context's count.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1 token")
@@ -92,7 +97,7 @@ def pack_context(hits: list[RetrievalHit], ds: IndexedDataset, budget: int) -> P
         payload = ds.entries[hit.entry_ref].payload_text
         if payload in seen:
             continue
-        count = count_tokens(payload)
+        count = ds.payload_tokens(hit.entry_ref)
         if used + count > budget:
             truncated = True
             payload, _ = truncate_to_token_budget(payload, budget - used)

@@ -118,15 +118,22 @@ def _finite(value: Any) -> float:
     return number
 
 
-_COERCE: dict[Any, Callable[[Any], Any]] = {int: int, float: _finite}
+def _integer(value: Any) -> int:
+    """``int(value)``, refusing a JSON boolean and a float with a fractional part."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+_COERCE: dict[Any, Callable[[Any], Any]] = {int: _integer, float: _finite}
 
 
 class FlatRecord(Generic[T]):
     """JSONL field mapping of a dataclass whose fields are plain JSON values.
 
     Each field is stored under its own name. int and float fields are
-    coerced on read, which checks values that come from outside; a float
-    field must be finite.
+    coerced on read, which checks values that come from outside; an int
+    field must be integral and not a boolean, a float field must be finite.
     """
 
     def __init__(self, cls: type[T]):

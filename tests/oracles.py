@@ -9,11 +9,13 @@ the dim x dim covariance instead of the n x n Gram matrix for PCA,
 format-1 index files with one base64 vector per record instead of a raw
 keys file, a binary search over token prefixes instead of a cut at the
 budget-th token, re-counting the whole joined context per packed payload,
-and one search, pack, generate and score per sweep cell. Slow is fine;
-different code paths are the point.
+one ``RetrievalHit`` per ranked entry and a bisect over them instead of two
+arrays and a vectorised cut, and one search, pack, generate and score per
+sweep cell. Slow is fine; different code paths are the point.
 """
 
 import base64
+import bisect
 import json
 import logging
 import math
@@ -32,7 +34,7 @@ from ragmark.errors import (
 )
 from ragmark.experiment import _check_failures, _question_ids
 from ragmark.generate import GenerationRequest
-from ragmark.index import IndexedDataset, IndexEntry, IndexKind, search
+from ragmark.index import SCORE_EPS, IndexedDataset, IndexEntry, IndexKind, RetrievalHit, search
 from ragmark.metrics import ScoreRow, _stem, score_row
 from ragmark.retrieve import PackedContext, render_prompt
 
@@ -136,6 +138,30 @@ def oracle_search(key_vectors, query, threshold, eps=1e-9):
     if threshold == 0.0:
         return scored
     return [(s, i) for s, i in scored if s >= threshold - eps]
+
+
+def _oracle_below_threshold(score, threshold):
+    return threshold > 0.0 and score < threshold - SCORE_EPS
+
+
+def oracle_hits_at(hits, threshold):
+    """The prefix of a list of RetrievalHits that passes ``threshold``, by bisection."""
+    cut = bisect.bisect_left(hits, True, key=lambda h: _oracle_below_threshold(h.score, threshold))
+    return hits[:cut]
+
+
+def oracle_search_loop(ds, query, threshold):
+    """The same scan and sort as ``search``, then one RetrievalHit per passing entry."""
+    q = np.asarray(query, dtype=np.float64)
+    scores = ds.unit_keys @ (q / np.linalg.norm(q))
+    order = np.argsort(-scores, kind="stable")
+    hits = []
+    for i in order:
+        s = float(scores[i])
+        if _oracle_below_threshold(s, threshold):
+            break  # scores only fall from here
+        hits.append(RetrievalHit(score=s, entry_ref=int(i)))
+    return hits
 
 
 def oracle_within(points, eps):

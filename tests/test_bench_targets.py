@@ -59,6 +59,10 @@ def test_sweep_search_and_pack_are_traced():
         tracer.uninstall()
     names = {span[0] for span in tracer.spans}
     assert {"index.search", "retrieve.pack"} <= names
+    # one search per question at the lowest threshold, 0.0, which returns every entry
+    metrics = tracer.metrics()
+    assert metrics["index.searches"] == len(testset.pairs)
+    assert metrics["index.hits"] == len(index.entries) * metrics["index.searches"]
 
 
 def test_bench_selftest_passes():

@@ -240,6 +240,22 @@ class TestSettingsChecked:
         assert snapshot(tmp_path) == before
         assert "exp.failure_budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threshold", ["1.5", "nan", "-0.1"])
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+    def test_ask_threshold_out_of_range(self, topic_index, tmp_path, capsys, monkeypatch,
+                                        threshold, dry_run):
+        def no_load(path):
+            raise AssertionError("the index was loaded before the threshold was checked")
+
+        monkeypatch.setattr("ragmark.cli.load_index", no_load)
+        before = snapshot(tmp_path)
+        assert run("ask", "--question", "Why?", "--index", str(topic_index),
+                   "--embedder", f"local:{EMBED_DIM}", "--threshold", threshold, *dry_run) == 1
+        assert snapshot(tmp_path) == before
+        captured = capsys.readouterr()
+        assert "--threshold must lie in [0, 1]" in captured.err
+        assert "would answer" not in captured.out
+
     @pytest.mark.parametrize("template, setting, named", [
         ('Context:\n{context}\n\n{"k": 1} {question}', None, "tpl.txt"),
         ("Context:\n{context}\n\n{0} {question}", None, "tpl.txt"),

@@ -13,16 +13,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_load_index_v1, oracle_save_index_v1, oracle_search, oracle_unit_keys
+from oracles import (
+    oracle_hits_at,
+    oracle_load_index_v1,
+    oracle_save_index_v1,
+    oracle_search,
+    oracle_search_loop,
+    oracle_unit_keys,
+)
 from ragmark.corpus import Sentence
 from ragmark.embed import LocalHashEmbedder
 from ragmark.errors import ChecksumError, DimMismatchError, EmptyIndexError, PersistenceError
 from ragmark.index import (
     FORMAT_VERSION,
     NORM_BLOCK_ROWS,
+    SCORE_EPS,
+    Hits,
     IndexedDataset,
     IndexEntry,
     IndexKind,
+    RetrievalHit,
     build_question_index,
     build_sentence_index,
     hits_at,
@@ -254,6 +264,64 @@ class TestSearch:
             assert [h.entry_ref for h in hits] == [i for _, i in expected]
             for hit, (score, _) in zip(hits, expected):
                 assert hit.score == pytest.approx(score, abs=1e-9)
+
+
+# Key components: a small pool makes proportional rows and exact score ties
+# common; the float32 draws cover everything else.
+KEY_VALUES = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 3.0]) | st.floats(
+    -10, 10, width=32, allow_nan=False, allow_infinity=False)
+
+
+def _thresholds_around(scores):
+    """0.0, 1.0, each score, score +- SCORE_EPS, and the float neighbours of all of those."""
+    out = {0.0, 1.0}
+    for s in scores:
+        for edge in (s, s - SCORE_EPS, s + SCORE_EPS):
+            out.update((edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)))
+    return sorted(t for t in out if 0.0 <= t <= 1.0)
+
+
+def _bits(hits):
+    return [(h.score.hex(), h.entry_ref) for h in hits]
+
+
+class TestSearchMatchesLoopOracle:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_same_ranking_bit_for_bit(self, data):
+        dim = data.draw(st.integers(2, 5))
+        row = st.lists(KEY_VALUES, min_size=dim, max_size=dim).filter(lambda r: any(r))
+        rows = data.draw(st.lists(row, min_size=1, max_size=10))
+        for _ in range(data.draw(st.integers(0, 3))):  # duplicate rows: exact ties
+            rows.insert(data.draw(st.integers(0, len(rows))), data.draw(st.sampled_from(rows)))
+        keys = np.array(rows, dtype=np.float32)
+        entries = [IndexEntry(f"k{i}", f"p{i}", ("d", i)) for i in range(len(rows))]
+        ds = IndexedDataset(IndexKind.SENTENCES, entries, "rand", keys)
+        query = np.array(data.draw(st.sampled_from(rows) | row), dtype=np.float64)
+
+        lowest = search(ds, query, 0.0)
+        assert _bits(lowest) == _bits(oracle_search_loop(ds, query, 0.0))
+        for t in _thresholds_around([h.score for h in lowest]):
+            expected = oracle_search_loop(ds, query, t)
+            found = search(ds, query, t)
+            assert _bits(found) == _bits(expected)
+            assert hits_at(lowest, t) == found
+            assert oracle_hits_at(list(lowest), t) == expected
+
+
+class TestHits:
+    def test_sequence_of_hits_made_on_demand(self):
+        hits = Hits(np.array([0.9, 0.5, -0.25]), np.array([2, 0, 1]))
+        expected = [RetrievalHit(0.9, 2), RetrievalHit(0.5, 0), RetrievalHit(-0.25, 1)]
+        assert len(hits) == 3
+        assert list(hits) == expected
+        assert hits[0] == expected[0] and hits[-1] == expected[-1]
+        assert type(hits[0].score) is float and type(hits[0].entry_ref) is int
+        view = hits[1:]
+        assert isinstance(view, Hits) and view == expected[1:]
+        assert hits == tuple(expected) and expected == hits
+        assert hits != expected[:2] and hits != [RetrievalHit(0.9, 2)] * 3
+        assert not hits[:0] and hits[:0] == []
 
 
 class TestPersistence:

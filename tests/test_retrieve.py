@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ragmark.index
 from oracles import oracle_pack_context
 from ragmark.corpus import count_tokens
 from ragmark.embed import LocalHashEmbedder
@@ -131,6 +132,32 @@ class TestPackContextMatchesOracle:
             st.sampled_from([b for b in boundaries if b >= 1] or [1]),
         ))
         assert pack_context(hits, ds, budget) == oracle_pack_context(hits, ds, budget)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_warm_token_memo_packs_the_same(self, data):
+        drawn = data.draw(st.lists(st.sampled_from(PAYLOAD_PIECES), min_size=1, max_size=10))
+        # a shared payload and an empty one in every case
+        payloads = data.draw(st.permutations(drawn + [drawn[0], ""]))
+        ds = make_index(payloads)
+        hits = hits_for(ds)
+        for _ in range(2):  # the second call finds every count it needs already taken
+            prefix = hits[:data.draw(st.integers(0, len(hits)))]
+            budget = data.draw(st.integers(1, 60))
+            assert pack_context(prefix, ds, budget) == oracle_pack_context(prefix, ds, budget)
+
+
+def test_each_payload_is_counted_once_per_index(monkeypatch):
+    ds = make_index([words(5, "a"), words(5, "b"), words(5, "a"), "", words(5, "c")])
+    counted = []
+    monkeypatch.setattr(ragmark.index, "count_tokens",
+                        lambda text: counted.append(text) or count_tokens(text))
+    first = pack_context(hits_for(ds), ds, 100)
+    assert sorted(counted) == sorted(["", words(5, "a"), words(5, "b"), words(5, "c")])
+    counted.clear()
+    assert pack_context(hits_for(ds), ds, 100) == first
+    assert pack_context(hits_for(ds)[:2], ds, 7).truncated
+    assert counted == []
 
 
 class TestAnswer:
