@@ -24,7 +24,6 @@ from .generate import ExtractiveMockClient, GenerationRequest, RemoteGenerationC
 from .index import (
     Hits,
     IndexedDataset,
-    IndexEntry,
     IndexKind,
     RetrievalHit,
     build_question_index,
@@ -48,7 +47,6 @@ __all__ = [
     "ExtractiveMockClient",
     "GenerationRequest",
     "Hits",
-    "IndexEntry",
     "IndexKind",
     "IndexedDataset",
     "LocalHashEmbedder",

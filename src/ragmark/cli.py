@@ -262,7 +262,7 @@ def _cmd_index(args) -> int:
     else:
         ds = build_question_index(read_qa_jsonl(args.input), embedder)
     save_index(ds, args.out)
-    print(f"indexed {len(ds.entries)} {ds.kind.value} entries "
+    print(f"indexed {len(ds.key_texts)} {ds.kind.value} entries "
           f"(dim {ds.dim}, embedder {ds.embedder_name}) -> {args.out}")
     return 0
 
@@ -276,7 +276,7 @@ def _cmd_testgen(args) -> int:
             f"questions_per_cluster must be at least 1, got {args.questions_per_cluster}")
     ds = load_index(args.index)
     if args.dry_run:
-        print(f"dry-run: would cluster {len(ds.entries)} entries "
+        print(f"dry-run: would cluster {len(ds.key_texts)} entries "
               f"(eps={args.eps}, min_pts={args.min_pts}, max_clusters={args.max_clusters}) "
               f"into {args.out}")
         return 0

@@ -4,6 +4,13 @@ Corpora here are small enough (tens of thousands of entries) that a full
 scan is both fast and exactly reproducible, so no approximate structure is
 used.
 
+In memory an index is columns, not one object per entry: entry i is
+``key_texts[i]``, the payload ``payloads[payload_ids[i]]`` (each distinct
+payload text is held once), the paragraph ``(doc_ids[i], ordinals[i])`` and
+row i of the float32 ``keys``. Each key row's float64 length is taken once,
+in row blocks sized to stay in cache, and ``search`` scans the rows divided
+by those lengths.
+
 An index saved at ``X`` is two files that travel together. ``X`` is
 line-oriented JSON: a header, one record per entry (texts and paragraph
 ref), and a CRC32 trailer over everything before it. ``X.f32`` holds the
@@ -46,9 +53,10 @@ FORMAT_VERSION = 2
 # query must pass threshold 1.0 even when its cosine lands at 1 - 1e-16.
 SCORE_EPS = 1e-9
 
-# Rows normalised at a time when building unit_keys; bounds the float64
-# temporary of the norm at this many rows instead of the whole index.
-NORM_BLOCK_ROWS = 1024
+# Size of one block of key rows in float64 when taking the row lengths: each
+# temporary of the norm stays cache-sized (128 rows at dim 512) and is reused
+# by the allocator instead of being mapped afresh for every index.
+NORM_BLOCK_BYTES = 512 * 1024
 
 
 class IndexKind(str, Enum):
@@ -56,59 +64,101 @@ class IndexKind(str, Enum):
     QUESTIONS = "questions"  # key = generated question, payload = parent paragraph
 
 
-@dataclass
-class IndexEntry:
-    key_text: str
-    payload_text: str
-    paragraph_ref: tuple[str, int]
+def _row_blocks(rows: int, dim: int) -> list[slice]:
+    step = max(1, NORM_BLOCK_BYTES // (8 * dim))
+    return [slice(start, start + step) for start in range(0, rows, step)]
+
+
+def _row_norms(keys: np.ndarray) -> np.ndarray:
+    """Each row's float64 length, as an (n, 1) column, taken a block of rows at a time."""
+    norms = np.empty((len(keys), 1))
+    for rows in _row_blocks(*keys.shape):
+        norms[rows] = np.linalg.norm(keys[rows].astype(np.float64), axis=1, keepdims=True)
+    return norms
+
+
+def _unusable(norms: np.ndarray) -> np.ndarray:
+    """Which keys are all zeros or hold a NaN or an infinity: they have no direction."""
+    return ~((norms[:, 0] > 0.0) & (norms[:, 0] < np.inf))
 
 
 @dataclass(eq=False)
 class IndexedDataset:
-    """Entries plus their key vectors: row i of ``keys`` is entry i's key.
+    """An index as columns; entry i is row i of every column and of ``keys``.
 
-    The builders and ``load_index`` keep ``keys`` as float32, the on-disk
-    precision, so save/load is an identity. ``unit_keys`` holds the rows
-    scaled to unit length in float64, the matrix that ``search`` scans; it
-    is built on first use, so commands that never search do not pay for it.
+    ``payloads`` holds each distinct payload text once and ``payload_ids``
+    points each entry at its own, so a paragraph that several questions
+    share is stored, compared and counted once. The builders and
+    ``load_index`` keep ``keys`` as float32, the on-disk precision, so
+    save/load is an identity; ``norms`` is each key row's float64 length,
+    taken on construction unless given. ``unit_keys`` holds the rows scaled
+    to unit length in float64, the matrix that ``search`` scans; it is built
+    on first use, so commands that never search do not pay for it.
     ``payload_tokens`` remembers each payload's token count the same way.
     """
 
     kind: IndexKind
-    entries: list[IndexEntry]
+    key_texts: list[str]
+    payloads: list[str]
+    payload_ids: list[int]
+    doc_ids: list[str]
+    ordinals: list[int]
     embedder_name: str
     keys: np.ndarray
-    _token_counts: dict[str, int] = field(default_factory=dict, init=False, repr=False)
+    norms: np.ndarray | None = field(default=None, repr=False)
+    _token_counts: dict[int, int] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        if self.keys.ndim != 2 or len(self.keys) != len(self.entries):
-            raise DimMismatchError(f"{len(self.entries)} entries, key array {self.keys.shape}")
+        lengths = {len(column) for column in
+                   (self.key_texts, self.payload_ids, self.doc_ids, self.ordinals)}
+        if self.keys.ndim != 2 or lengths != {len(self.keys)}:
+            raise DimMismatchError(
+                f"columns of {sorted(lengths)} entries, key array {self.keys.shape}")
+        if self.norms is None:
+            self.norms = _row_norms(self.keys)
+
+    @classmethod
+    def from_columns(
+        cls,
+        kind: IndexKind,
+        key_texts: list[str],
+        payload_texts: list[str],
+        doc_ids: list[str],
+        ordinals: list[int],
+        embedder_name: str,
+        keys: np.ndarray,
+        norms: np.ndarray | None = None,
+    ) -> IndexedDataset:
+        """The index whose entry i has these texts, paragraph and key.
+
+        Equal payload texts share one id.
+        """
+        ids: dict[str, int] = {}
+        payload_ids = [ids.setdefault(text, len(ids)) for text in payload_texts]
+        return cls(kind, key_texts, list(ids), payload_ids, doc_ids, ordinals, embedder_name,
+                   keys, norms)
 
     @functools.cached_property
     def unit_keys(self) -> np.ndarray:
-        unit = self.keys.astype(np.float64)
-        for start in range(0, len(unit), NORM_BLOCK_ROWS):
-            block = unit[start: start + NORM_BLOCK_ROWS]
-            block /= np.linalg.norm(block, axis=1, keepdims=True)
-        return unit
+        # float32 rows widen to float64 exactly, inside numpy's own small casting buffer
+        return self.keys / self.norms
 
     @property
     def dim(self) -> int:
         return self.keys.shape[1]
 
-    def payload_tokens(self, i: int) -> int:
-        """``count_tokens`` of entry i's payload, counted once per distinct payload."""
-        payload = self.entries[i].payload_text
-        count = self._token_counts.get(payload)
+    def payload_tokens(self, payload_id: int) -> int:
+        """``count_tokens`` of ``payloads[payload_id]``, counted on first use."""
+        count = self._token_counts.get(payload_id)
         if count is None:
-            count = self._token_counts[payload] = count_tokens(payload)
+            count = self._token_counts[payload_id] = count_tokens(self.payloads[payload_id])
         return count
 
 
 @dataclass(frozen=True)
 class RetrievalHit:
     score: float
-    entry_ref: int  # index into IndexedDataset.entries
+    entry_ref: int  # entry index: a row of IndexedDataset.keys and of each column
 
 
 class Hits(Sequence[RetrievalHit]):
@@ -146,38 +196,39 @@ def _build(
     kind: IndexKind,
     key_texts: list[str],
     payload_texts: list[str],
-    refs: list[tuple[str, int]],
+    doc_ids: list[str],
+    ordinals: list[int],
     embedder: Embedder,
 ) -> IndexedDataset:
     if not key_texts:
         raise EmptyIndexError("nothing to index")
-    vectors = embedder.embed_batch(key_texts)
-    norms = np.linalg.norm(vectors, axis=1)
-    entries, kept = [], []
-    for i, (key_text, payload_text, ref) in enumerate(zip(key_texts, payload_texts, refs)):
-        if norms[i] == 0.0:
-            log.warning("skipping zero-vector entry %r", key_text[:60])
-            continue
-        entries.append(IndexEntry(key_text=key_text, payload_text=payload_text, paragraph_ref=ref))
-        kept.append(i)
-    if not entries:
-        raise EmptyIndexError("every candidate entry embedded to a zero vector")
-    return IndexedDataset(
-        kind=kind,
-        entries=entries,
-        embedder_name=embedder.name,
-        keys=vectors.astype(np.float32)[kept],
-    )
+    keys = embedder.embed_batch(key_texts).astype(np.float32)
+    norms = _row_norms(keys)
+    unusable = _unusable(norms)
+    if unusable.any():
+        for i in np.flatnonzero(unusable):
+            log.warning("skipping zero-vector entry %r", key_texts[i][:60])
+        kept = np.flatnonzero(~unusable).tolist()
+        if not kept:
+            raise EmptyIndexError("every candidate entry embedded to a zero vector")
+        key_texts, payload_texts, doc_ids, ordinals = (
+            [column[i] for i in kept] for column in (key_texts, payload_texts, doc_ids, ordinals)
+        )
+        keys, norms = keys[kept], norms[kept]
+    return IndexedDataset.from_columns(kind, key_texts, payload_texts, doc_ids, ordinals,
+                                       embedder.name, keys, norms)
 
 
 def build_sentence_index(sentences: Sequence[Sentence], embedder: Embedder) -> IndexedDataset:
     """Index already-filtered sentences; each sentence is its own payload."""
     sentences = list(sentences)
+    texts = [s.text for s in sentences]
     return _build(
         IndexKind.SENTENCES,
-        [s.text for s in sentences],
-        [s.text for s in sentences],
-        [(s.doc_id, s.paragraph_ordinal) for s in sentences],
+        texts,
+        texts,
+        [s.doc_id for s in sentences],
+        [s.paragraph_ordinal for s in sentences],
         embedder,
     )
 
@@ -188,7 +239,8 @@ def build_question_index(qa: QADataset, embedder: Embedder) -> IndexedDataset:
         IndexKind.QUESTIONS,
         [p.question for p in qa.pairs],
         [p.answer_text for p in qa.pairs],
-        [p.paragraph_ref for p in qa.pairs],
+        [p.paragraph_ref[0] for p in qa.pairs],
+        [p.paragraph_ref[1] for p in qa.pairs],
         embedder,
     )
 
@@ -250,16 +302,17 @@ def save_index(ds: IndexedDataset, path: str | Path) -> None:
         "kind": ds.kind.value,
         "embedder_name": ds.embedder_name,
         "dim": ds.dim,
-        "count": len(ds.entries),
+        "count": len(ds.key_texts),
         "keys_crc32": zlib.crc32(keys) & 0xFFFFFFFF,
     }
     lines = [json.dumps(header, sort_keys=True)]
-    for e in ds.entries:
+    for key_text, payload_id, doc_id, ordinal in zip(ds.key_texts, ds.payload_ids, ds.doc_ids,
+                                                     ds.ordinals):
         rec = {
-            "key_text": e.key_text,
-            "payload_text": e.payload_text,
-            "doc_id": e.paragraph_ref[0],
-            "ordinal": e.paragraph_ref[1],
+            "key_text": key_text,
+            "payload_text": ds.payloads[payload_id],
+            "doc_id": doc_id,
+            "ordinal": ordinal,
         }
         lines.append(json.dumps(rec, sort_keys=True))
     body = "".join(line + "\n" for line in lines).encode("utf-8")
@@ -273,27 +326,31 @@ def _int_at_least(value, low: int) -> bool:
     return type(value) is int and value >= low
 
 
-def _entry(rec, path, line: int) -> IndexEntry:
-    """The entry one record describes; a malformed record is a PersistenceError."""
-    if isinstance(rec, dict):
-        key_text, payload_text = rec.get("key_text"), rec.get("payload_text")
-        doc_id, ordinal = rec.get("doc_id"), rec.get("ordinal")
-        if (isinstance(key_text, str) and isinstance(payload_text, str)
-                and isinstance(doc_id, str) and type(ordinal) is int):
-            return IndexEntry(key_text, payload_text, (doc_id, ordinal))
-    raise PersistenceError(
-        f"{path}:{line}: an entry record is an object with string key_text, "
-        f"payload_text and doc_id and an integer ordinal"
-    )
+def _entry_columns(records: list) -> tuple[list, list, list, list] | None:
+    """key_text, payload_text, doc_id and ordinal of every record, as four columns.
+
+    None when a record is not an object with string key_text, payload_text
+    and doc_id and an integer ordinal. The check runs a column at a time.
+    """
+    try:
+        columns = tuple([rec[name] for rec in records]
+                        for name in ("key_text", "payload_text", "doc_id", "ordinal"))
+    except (KeyError, TypeError):  # a record without the field, or not an object
+        return None
+    texts_ok = all(set(map(type, column)) <= {str} for column in columns[:3])
+    return columns if texts_ok and set(map(type, columns[3])) <= {int} else None
 
 
 def load_index(path: str | Path) -> IndexedDataset:
     """Inverse of ``save_index``.
 
-    Checks the CRC, parses every entry record in one ``json.loads``, then
-    reads the keys file straight into the key array and checks its size and
-    CRC. A damaged file is a ``ChecksumError``; a missing keys file or a
-    malformed but checksum-valid file is a ``PersistenceError``.
+    Checks the CRC, parses every entry record in one ``json.loads`` and
+    checks them a column at a time, then reads the keys file straight into
+    the key array and checks its size, and, in one pass over cache-sized
+    row blocks, its CRC and each row's length. A damaged file is a
+    ``ChecksumError``; a missing keys file, a malformed but checksum-valid
+    file, or a key row that is all zeros or not finite is a
+    ``PersistenceError``.
     """
     raw = Path(path).read_bytes()
     end = len(raw) - 1 if raw.endswith(b"\n") else len(raw)
@@ -349,7 +406,15 @@ def load_index(path: str | Path) -> IndexedDataset:
     if len(records) != count:
         raise PersistenceError(f"{path}: {count} entry lines hold {len(records)} JSON values")
     del raw  # the file's bytes need not outlive the parse
-    entries = [_entry(rec, path, line) for line, rec in enumerate(records, start=2)]
+    columns = _entry_columns(records)
+    if columns is None:
+        line = next(line for line, rec in enumerate(records, start=2)
+                    if _entry_columns([rec]) is None)
+        raise PersistenceError(
+            f"{path}:{line}: an entry record is an object with string key_text, "
+            f"payload_text and doc_id and an integer ordinal"
+        )
+    del records
 
     kpath = keys_path(path)
     try:
@@ -365,15 +430,23 @@ def load_index(path: str | Path) -> IndexedDataset:
         ) from exc
     if read != size:
         raise ChecksumError(f"{kpath}: read {read} of {size} bytes")
-    actual_keys_crc = zlib.crc32(keys) & 0xFFFFFFFF
+    actual_keys_crc = 0
+    norms = np.empty((count, 1))
+    for rows in _row_blocks(count, dim):  # each block is still in cache for its norms
+        actual_keys_crc = zlib.crc32(keys[rows], actual_keys_crc)
+        norms[rows] = _row_norms(keys[rows])
     if actual_keys_crc != keys_crc:
         raise ChecksumError(
             f"{kpath}: keys checksum mismatch (stored in {path}: {keys_crc}, "
             f"computed {actual_keys_crc})"
         )
-    return IndexedDataset(
-        kind=IndexKind(kind),
-        entries=entries,
-        embedder_name=embedder_name,
-        keys=keys,
-    )
+    unusable = np.flatnonzero(_unusable(norms))
+    if len(unusable):
+        row = int(unusable[0])
+        raise PersistenceError(
+            f"{kpath}: key row {row} is all zeros or not finite; it is the key of the entry "
+            f"on {path}:{row + 2}"
+        )
+    key_texts, payload_texts, doc_ids, ordinals = columns
+    return IndexedDataset.from_columns(IndexKind(kind), key_texts, payload_texts, doc_ids,
+                                       ordinals, embedder_name, keys, norms)

@@ -32,6 +32,7 @@ from .wire import FlatRecord, read_jsonl, write_jsonl
 log = logging.getLogger(__name__)
 
 BLEU_SMOOTH_FLOOR = 1e-9
+_LOG_SMOOTH_FLOOR = math.log(BLEU_SMOOTH_FLOOR)
 METRIC_NAMES = ("rouge", "meteor", "bleu", "cs")
 
 SCORE_CSV_HEADER = ["question_id", "rouge", "meteor", "bleu", "cs"]
@@ -54,12 +55,9 @@ def _tokens(text: str) -> list[str]:
 # BLEU
 # ---------------------------------------------------------------------------
 
-def _ngram_counts(tokens: Sequence[str], n: int) -> dict[tuple[str, ...], int]:
-    counts: dict[tuple[str, ...], int] = {}
-    for i in range(len(tokens) - n + 1):
-        gram = tuple(tokens[i: i + n])
-        counts[gram] = counts.get(gram, 0) + 1
-    return counts
+def _ngrams(tokens: Sequence[str], n: int) -> Iterable:
+    """The n-grams of ``tokens`` in order: a unigram is the token, a longer gram a tuple."""
+    return tokens if n == 1 else zip(*[tokens[k:] for k in range(n)])
 
 
 def bleu_tokens(cand: Sequence[str], ref: Sequence[str], max_n: int = 4) -> float:
@@ -67,25 +65,29 @@ def bleu_tokens(cand: Sequence[str], ref: Sequence[str], max_n: int = 4) -> floa
 
     Levels where the candidate has no n-grams at all are dropped from the
     geometric mean; a level with n-grams but zero matches contributes the
-    smoothing floor instead of zeroing the whole score.
+    smoothing floor instead of zeroing the whole score. Only reference
+    n-grams that the candidate has are counted, and once a level matches
+    nothing, no later one can (each longer gram holds a shorter one), so the
+    remaining levels add the floor without counting.
     """
     if not cand:
         return 0.0
+    levels = min(max_n, len(cand))
     log_sum = 0.0
-    levels = 0
-    for n in range(1, max_n + 1):
-        total = len(cand) - n + 1
-        if total < 1:
+    for n in range(1, levels + 1):
+        cand_counts: dict = {}
+        for gram in _ngrams(cand, n):
+            cand_counts[gram] = cand_counts.get(gram, 0) + 1
+        ref_counts = dict.fromkeys(cand_counts, 0)
+        for gram in _ngrams(ref, n):
+            if gram in ref_counts:
+                ref_counts[gram] += 1
+        clipped = sum(map(min, cand_counts.values(), ref_counts.values()))
+        if not clipped:
+            for _ in range(n, levels + 1):  # one floor per level, in order: the same sum
+                log_sum += _LOG_SMOOTH_FLOOR
             break
-        cand_counts = _ngram_counts(cand, n)
-        ref_counts = _ngram_counts(ref, n)
-        clipped = 0
-        for gram, count in cand_counts.items():
-            r = ref_counts.get(gram, 0)
-            clipped += count if count < r else r
-        precision = clipped / total if clipped else BLEU_SMOOTH_FLOOR
-        log_sum += math.log(precision)
-        levels += 1
+        log_sum += math.log(clipped / (len(cand) - n + 1))
     score = math.exp(log_sum / levels)
     c, r = len(cand), len(ref)
     brevity = 1.0 if c >= r else math.exp(1.0 - r / c)

@@ -79,12 +79,13 @@ def render_prompt(question: str, context: str, template: str = DEFAULT_TEMPLATE)
 def pack_context(hits: Sequence[RetrievalHit], ds: IndexedDataset, budget: int) -> PackedContext:
     """Greedy packing of hit payloads, best first, newline-joined.
 
-    A payload seen before is skipped (several questions can share one parent
-    paragraph). The first payload that would overflow is cut on a token
-    boundary so the context fills the remaining budget exactly, and packing
-    stops there. Each payload is counted once per loaded index
-    (``ds.payload_tokens``): token counts add over newline joins, so the
-    running total is the joined context's count.
+    A payload seen before is skipped: several questions can share one parent
+    paragraph, which the index holds once under one payload id. The first
+    payload that would overflow is cut on a token boundary so the context
+    fills the remaining budget exactly, and packing stops there. Each
+    payload is counted once per loaded index (``ds.payload_tokens``): token
+    counts add over newline joins, so the running total is the joined
+    context's count.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1 token")
@@ -92,12 +93,13 @@ def pack_context(hits: Sequence[RetrievalHit], ds: IndexedDataset, budget: int) 
     used = 0
     included: list[RetrievalHit] = []
     truncated = False
-    seen: set[str] = set()
+    seen: set[int] = set()
     for hit in hits:
-        payload = ds.entries[hit.entry_ref].payload_text
-        if payload in seen:
+        payload_id = ds.payload_ids[hit.entry_ref]
+        if payload_id in seen:
             continue
-        count = ds.payload_tokens(hit.entry_ref)
+        payload = ds.payloads[payload_id]
+        count = ds.payload_tokens(payload_id)
         if used + count > budget:
             truncated = True
             payload, _ = truncate_to_token_budget(payload, budget - used)
@@ -107,7 +109,7 @@ def pack_context(hits: Sequence[RetrievalHit], ds: IndexedDataset, budget: int) 
         if payload or parts:  # empty payloads ahead of all text leave no separator
             parts.append(payload)
         used += count
-        seen.add(payload)
+        seen.add(payload_id)
         included.append(hit)
         if truncated:
             break

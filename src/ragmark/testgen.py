@@ -220,7 +220,7 @@ def assemble_test_set(
 
     texts: list[str] = []  # of the surviving clusters; a cluster's id is its position here
     for members in raw_clusters:
-        text = " ".join(ds.entries[i].key_text for i in sorted(members))
+        text = " ".join(ds.key_texts[i] for i in sorted(members))
         tokens = count_tokens(text)
         if tokens > CLUSTER_TOKEN_BUDGET:
             log.info("dropping %d-token cluster (budget %d)", tokens, CLUSTER_TOKEN_BUDGET)
@@ -251,7 +251,7 @@ def assemble_test_set(
         "token_budget": CLUSTER_TOKEN_BUDGET,
         "embedder": ds.embedder_name,
         "questions_per_cluster": questions_per_cluster,
-        "source_entries": len(ds.entries),
+        "source_entries": len(ds.key_texts),
         "clusters": len(texts),
         "outliers": len(outliers),
     }

@@ -111,7 +111,9 @@ def read_jsonl(path: str | Path, decode: Callable[[dict], T]) -> list[T]:
 
 
 def _finite(value: Any) -> float:
-    """``float(value)``, refusing NaN and the infinities, which JSON cannot hold."""
+    """``float(value)``, refusing a JSON boolean, NaN and the infinities, which JSON cannot hold."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
     number = float(value)
     if not math.isfinite(number):
         raise ValueError(f"{value!r} is not a finite number")
@@ -133,7 +135,8 @@ class FlatRecord(Generic[T]):
 
     Each field is stored under its own name. int and float fields are
     coerced on read, which checks values that come from outside; an int
-    field must be integral and not a boolean, a float field must be finite.
+    field must be integral and not a boolean, a float field must be finite
+    and not a boolean.
     """
 
     def __init__(self, cls: type[T]):

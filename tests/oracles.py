@@ -7,11 +7,14 @@ per-word position stacks, per-pair python cosines instead of the matrix
 scan, one n x n x 2 array and one whole-matrix norm instead of row blocks,
 the dim x dim covariance instead of the n x n Gram matrix for PCA,
 format-1 index files with one base64 vector per record instead of a raw
-keys file, a binary search over token prefixes instead of a cut at the
-budget-th token, re-counting the whole joined context per packed payload,
-one ``RetrievalHit`` per ranked entry and a bisect over them instead of two
-arrays and a vectorised cut, and one search, pack, generate and score per
-sweep cell. Slow is fine; different code paths are the point.
+keys file, one ``IndexEntry`` object per index record, checked record by
+record, instead of columns checked a column at a time, BLEU that counts
+every reference n-gram at every level, a binary search over token prefixes
+instead of a cut at the budget-th token, re-counting the whole joined
+context per packed payload, one ``RetrievalHit`` per ranked entry and a
+bisect over them instead of two arrays and a vectorised cut, and one
+search, pack, generate and score per sweep cell. Slow is fine; different
+code paths are the point.
 """
 
 import base64
@@ -20,6 +23,7 @@ import json
 import logging
 import math
 import zlib
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,11 +38,73 @@ from ragmark.errors import (
 )
 from ragmark.experiment import _check_failures, _question_ids
 from ragmark.generate import GenerationRequest
-from ragmark.index import SCORE_EPS, IndexedDataset, IndexEntry, IndexKind, RetrievalHit, search
-from ragmark.metrics import ScoreRow, _stem, score_row
+from ragmark.index import SCORE_EPS, IndexedDataset, IndexKind, RetrievalHit, keys_path, search
+from ragmark.metrics import BLEU_SMOOTH_FLOOR, ScoreRow, _stem, score_row
 from ragmark.retrieve import PackedContext, render_prompt
 
 log = logging.getLogger(__name__)
+
+
+@dataclass
+class IndexEntry:
+    """One index entry as one object: how ``IndexedDataset`` held its entries before columns."""
+
+    key_text: str
+    payload_text: str
+    paragraph_ref: tuple[str, int]
+
+
+def dataset_of(kind, entries, embedder_name, keys):
+    """The ``IndexedDataset`` holding ``entries``, with row i of ``keys`` for entry i."""
+    return IndexedDataset.from_columns(
+        kind,
+        [e.key_text for e in entries],
+        [e.payload_text for e in entries],
+        [e.paragraph_ref[0] for e in entries],
+        [e.paragraph_ref[1] for e in entries],
+        embedder_name,
+        np.asarray(keys),
+    )
+
+
+def entries_of(ds):
+    """Every entry of ``ds`` as an ``IndexEntry``, in order."""
+    return [IndexEntry(key_text, ds.payloads[payload_id], (doc_id, ordinal))
+            for key_text, payload_id, doc_id, ordinal
+            in zip(ds.key_texts, ds.payload_ids, ds.doc_ids, ds.ordinals)]
+
+
+def _oracle_ngram_counts(tokens, n):
+    counts = {}
+    for i in range(len(tokens) - n + 1):
+        gram = tuple(tokens[i: i + n])
+        counts[gram] = counts.get(gram, 0) + 1
+    return counts
+
+
+def oracle_bleu_tokens(cand, ref, max_n=4):
+    """BLEU that counts every reference n-gram and takes a log at every level."""
+    if not cand:
+        return 0.0
+    log_sum = 0.0
+    levels = 0
+    for n in range(1, max_n + 1):
+        total = len(cand) - n + 1
+        if total < 1:
+            break
+        cand_counts = _oracle_ngram_counts(cand, n)
+        ref_counts = _oracle_ngram_counts(ref, n)
+        clipped = 0
+        for gram, count in cand_counts.items():
+            r = ref_counts.get(gram, 0)
+            clipped += count if count < r else r
+        precision = clipped / total if clipped else BLEU_SMOOTH_FLOOR
+        log_sum += math.log(precision)
+        levels += 1
+    score = math.exp(log_sum / levels)
+    c, r = len(cand), len(ref)
+    brevity = 1.0 if c >= r else math.exp(1.0 - r / c)
+    return score * brevity
 
 
 def oracle_bleu(cand, ref, max_n=4):
@@ -205,11 +271,11 @@ def oracle_save_index_v1(ds, path):
         "kind": ds.kind.value,
         "embedder_name": ds.embedder_name,
         "dim": ds.dim,
-        "count": len(ds.entries),
+        "count": len(ds.key_texts),
     }
     lines.append(json.dumps(header, sort_keys=True))
     keys = ds.keys.astype("<f4")
-    for e, key in zip(ds.entries, keys):
+    for e, key in zip(entries_of(ds), keys):
         rec = {
             "key_text": e.key_text,
             "payload_text": e.payload_text,
@@ -257,8 +323,35 @@ def oracle_load_index_v1(path):
         keys[i] = vec
         entries.append(IndexEntry(key_text=rec["key_text"], payload_text=rec["payload_text"],
                                   paragraph_ref=(rec["doc_id"], int(rec["ordinal"]))))
-    return IndexedDataset(kind=IndexKind(header["kind"]), entries=entries,
-                          embedder_name=str(header["embedder_name"]), keys=keys)
+    return dataset_of(IndexKind(header["kind"]), entries, str(header["embedder_name"]), keys)
+
+
+def _oracle_entry(rec, path, line):
+    """The entry one record describes; a malformed record is a PersistenceError."""
+    if isinstance(rec, dict):
+        key_text, payload_text = rec.get("key_text"), rec.get("payload_text")
+        doc_id, ordinal = rec.get("doc_id"), rec.get("ordinal")
+        if (isinstance(key_text, str) and isinstance(payload_text, str)
+                and isinstance(doc_id, str) and type(ordinal) is int):
+            return IndexEntry(key_text, payload_text, (doc_id, ordinal))
+    raise PersistenceError(
+        f"{path}:{line}: an entry record is an object with string key_text, "
+        f"payload_text and doc_id and an integer ordinal"
+    )
+
+
+def oracle_load_index(path):
+    """A format-2 index as (header, entries, keys): one ``json.loads`` and one entry per line.
+
+    Checks only the record layout; the trailer and key checksums are taken
+    as good.
+    """
+    lines = Path(path).read_bytes().split(b"\n")[:-2]  # the trailer and the final newline go
+    header = json.loads(lines[0])
+    entries = [_oracle_entry(json.loads(line), path, number)
+               for number, line in enumerate(lines[1:], start=2)]
+    keys = np.fromfile(keys_path(path), dtype="<f4").reshape(header["count"], header["dim"])
+    return header, entries, keys
 
 
 def streaming_means(values):
@@ -301,7 +394,7 @@ def oracle_pack_context(hits, ds, budget):
     truncated = False
     seen = set()
     for hit in hits:
-        payload = ds.entries[hit.entry_ref].payload_text
+        payload = ds.payloads[ds.payload_ids[hit.entry_ref]]
         if payload in seen:
             continue
         candidate = payload if not text else text + "\n" + payload

@@ -12,7 +12,15 @@ import time
 import numpy as np
 import pytest
 
-from oracles import oracle_bleu, oracle_rouge, oracle_search, streaming_means
+from oracles import (
+    IndexEntry,
+    dataset_of,
+    entries_of,
+    oracle_bleu,
+    oracle_rouge,
+    oracle_search,
+    streaming_means,
+)
 from reportfiles import parse_report_csv
 from topicfix import EMBED_DIM, corpus_pipeline, make_oversize_topic_doc, make_test_pairs, make_topic_corpus
 from ragmark.corpus import count_tokens
@@ -26,8 +34,6 @@ from ragmark.experiment import (
 )
 from ragmark.generate import ExtractiveMockClient
 from ragmark.index import (
-    IndexedDataset,
-    IndexEntry,
     IndexKind,
     build_question_index,
     build_sentence_index,
@@ -283,7 +289,7 @@ def test_criterion_4_retrieval_semantics():
     # plant a perfect directional match (scaled copy of the query)
     key_values.append(tuple(2.5 * v for v in query_values))
     entries.append(IndexEntry("dup", "dup", ("d", 200)))
-    ds = IndexedDataset(IndexKind.SENTENCES, entries, "rand", np.array(key_values))
+    ds = dataset_of(IndexKind.SENTENCES, entries, "rand", np.array(key_values))
     query = np.array(query_values)
 
     all_hits = search(ds, query, 0.0)
@@ -306,7 +312,7 @@ def test_criterion_4_retrieval_semantics():
     assert sizes == sorted(sizes, reverse=True)
 
     # stable tie order for identical keys
-    tie = IndexedDataset(
+    tie = dataset_of(
         IndexKind.SENTENCES,
         [IndexEntry(f"k{i}", f"p{i}", ("d", i)) for i in range(3)],
         "tie", np.array([[1.0, 0.0]] * 3),
@@ -335,7 +341,7 @@ def test_criterion_5_context_budget():
             angle = i * 0.17
             keys.append((math.cos(angle), math.sin(angle)))
             entries.append(IndexEntry(f"k{i}", payload, ("d", i)))
-        ds = IndexedDataset(IndexKind.QUESTIONS, entries, "hand", np.array(keys))
+        ds = dataset_of(IndexKind.QUESTIONS, entries, "hand", np.array(keys))
         hits = search(ds, np.array([1.0, 0.0]), 0.0)
 
         budget = rng.randint(1, 600)
@@ -425,7 +431,7 @@ def test_criterion_7_test_set_generation():
     _, sentences_big = corpus_pipeline(docs_big)
     ds_big = build_sentence_index(sentences_big, embedder)
     oversize_text = " ".join(
-        e.key_text for e in ds_big.entries if e.paragraph_ref[0] == "doc1"
+        key_text for key_text, doc_id in zip(ds_big.key_texts, ds_big.doc_ids) if doc_id == "doc1"
     )
     assert count_tokens(oversize_text) == 300
     ts_big = assemble_test_set(
@@ -456,7 +462,7 @@ def test_criterion_8_persistence_roundtrips(tmp_path):
     assert loaded.kind == ds.kind
     assert loaded.embedder_name == ds.embedder_name
     assert loaded.dim == ds.dim
-    assert loaded.entries == ds.entries
+    assert entries_of(loaded) == entries_of(ds)
     assert np.array_equal(loaded.keys, ds.keys)
 
     corrupted = bytearray(path.read_bytes())

@@ -62,7 +62,7 @@ def test_sweep_search_and_pack_are_traced():
     # one search per question at the lowest threshold, 0.0, which returns every entry
     metrics = tracer.metrics()
     assert metrics["index.searches"] == len(testset.pairs)
-    assert metrics["index.hits"] == len(index.entries) * metrics["index.searches"]
+    assert metrics["index.hits"] == len(index.key_texts) * metrics["index.searches"]
 
 
 def test_bench_selftest_passes():

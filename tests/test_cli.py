@@ -3,6 +3,7 @@ import logging
 import re
 import zlib
 
+import numpy as np
 import pytest
 
 from topicfix import EMBED_DIM, corpus_pipeline, make_topic_corpus
@@ -162,27 +163,39 @@ class TestCliBasics:
                    "--endpoint", "http://127.0.0.1:9", "--thresholds", "0.5")
         assert code == 2
 
-    @pytest.mark.parametrize("damage", ["missing-keys-file", "record-without-payload"])
+    @pytest.mark.parametrize("damage", ["missing-keys-file", "record-without-payload",
+                                        "zero-key-row", "nan-key"])
     def test_damaged_index_is_io_error_naming_the_file(self, tmp_path, capsys, damage):
         idx = tmp_path / "i.jsonl"
         sentences = [Sentence("d", 0, i, f"alpha beta gamma {i} delta words", 6) for i in range(3)]
         save_index(build_sentence_index(sentences, LocalHashEmbedder(EMBED_DIM)), idx)
+        lines = idx.read_bytes().split(b"\n")[:-2]
         if damage == "missing-keys-file":
             keys_path(idx).unlink()
-            named = str(keys_path(idx))
-        else:
-            lines = idx.read_bytes().split(b"\n")[:-2]
+            named = [str(keys_path(idx))]
+        elif damage == "record-without-payload":
             record = json.loads(lines[1])
             del record["payload_text"]
             lines[1] = json.dumps(record, sort_keys=True).encode()
-            body = b"".join(line + b"\n" for line in lines)
-            idx.write_bytes(body + json.dumps({"crc32": zlib.crc32(body)}).encode() + b"\n")
-            named = f"{idx}:2"
+            named = [f"{idx}:2"]
+        else:  # a checksum-valid keys file whose row 1 has no direction
+            keys = np.fromfile(keys_path(idx), dtype="<f4").reshape(3, EMBED_DIM)
+            if damage == "zero-key-row":
+                keys[1] = 0.0
+            else:
+                keys[1, 7] = np.nan
+            keys_path(idx).write_bytes(keys.tobytes())
+            header = json.loads(lines[0])
+            header["keys_crc32"] = zlib.crc32(keys.tobytes())
+            lines[0] = json.dumps(header, sort_keys=True).encode()
+            named = [f"{keys_path(idx)}: key row 1", f"{idx}:3"]
+        body = b"".join(line + b"\n" for line in lines)
+        idx.write_bytes(body + json.dumps({"crc32": zlib.crc32(body)}).encode() + b"\n")
         assert run("ask", "--question", "Alpha beta?", "--index", str(idx),
                    "--embedder", f"local:{EMBED_DIM}") == 3
         err = capsys.readouterr().err
         assert err.startswith("i/o error")
-        assert named in err
+        assert all(name in err for name in named)
 
 
 @pytest.fixture
@@ -337,8 +350,8 @@ class TestFailuresKeepTheirCause:
         assert err.startswith("i/o error")
         assert str(manifest_path) in err and "arm_order" in err
 
-    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
-    def test_report_rejects_a_non_finite_score(self, topic_index, tmp_path, capsys, value):
+    def _report_with_score(self, topic_index, tmp_path, capsys, metric, value):
+        """``report``'s exit code and stderr after ``metric`` in row 2 of one score file is ``value``."""
         testset = tmp_path / "ts.jsonl"
         testset.write_text(ONE_QUESTION_TESTSET +
                            '{"question": "why?", "answer_text": "b.", "cluster_id": 0}\n')
@@ -348,14 +361,26 @@ class TestFailuresKeepTheirCause:
                    "--thresholds", "0.0,0.5") == 0
         scores = out / "scores_rag_sentences_t0.5.jsonl"
         first, second = scores.read_text().splitlines()
-        scores.write_text(first + "\n" + re.sub(r'"cs": [^,}]+', f'"cs": {value}', second) + "\n")
+        second = re.sub(f'"{metric}": [^,}}]+', f'"{metric}": {value}', second)
+        scores.write_text(first + "\n" + second + "\n")
         capsys.readouterr()
         again = tmp_path / "again"
-        assert run("report", "--scores-dir", str(out), "--output-dir", str(again)) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("i/o error")
-        assert f"{scores}:2: bad record" in err and "not a finite number" in err
+        code = run("report", "--scores-dir", str(out), "--output-dir", str(again))
         assert not again.exists()
+        return code, f"{scores}:2", capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_report_rejects_a_non_finite_score(self, topic_index, tmp_path, capsys, value):
+        code, where, err = self._report_with_score(topic_index, tmp_path, capsys, "cs", value)
+        assert code == 3
+        assert err.startswith("i/o error")
+        assert f"{where}: bad record" in err and "not a finite number" in err
+
+    def test_report_rejects_a_boolean_score(self, topic_index, tmp_path, capsys):
+        code, where, err = self._report_with_score(topic_index, tmp_path, capsys, "rouge", "true")
+        assert code == 3
+        assert err.startswith("i/o error")
+        assert f"{where}: bad record: True is not a number" in err
 
 
 class TestParserReuse:

@@ -2,17 +2,29 @@
 
 One sorted-key JSON object per line, ASCII-escaped, newline-terminated.
 Optional fields (``synthetic``) appear only when set, and the test set
-starts with its ``params`` header. The report files of a fixed table are
+starts with its ``params`` header. The report files of a fixed table, and the
+two files of a sentence and a question index of the topic fixture, are
 compared with the copies under ``golden/``.
 """
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from oracles import entries_of
+from topicfix import corpus_pipeline, make_topic_corpus, topic_question
 from ragmark import testgen
 from ragmark.corpus import Paragraph, Sentence, write_paragraphs_jsonl, write_sentences_jsonl
+from ragmark.embed import LocalHashEmbedder
 from ragmark.experiment import emit_report, summarize
+from ragmark.index import (
+    build_question_index,
+    build_sentence_index,
+    keys_path,
+    load_index,
+    save_index,
+)
 from ragmark.metrics import ScoreRow, write_score_rows_jsonl
 from ragmark.qagen import QADataset, QAPair, write_qa_jsonl
 
@@ -106,3 +118,33 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 def test_report_files(tmp_path, name):
     emit_report(summarize(GOLDEN_ARMS, GOLDEN_SWEEPS), tmp_path, svg=True)
     assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
+def golden_indexes():
+    """The topic fixture's sentence index, and a question index with two questions a paragraph.
+
+    Keys are 16-dimensional, so the keys files stay small.
+    """
+    docs, vocab = make_topic_corpus()
+    paragraphs, sentences = corpus_pipeline(docs)
+    embedder = LocalHashEmbedder(dim=16)
+    pairs = [QAPair(topic_question(vocab, int(p.doc_id.removeprefix("doc")), n_core),
+                    (p.doc_id, p.ordinal), p.text)
+             for p in paragraphs for n_core in (8, 7)]
+    return {
+        "index_sentences.jsonl": build_sentence_index(sentences, embedder),
+        "index_questions.jsonl": build_question_index(QADataset(pairs=pairs), embedder),
+    }
+
+
+@pytest.mark.parametrize("name", ["index_sentences.jsonl", "index_questions.jsonl"])
+def test_index_files(tmp_path, name):
+    ds = golden_indexes()[name]
+    save_index(ds, tmp_path / name)
+    assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes()
+    assert keys_path(tmp_path / name).read_bytes() == keys_path(GOLDEN_DIR / name).read_bytes()
+    loaded = load_index(GOLDEN_DIR / name)
+    assert (loaded.kind, loaded.embedder_name, entries_of(loaded)) == (
+        ds.kind, ds.embedder_name, entries_of(ds))
+    assert loaded.payloads == ds.payloads and loaded.payload_ids == ds.payload_ids
+    assert np.array_equal(loaded.keys.view(np.uint32), ds.keys.view(np.uint32))

@@ -14,7 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    IndexEntry,
+    dataset_of,
+    entries_of,
     oracle_hits_at,
+    oracle_load_index,
     oracle_load_index_v1,
     oracle_save_index_v1,
     oracle_search,
@@ -26,11 +30,9 @@ from ragmark.embed import LocalHashEmbedder
 from ragmark.errors import ChecksumError, DimMismatchError, EmptyIndexError, PersistenceError
 from ragmark.index import (
     FORMAT_VERSION,
-    NORM_BLOCK_ROWS,
+    NORM_BLOCK_BYTES,
     SCORE_EPS,
     Hits,
-    IndexedDataset,
-    IndexEntry,
     IndexKind,
     RetrievalHit,
     build_question_index,
@@ -88,10 +90,24 @@ def reseal(path, edit):
     path.write_bytes(body + json.dumps({"crc32": zlib.crc32(body) & 0xFFFFFFFF}).encode() + b"\n")
 
 
+def _rows_around_a_block(dim):
+    """Row counts on both sides of one and two blocks of float64 rows at ``dim``, and any other."""
+    block = max(1, NORM_BLOCK_BYTES // (8 * dim))
+    edges = [rows for rows in (block - 1, block, block + 1, 2 * block, 2 * block + 1) if rows]
+    return st.sampled_from(edges) | st.integers(1, 3 * block + 5)
+
+
+def _scaled_keys(rows, dim, seed, dtype):
+    """Normal draws, each row scaled by its own power of ten."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-6, 7, size=(rows, 1))
+    return (rng.standard_normal((rows, dim)) * scale).astype(dtype)
+
+
 def tiny_index(angles, kind=IndexKind.SENTENCES):
     entries = [IndexEntry(f"key{i}", f"payload{i}", ("doc", i)) for i in range(len(angles))]
     keys = np.array([unit(a) for a in angles])
-    return IndexedDataset(kind=kind, entries=entries, embedder_name="hand", keys=keys)
+    return dataset_of(kind, entries, "hand", keys)
 
 
 # Texts with unicode, newlines and JSON-special characters; float32 keys with
@@ -106,8 +122,8 @@ class TestBuild:
     def test_sentence_index_bijection(self, embedder):
         ds = build_sentence_index(sentences(5), embedder)
         assert ds.kind is IndexKind.SENTENCES
-        assert len(ds.entries) == 5
-        assert all(e.payload_text == e.key_text for e in ds.entries)
+        assert len(ds.key_texts) == 5
+        assert all(e.payload_text == e.key_text for e in entries_of(ds))
         assert ds.dim == embedder.dim
         assert ds.embedder_name == embedder.name
 
@@ -122,8 +138,9 @@ class TestBuild:
                 pairs.append(QAPair(f"question {i} {j}?", ("doc", i), f"paragraph text {i}"))
         ds = build_question_index(QADataset(pairs=pairs), embedder)
         assert ds.kind is IndexKind.QUESTIONS
-        assert len(ds.entries) == 6
-        assert ds.entries[0].payload_text == ds.entries[1].payload_text
+        assert len(ds.key_texts) == 6
+        assert ds.payloads == [f"paragraph text {i}" for i in range(3)]  # each held once
+        assert ds.payload_ids == [0, 0, 1, 1, 2, 2]
 
     def test_duplicate_questions_distinct_paragraphs_both_kept(self, embedder):
         pairs = [
@@ -159,23 +176,50 @@ class TestBuild:
     def test_key_rows_must_match_entries(self):
         entries = [IndexEntry("k", "p", ("d", 0))]
         with pytest.raises(DimMismatchError):
-            IndexedDataset(IndexKind.SENTENCES, entries, "hand", np.ones((2, 3)))
+            dataset_of(IndexKind.SENTENCES, entries, "hand", np.ones((2, 3)))
 
     @given(
-        rows=st.integers(1, 3 * NORM_BLOCK_ROWS + 5),
-        dim=st.integers(1, 24),
+        dim=st.integers(1, 24) | st.sampled_from([512, 1000, 4096]),
         seed=st.integers(0, 2**32 - 1),
         dtype=st.sampled_from([np.float32, np.float64]),
+        data=st.data(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_unit_keys_match_whole_matrix_norm_bit_for_bit(self, rows, dim, seed, dtype):
-        rng = np.random.default_rng(seed)
-        scale = 10.0 ** rng.integers(-6, 7, size=(rows, 1))
-        keys = (rng.standard_normal((rows, dim)) * scale).astype(dtype)
-        entries = [IndexEntry("k", "p", ("d", 0))] * rows
-        ds = IndexedDataset(IndexKind.SENTENCES, entries, "hand", keys)
+    def test_unit_keys_match_whole_matrix_norm_bit_for_bit(self, dim, seed, dtype, data):
+        keys = _scaled_keys(data.draw(_rows_around_a_block(dim)), dim, seed, dtype)
+        ds = dataset_of(IndexKind.SENTENCES, [IndexEntry("k", "p", ("d", 0))] * len(keys),
+                        "hand", keys)
         expected = oracle_unit_keys(keys)
         assert np.array_equal(ds.unit_keys.view(np.uint64), expected.view(np.uint64))
+
+    @given(
+        dim=st.sampled_from([512, 1000, 4096]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_loaded_unit_keys_match_whole_matrix_norm_bit_for_bit(self, dim, seed, data):
+        keys = _scaled_keys(data.draw(_rows_around_a_block(dim)), dim, seed, np.float32)
+        ds = dataset_of(IndexKind.SENTENCES, [IndexEntry("k", "p", ("d", 0))] * len(keys),
+                        "hand", keys)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_index(ds, Path(tmp) / "idx.jsonl")
+            loaded = load_index(Path(tmp) / "idx.jsonl")
+        expected = oracle_unit_keys(keys)
+        assert np.array_equal(loaded.unit_keys.view(np.uint64), expected.view(np.uint64))
+
+    def test_unit_keys_peak_memory_is_the_result_alone(self):
+        # the row norms' temporaries are one block each, and the division makes no copy
+        keys = np.random.default_rng(3).standard_normal((1000, 512)).astype(np.float32)
+        entries = [IndexEntry("k", "p", ("d", 0))] * 1000
+        tracemalloc.start()
+        try:
+            unit = dataset_of(IndexKind.SENTENCES, entries, "rand", keys).unit_keys
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert unit.dtype == np.float64
+        assert peak < unit.nbytes + 2**20
 
     def test_zero_vector_entries_skipped(self):
         class SometimesZero:
@@ -190,7 +234,21 @@ class TestBuild:
             Sentence("d", 0, 1, "ghost text", 2),
         ]
         ds = build_sentence_index(sents, SometimesZero())
-        assert len(ds.entries) == 1
+        assert len(ds.key_texts) == 1
+
+    def test_entries_whose_float32_key_is_zero_skipped(self):
+        # nonzero in float64, all zeros once stored as float32: load_index would refuse it
+        class Underflow:
+            name = "stub"
+            dim = 2
+
+            def embed_batch(self, texts):
+                return np.array([[1e-50, 0.0] if "tiny" in t else [0.0, 1.0] for t in texts])
+
+        sents = [Sentence("d", 0, i, text, 2) for i, text in enumerate(["tiny one", "big one"])]
+        ds = build_sentence_index(sents, Underflow())
+        assert ds.key_texts == ["big one"] and ds.doc_ids == ["d"] and ds.ordinals == [0]
+        assert ds.keys.tolist() == [[0.0, 1.0]] and ds.norms.tolist() == [[1.0]]
 
 
 class TestSearch:
@@ -256,7 +314,7 @@ class TestSearch:
         for i in range(200):
             key_values.append(tuple(rng.gauss(0, 1) for _ in range(dim)))
             entries.append(IndexEntry(f"k{i}", f"p{i}", ("d", i)))
-        ds = IndexedDataset(IndexKind.SENTENCES, entries, "rand", np.array(key_values))
+        ds = dataset_of(IndexKind.SENTENCES, entries, "rand", np.array(key_values))
         for t in (0.0, 0.12, 0.3, 0.55, 0.9, 1.0):
             query = tuple(rng.gauss(0, 1) for _ in range(dim))
             hits = search(ds, np.array(query), t)
@@ -296,7 +354,7 @@ class TestSearchMatchesLoopOracle:
             rows.insert(data.draw(st.integers(0, len(rows))), data.draw(st.sampled_from(rows)))
         keys = np.array(rows, dtype=np.float32)
         entries = [IndexEntry(f"k{i}", f"p{i}", ("d", i)) for i in range(len(rows))]
-        ds = IndexedDataset(IndexKind.SENTENCES, entries, "rand", keys)
+        ds = dataset_of(IndexKind.SENTENCES, entries, "rand", keys)
         query = np.array(data.draw(st.sampled_from(rows) | row), dtype=np.float64)
 
         lowest = search(ds, query, 0.0)
@@ -324,6 +382,78 @@ class TestHits:
         assert not hits[:0] and hits[:0] == []
 
 
+DELETE = object()
+
+# Edits that break one entry record: the whole record replaced by another JSON
+# value, a field deleted, or a field given a value of the wrong type.
+BAD_EDITS = st.sampled_from(
+    [("", value) for value in ([1, 2], "text", 3, None, True, 1.5, [])]
+    + [(name, DELETE) for name in ("key_text", "payload_text", "doc_id", "ordinal")]
+    + [("key_text", 1), ("key_text", None), ("key_text", ["a"]), ("payload_text", {"a": "b"}),
+       ("payload_text", False), ("doc_id", 7), ("doc_id", True), ("ordinal", "3"),
+       ("ordinal", 1.5), ("ordinal", 1.0), ("ordinal", True), ("ordinal", None)]
+)
+
+# Records with repeated payloads, texts that need JSON escapes and big ordinals.
+RECORDS = st.lists(
+    st.tuples(TEXTS, st.sampled_from(["shared", "", "line\nbreak"]) | TEXTS,
+              st.text(max_size=4), st.integers(-2**70, 2**70)),
+    min_size=1, max_size=8,
+)
+
+
+def _saved(rows, path):
+    keys = np.arange(1, 3 * len(rows) + 1, dtype=np.float32).reshape(len(rows), 3)
+    entries = [IndexEntry(k, p, (d, o)) for k, p, d, o in rows]
+    save_index(dataset_of(IndexKind.QUESTIONS, entries, "e", keys), path)
+    return entries, keys
+
+
+class TestLoadMatchesRecordOracle:
+    @given(rows=RECORDS)
+    @settings(max_examples=100, deadline=None)
+    def test_same_columns_as_one_entry_per_record(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "idx.jsonl"
+            entries, keys = _saved(rows, path)
+            got = load_index(path)
+            header, want, want_keys = oracle_load_index(path)
+        assert want == entries and entries_of(got) == want
+        assert got.payloads == list(dict.fromkeys(e.payload_text for e in want))
+        assert (got.kind.value, got.embedder_name) == (header["kind"], header["embedder_name"])
+        assert np.array_equal(got.keys.view(np.uint32), want_keys.view(np.uint32))
+
+    @given(rows=RECORDS, edits=st.lists(st.tuples(st.integers(0, 7), BAD_EDITS),
+                                        min_size=1, max_size=2))
+    @settings(max_examples=150, deadline=None)
+    def test_same_error_for_a_malformed_record(self, rows, edits):
+        bad_lines = set()
+
+        def edit(records):
+            for i, (name, value) in edits:
+                line = 1 + i % len(rows)  # records[0] is the header
+                bad_lines.add(line + 1)
+                if not name:
+                    records[line] = value
+                elif not isinstance(records[line], dict):
+                    continue  # an earlier edit replaced the whole record: it stays bad
+                elif value is DELETE:
+                    records[line].pop(name, None)
+                else:
+                    records[line][name] = value
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "idx.jsonl"
+            _saved(rows, path)
+            reseal(path, edit)
+            with pytest.raises(PersistenceError) as got:
+                load_index(path)
+            with pytest.raises(PersistenceError) as want:
+                oracle_load_index(path)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"{path}:{min(bad_lines)}: ")
+
+
 class TestPersistence:
     def test_roundtrip_identity(self, tmp_path, embedder):
         ds = build_sentence_index(sentences(3), embedder)
@@ -333,7 +463,7 @@ class TestPersistence:
         assert loaded.kind == ds.kind
         assert loaded.embedder_name == ds.embedder_name
         assert loaded.dim == ds.dim
-        assert loaded.entries == ds.entries
+        assert entries_of(loaded) == entries_of(ds)
         assert loaded.keys.dtype == ds.keys.dtype == np.float32
         assert np.array_equal(loaded.keys, ds.keys)
 
@@ -352,7 +482,7 @@ class TestPersistence:
         save_index(ds, path)
         path.write_bytes(path.read_bytes().rstrip(b"\n"))
         loaded = load_index(path)
-        assert loaded.entries == ds.entries
+        assert entries_of(loaded) == entries_of(ds)
         assert np.array_equal(loaded.keys, ds.keys)
 
     @pytest.mark.parametrize("keep", ["nothing", "newline", "header", "header_and_half_entry",
@@ -404,8 +534,8 @@ class TestPersistence:
         rng = np.random.default_rng(5)
         entries = [IndexEntry(f"key sentence {i} about things", f"payload sentence {i} text",
                               ("doc", i)) for i in range(n)]
-        ds = IndexedDataset(IndexKind.SENTENCES, entries, "rand",
-                            rng.standard_normal((n, dim)).astype(np.float32))
+        ds = dataset_of(IndexKind.SENTENCES, entries, "rand",
+                        rng.standard_normal((n, dim)).astype(np.float32))
         path = tmp_path / "big.jsonl"
         save_index(ds, path)
         del ds, entries
@@ -415,7 +545,7 @@ class TestPersistence:
             size, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(loaded.entries) == n
+        assert len(loaded.key_texts) == n
         assert peak < 2 * size
 
     def test_corrupted_byte_fails_checksum(self, tmp_path, embedder):
@@ -539,6 +669,24 @@ class TestPersistence:
             load_index(path)
         assert not isinstance(info.value, ChecksumError)
 
+    @pytest.mark.parametrize("value", [0.0, np.nan, np.inf, -np.inf],
+                             ids=["zero-row", "nan", "infinity", "minus-infinity"])
+    def test_key_row_without_a_direction_is_persistence_error(self, tmp_path, embedder, value):
+        path = tmp_path / "idx.jsonl"
+        save_index(build_sentence_index(sentences(3), embedder), path)
+        keys = np.fromfile(keys_path(path), dtype="<f4").reshape(3, -1)
+        if value == 0.0:
+            keys[2] = 0.0
+        else:
+            keys[2, 1] = value
+        keys_path(path).write_bytes(keys.tobytes())
+        reseal(path, lambda records: records[0].update(keys_crc32=zlib.crc32(keys.tobytes())))
+        with pytest.raises(PersistenceError) as info:
+            load_index(path)
+        assert not isinstance(info.value, ChecksumError)
+        assert str(info.value).startswith(f"{keys_path(path)}: key row 2 ")
+        assert f"{path}:4" in str(info.value)
+
     @given(
         rows=st.lists(st.tuples(TEXTS, TEXTS, st.text(max_size=6), st.integers(-2**40, 2**40)),
                       max_size=6),
@@ -553,7 +701,7 @@ class TestPersistence:
             lambda r: any(v != 0.0 for v in r))
         keys = np.array([data.draw(key_row) for _ in rows], dtype=dtype).reshape(len(rows), dim)
         entries = [IndexEntry(k, p, (d, o)) for k, p, d, o in rows]
-        ds = IndexedDataset(kind, entries, "hypothesis\nembedder", keys)
+        ds = dataset_of(kind, entries, "hypothesis\nembedder", keys)
         with tempfile.TemporaryDirectory() as tmp:
             new, old = Path(tmp) / "v2.jsonl", Path(tmp) / "v1.jsonl"
             save_index(ds, new)
@@ -562,19 +710,21 @@ class TestPersistence:
             v1_rows = [base64.b64decode(json.loads(line)["vec_b64"])
                        for line in old.read_bytes().split(b"\n")[1:-2]]
             assert keys_path(new).read_bytes() == b"".join(v1_rows)
-        assert (got.kind, got.embedder_name, got.entries) == (want.kind, want.embedder_name,
-                                                               want.entries)
+        assert (got.kind, got.embedder_name, entries_of(got)) == (
+            want.kind, want.embedder_name, entries_of(want))
         assert got.keys.dtype == want.keys.dtype == np.float32
         assert np.array_equal(got.keys.view(np.uint32), want.keys.view(np.uint32))
         assert np.array_equal(got.unit_keys.view(np.uint64), want.unit_keys.view(np.uint64))
+        assert np.array_equal(got.unit_keys.view(np.uint64),
+                              oracle_unit_keys(got.keys).view(np.uint64))
 
     def test_save_peak_memory_stays_under_one_and_a_half_times_the_bytes_written(self, tmp_path):
         n, dim = 10_000, 512
         rng = np.random.default_rng(6)
         entries = [IndexEntry(f"key sentence {i} about things", f"payload sentence {i} text",
                               ("doc", i)) for i in range(n)]
-        ds = IndexedDataset(IndexKind.SENTENCES, entries, "rand",
-                            rng.standard_normal((n, dim)).astype(np.float32))
+        ds = dataset_of(IndexKind.SENTENCES, entries, "rand",
+                        rng.standard_normal((n, dim)).astype(np.float32))
         path = tmp_path / "big.jsonl"
         tracemalloc.start()
         try:

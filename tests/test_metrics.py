@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_align, oracle_bleu, oracle_lcs_length, oracle_rouge, streaming_means
+from oracles import (
+    oracle_align,
+    oracle_bleu,
+    oracle_bleu_tokens,
+    oracle_lcs_length,
+    oracle_rouge,
+    streaming_means,
+)
 from ragmark.embed import LocalHashEmbedder
 from ragmark.errors import EmptyReferenceError
 from ragmark.metrics import (
@@ -63,6 +70,16 @@ class TestBleu:
             cand = rng.choices(vocab, k=rng.randint(0, 7))
             ref = rng.choices(vocab, k=rng.randint(1, 7))
             assert bleu_tokens(cand, ref) == pytest.approx(oracle_bleu(cand, ref), abs=1e-12)
+
+    # a small vocabulary gives long matches, a larger one levels that match nothing
+    @given(st.sampled_from(["ab", "abcdefghijkl"]).flatmap(
+               lambda vocab: st.tuples(st.lists(st.sampled_from(vocab), max_size=40),
+                                       st.lists(st.sampled_from(vocab), max_size=40))),
+           st.integers(1, 6), st.booleans())
+    @settings(max_examples=500)
+    def test_bit_for_bit_with_the_counting_oracle(self, texts, max_n, as_tuples):
+        cand, ref = map(tuple, texts) if as_tuples else texts
+        assert bleu_tokens(cand, ref, max_n).hex() == oracle_bleu_tokens(cand, ref, max_n).hex()
 
 
 class TestRouge:

@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ragmark.index
-from oracles import oracle_pack_context
+from oracles import IndexEntry, dataset_of, oracle_pack_context
 from ragmark.corpus import count_tokens
 from ragmark.embed import LocalHashEmbedder
 from ragmark.errors import TransportError
 from ragmark.generate import ExtractiveMockClient
-from ragmark.index import IndexedDataset, IndexEntry, IndexKind, search
+from ragmark.index import IndexKind, search
 from ragmark.retrieve import (
     DEFAULT_TEMPLATE,
     Budgets,
@@ -33,7 +33,7 @@ def make_index(payloads, kind=IndexKind.QUESTIONS):
         angle = i * 0.2
         keys.append((math.cos(angle), math.sin(angle)))
         entries.append(IndexEntry(f"key{i}", payload, ("doc", i)))
-    return IndexedDataset(kind=kind, entries=entries, embedder_name="hand", keys=np.array(keys))
+    return dataset_of(kind, entries, "hand", np.array(keys))
 
 
 def hits_for(ds, threshold=0.0):
@@ -178,7 +178,7 @@ class TestAnswer:
         ]
         vectors = emb.embed_batch(keys)
         entries = [IndexEntry(k, p, ("doc", i)) for i, (k, p) in enumerate(zip(keys, payloads))]
-        return IndexedDataset(IndexKind.QUESTIONS, entries, emb.name, vectors), emb
+        return dataset_of(IndexKind.QUESTIONS, entries, emb.name, vectors), emb
 
     def test_near_duplicate_question_tops_context(self):
         ds, emb = self._corpus_index()
@@ -186,7 +186,7 @@ class TestAnswer:
             "What cooling does the reactor alpha design actually use?",
             ds, 0.5, emb, ExtractiveMockClient(),
         )
-        first_packed = ds.entries[result.context.included[0].entry_ref].payload_text
+        first_packed = ds.payloads[ds.payload_ids[result.context.included[0].entry_ref]]
         assert first_packed.startswith("The reactor alpha design")
         assert result.generated_text == "The reactor alpha design uses molten salt cooling throughout the core."
 
@@ -215,7 +215,7 @@ class TestAnswer:
         for t in (0.2, 0.5, 0.8):
             result = answer(question, ds, t, emb, ExtractiveMockClient())
             packed_sets.append(
-                {ds.entries[h.entry_ref].payload_text for h in result.context.included}
+                {ds.payload_ids[h.entry_ref] for h in result.context.included}
             )
         assert packed_sets[2] <= packed_sets[1] <= packed_sets[0]
 

@@ -123,9 +123,11 @@ class TestJsonl:
         ('{"name": "a", "count": -0.5, "score": 1.0}', "-0.5 is not an integer"),
         ('{"name": "a", "count": true, "score": 1.0}', "True is not an integer"),
         ('{"name": "a", "count": false, "score": 1.0}', "False is not an integer"),
+        ('{"name": "a", "count": 1, "score": true}', "True is not a number"),
+        ('{"name": "a", "count": 1, "score": false}', "False is not a number"),
     ], ids=["missing", "non-numeric", "null", "not-an-object", "not-json", "nan-float",
             "infinite-float", "infinite-float-string", "infinite-int", "fractional-int",
-            "negative-fractional-int", "true-int", "false-int"])
+            "negative-fractional-int", "true-int", "false-int", "true-float", "false-float"])
     def test_bad_record_names_path_and_line(self, tmp_path, line, detail):
         path = tmp_path / "f.jsonl"
         path.write_text('{"name": "a", "count": 1, "score": 1.0}\n\n' + line + "\n")
