@@ -41,6 +41,7 @@ from .experiment import (
     SweepMemo,
     emit_report,
     prompt_settings,
+    require_context_room,
     run_baseline,
     run_sweep,
     summarize,
@@ -349,6 +350,7 @@ def _cmd_sweep(args) -> int:
         return 0
 
     testset = read_test_set_jsonl(cfg["exp.testset"])
+    require_context_room(exp, testset)
     out = Path(cfg["exp.output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     manifest: dict = {"baseline": "scores_baseline.jsonl", "sweeps": {}}

@@ -27,7 +27,14 @@ from .errors import ConfigError, RagmarkError, RunAbortedError
 from .generate import GenerationClient
 from .index import IndexedDataset, IndexKind, load_index
 from .metrics import METRIC_NAMES, ScoreRow, score_row
-from .retrieve import DEFAULT_TEMPLATE, Budgets, generation_request, render_prompt, retrieve_at
+from .retrieve import (
+    DEFAULT_TEMPLATE,
+    Budgets,
+    context_room,
+    generation_request,
+    render_prompt,
+    retrieve_at,
+)
 # Not called here; bench/tracer.py wraps ``ragmark.experiment.answer`` by name.
 from .retrieve import answer  # noqa: F401
 from .testgen import TestSet
@@ -115,6 +122,21 @@ class ExperimentConfig:
         if kind is IndexKind.SENTENCES:
             return self.index_sentences_path
         return self.index_questions_path
+
+
+def require_context_room(cfg: ExperimentConfig, testset: TestSet) -> None:
+    """Reject a sweep in which no test question leaves a token for context.
+
+    Every RAG row of such a question would silently equal its baseline row.
+    """
+    questions = [pair.question for pair in testset.pairs]
+    if questions and max(context_room(q, cfg.budgets, cfg.template) for q in questions) < 1:
+        raise ConfigError(
+            f"no room for context: rag.model_max_input ({cfg.budgets.model_max_input}) minus "
+            f"rag.answer_reserve ({cfg.budgets.answer_reserve}) leaves no tokens after the "
+            f"prompt of any test question; the shortest question has "
+            f"{min(map(count_tokens, questions))} tokens"
+        )
 
 
 def _question_ids(testset: TestSet) -> list[str]:

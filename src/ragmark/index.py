@@ -8,8 +8,12 @@ In memory an index is columns, not one object per entry: entry i is
 ``key_texts[i]``, the payload ``payloads[payload_ids[i]]`` (each distinct
 payload text is held once), the paragraph ``(doc_ids[i], ordinals[i])`` and
 row i of the float32 ``keys``. Each key row's float64 length is taken once,
-in row blocks sized to stay in cache, and ``search`` scans the rows divided
-by those lengths.
+in row blocks sized to stay in cache. ``search`` scans the float32 keys in
+the same blocks: it widens one block at a time into a reused float64
+buffer, takes each row's dot product with the unit query on its own, and
+divides by the row's stored length. A key's score therefore depends on its
+row alone, not on which rows are scanned with it or on how many BLAS
+threads run, and no float64 copy of the whole index is made.
 
 An index saved at ``X`` is two files that travel together. ``X`` is
 line-oriented JSON: a header, one record per entry (texts and paragraph
@@ -22,7 +26,6 @@ identical indexes.
 
 from __future__ import annotations
 
-import functools
 import json
 import logging
 import os
@@ -53,10 +56,10 @@ FORMAT_VERSION = 2
 # query must pass threshold 1.0 even when its cosine lands at 1 - 1e-16.
 SCORE_EPS = 1e-9
 
-# Size of one block of key rows in float64 when taking the row lengths: each
-# temporary of the norm stays cache-sized (128 rows at dim 512) and is reused
-# by the allocator instead of being mapped afresh for every index.
-NORM_BLOCK_BYTES = 512 * 1024
+# Size of one block of key rows in float64, for the row lengths and for the
+# scan: each temporary and the scan's buffer stay cache-sized (128 rows at
+# dim 512) and are reused by the allocator instead of being mapped afresh.
+ROW_BLOCK_BYTES = 512 * 1024
 
 
 class IndexKind(str, Enum):
@@ -64,22 +67,26 @@ class IndexKind(str, Enum):
     QUESTIONS = "questions"  # key = generated question, payload = parent paragraph
 
 
+def _block_rows(dim: int) -> int:
+    return max(1, ROW_BLOCK_BYTES // (8 * dim))
+
+
 def _row_blocks(rows: int, dim: int) -> list[slice]:
-    step = max(1, NORM_BLOCK_BYTES // (8 * dim))
+    step = _block_rows(dim)
     return [slice(start, start + step) for start in range(0, rows, step)]
 
 
 def _row_norms(keys: np.ndarray) -> np.ndarray:
-    """Each row's float64 length, as an (n, 1) column, taken a block of rows at a time."""
-    norms = np.empty((len(keys), 1))
+    """Each row's float64 length, taken a block of rows at a time."""
+    norms = np.empty(len(keys))
     for rows in _row_blocks(*keys.shape):
-        norms[rows] = np.linalg.norm(keys[rows].astype(np.float64), axis=1, keepdims=True)
+        norms[rows] = np.linalg.norm(keys[rows].astype(np.float64), axis=1)
     return norms
 
 
 def _unusable(norms: np.ndarray) -> np.ndarray:
     """Which keys are all zeros or hold a NaN or an infinity: they have no direction."""
-    return ~((norms[:, 0] > 0.0) & (norms[:, 0] < np.inf))
+    return ~((norms > 0.0) & (norms < np.inf))
 
 
 @dataclass(eq=False)
@@ -91,10 +98,10 @@ class IndexedDataset:
     share is stored, compared and counted once. The builders and
     ``load_index`` keep ``keys`` as float32, the on-disk precision, so
     save/load is an identity; ``norms`` is each key row's float64 length,
-    taken on construction unless given. ``unit_keys`` holds the rows scaled
-    to unit length in float64, the matrix that ``search`` scans; it is built
-    on first use, so commands that never search do not pay for it.
-    ``payload_tokens`` remembers each payload's token count the same way.
+    taken on construction unless given. ``search`` scans ``keys`` and
+    ``norms`` where they are, through one block-sized buffer, so no copy
+    of the whole key matrix is built.
+    ``payload_tokens`` remembers each payload's token count on first use.
     """
 
     kind: IndexKind
@@ -137,11 +144,6 @@ class IndexedDataset:
         payload_ids = [ids.setdefault(text, len(ids)) for text in payload_texts]
         return cls(kind, key_texts, list(ids), payload_ids, doc_ids, ordinals, embedder_name,
                    keys, norms)
-
-    @functools.cached_property
-    def unit_keys(self) -> np.ndarray:
-        # float32 rows widen to float64 exactly, inside numpy's own small casting buffer
-        return self.keys / self.norms
 
     @property
     def dim(self) -> int:
@@ -258,6 +260,26 @@ def hits_at(hits: Hits, threshold: float) -> Hits:
     return hits[:np.count_nonzero(hits.scores >= threshold - SCORE_EPS)]
 
 
+def _scores(ds: IndexedDataset, unit_query: np.ndarray) -> np.ndarray:
+    """Each key's cosine to ``unit_query``, scanned a cache-sized block of rows at a time.
+
+    A block is widened into one reused float64 buffer (float32 widens
+    exactly) and ``vecdot`` takes each row's dot product on its own, one
+    BLAS ``ddot`` per row; dividing by the stored row length finishes the
+    cosine. So a score depends on its own row alone.
+    """
+    count, dim = ds.keys.shape
+    scores = np.empty(count)
+    wide = np.empty((min(count, _block_rows(dim)), dim))
+    for rows in _row_blocks(count, dim):
+        out = scores[rows]
+        block = wide[:len(out)]
+        block[...] = ds.keys[rows]
+        np.vecdot(block, unit_query, out=out)
+    scores /= ds.norms
+    return scores
+
+
 def search(ds: IndexedDataset, query: np.ndarray, threshold: float) -> Hits:
     """Exact scan: every entry that passes ``threshold`` (see ``hits_at``), best first.
 
@@ -272,7 +294,7 @@ def search(ds: IndexedDataset, query: np.ndarray, threshold: float) -> Hits:
     nq = np.linalg.norm(q)
     if nq == 0.0:
         raise ZeroVectorError("query embedded to a zero vector")
-    scores = ds.unit_keys @ (q / nq)
+    scores = _scores(ds, q / nq)
     order = np.argsort(-scores, kind="stable")
     return hits_at(Hits(scores[order], order), threshold)
 
@@ -285,6 +307,11 @@ def keys_path(path: str | Path) -> Path:
     """The keys file that travels with the index file at ``path``."""
     path = Path(path)
     return path.with_name(path.name + ".f32")
+
+
+# json.dumps(obj, sort_keys=True) builds a new encoder on every call; one
+# shared encoder writes the same bytes.
+_encode_sorted = json.JSONEncoder(sort_keys=True).encode
 
 
 def save_index(ds: IndexedDataset, path: str | Path) -> None:
@@ -305,7 +332,7 @@ def save_index(ds: IndexedDataset, path: str | Path) -> None:
         "count": len(ds.key_texts),
         "keys_crc32": zlib.crc32(keys) & 0xFFFFFFFF,
     }
-    lines = [json.dumps(header, sort_keys=True)]
+    lines = [_encode_sorted(header)]
     for key_text, payload_id, doc_id, ordinal in zip(ds.key_texts, ds.payload_ids, ds.doc_ids,
                                                      ds.ordinals):
         rec = {
@@ -314,7 +341,7 @@ def save_index(ds: IndexedDataset, path: str | Path) -> None:
             "doc_id": doc_id,
             "ordinal": ordinal,
         }
-        lines.append(json.dumps(rec, sort_keys=True))
+        lines.append(_encode_sorted(rec))
     body = "".join(line + "\n" for line in lines).encode("utf-8")
     trailer = json.dumps({"crc32": zlib.crc32(body) & 0xFFFFFFFF}) + "\n"
     with open(path, "wb") as f:
@@ -431,7 +458,7 @@ def load_index(path: str | Path) -> IndexedDataset:
     if read != size:
         raise ChecksumError(f"{kpath}: read {read} of {size} bytes")
     actual_keys_crc = 0
-    norms = np.empty((count, 1))
+    norms = np.empty(count)
     for rows in _row_blocks(count, dim):  # each block is still in cache for its norms
         actual_keys_crc = zlib.crc32(keys[rows], actual_keys_crc)
         norms[rows] = _row_norms(keys[rows])

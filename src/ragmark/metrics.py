@@ -24,9 +24,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .corpus import split_sentences, tokenize
-from .embed import Embedder, cosine
-from .errors import EmptyReferenceError
+from .embed import Embedder
+from .errors import EmptyReferenceError, ZeroVectorError
 from .wire import FlatRecord, read_jsonl, write_jsonl
 
 log = logging.getLogger(__name__)
@@ -226,10 +228,20 @@ def cs_score(generated: str, reference: str, embedder: Embedder) -> float:
     if not g_sentences:
         log.warning("generated text has no sentences; scoring 0.0")
         return 0.0
-    g_vecs = embedder.embed_batch(g_sentences)
-    r_vecs = embedder.embed_batch(r_sentences)
-    best = [max(cosine(g, r) for r in r_vecs) for g in g_vecs]
+    g_vecs = np.asarray(embedder.embed_batch(g_sentences), dtype=np.float64)
+    r_vecs = np.asarray(embedder.embed_batch(r_sentences), dtype=np.float64)
+    # embed.cosine of every pair, with each vector's length taken once
+    references = list(zip(r_vecs, _lengths(r_vecs)))
+    best = [max(float(np.dot(g, r) / (g_length * r_length)) for r, r_length in references)
+            for g, g_length in zip(g_vecs, _lengths(g_vecs))]
     return math.fsum(best) / len(best)
+
+
+def _lengths(vectors: np.ndarray) -> list[float]:
+    lengths = [float(np.linalg.norm(v)) for v in vectors]
+    if 0.0 in lengths:
+        raise ZeroVectorError("cosine is undefined for zero-norm vectors")
+    return lengths
 
 
 # ---------------------------------------------------------------------------

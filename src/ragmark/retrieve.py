@@ -117,6 +117,12 @@ def pack_context(hits: Sequence[RetrievalHit], ds: IndexedDataset, budget: int) 
                          token_count=used)
 
 
+def context_room(question: str, budgets: Budgets, template: str) -> int:
+    """Tokens left for context: the model input less the answer reserve and the empty prompt."""
+    overhead = count_tokens(template.format(context="", question=question))
+    return budgets.model_max_input - budgets.answer_reserve - overhead
+
+
 def retrieve_at(
     question: str,
     ds: IndexedDataset,
@@ -138,8 +144,7 @@ def retrieve_at(
     query = embedder.embed_batch([question])[0]
     lowest = search(ds, query, min(thresholds))
 
-    overhead = count_tokens(template.format(context="", question=question))
-    context_budget = budgets.model_max_input - budgets.answer_reserve - overhead
+    context_budget = context_room(question, budgets, template)
     if lowest and context_budget < 1:
         log.warning("no room for context: budget came out at %d tokens", context_budget)
 

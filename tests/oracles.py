@@ -4,7 +4,10 @@ Deliberately naive: list scans instead of count dictionaries, subsequence
 enumeration instead of the LCS recurrence, the rolling-row LCS DP instead of
 the bit-parallel one, reference scans that re-stem every token instead of
 per-word position stacks, per-pair python cosines instead of the matrix
-scan, one n x n x 2 array and one whole-matrix norm instead of row blocks,
+scan, one dot product per row in a python loop and one whole-matrix
+``gemv`` over unit rows instead of the blocked row scan, a cosine per pair
+that takes both lengths again instead of each length once, one n x n x 2
+array and one whole-matrix norm instead of row blocks,
 the dim x dim covariance instead of the n x n Gram matrix for PCA,
 format-1 index files with one base64 vector per record instead of a raw
 keys file, one ``IndexEntry`` object per index record, checked record by
@@ -38,7 +41,16 @@ from ragmark.errors import (
 )
 from ragmark.experiment import _check_failures, _question_ids
 from ragmark.generate import GenerationRequest
-from ragmark.index import SCORE_EPS, IndexedDataset, IndexKind, RetrievalHit, keys_path, search
+from ragmark.index import (
+    SCORE_EPS,
+    Hits,
+    IndexedDataset,
+    IndexKind,
+    RetrievalHit,
+    hits_at,
+    keys_path,
+    search,
+)
 from ragmark.metrics import BLEU_SMOOTH_FLOOR, ScoreRow, _stem, score_row
 from ragmark.retrieve import PackedContext, render_prompt
 
@@ -216,10 +228,19 @@ def oracle_hits_at(hits, threshold):
     return hits[:cut]
 
 
+def oracle_cs_best(g_vecs, r_vecs, cos=oracle_cosine):
+    """Mean over generated vectors of the best ``cos`` against any reference vector."""
+    best = [max(cos(g, r) for r in r_vecs) for g in g_vecs]
+    return math.fsum(best) / len(best)
+
+
 def oracle_search_loop(ds, query, threshold):
-    """The same scan and sort as ``search``, then one RetrievalHit per passing entry."""
+    """Each row's dot product over its length, a row at a time; one RetrievalHit per hit."""
     q = np.asarray(query, dtype=np.float64)
-    scores = ds.unit_keys @ (q / np.linalg.norm(q))
+    unit_query = q / np.linalg.norm(q)
+    norms = oracle_norms(ds.keys)
+    scores = np.array([float(np.dot(ds.keys[i].astype(np.float64), unit_query)) / norms[i]
+                       for i in range(len(ds.keys))])
     order = np.argsort(-scores, kind="stable")
     hits = []
     for i in order:
@@ -256,11 +277,26 @@ def oracle_reduce_dim(vectors, target_dim=2):
     return centered @ components.T
 
 
+def oracle_norms(keys):
+    """Each row's float64 length, with one norm over the whole matrix."""
+    return np.linalg.norm(keys.astype(np.float64), axis=1)
+
+
 def oracle_unit_keys(keys):
-    """Rows of ``keys`` scaled to unit length in float64, with one norm over the whole matrix."""
-    unit = keys.astype(np.float64)
-    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
-    return unit
+    """Rows of ``keys`` scaled to unit length in float64."""
+    return keys.astype(np.float64) / oracle_norms(keys)[:, None]
+
+
+def oracle_search_gemv(ds, query, threshold):
+    """The unit rows times the unit query in one BLAS ``gemv``, as ``search`` once scanned.
+
+    A ``gemv`` groups rows as the BLAS build and thread count choose, so a
+    score's last bits can depend on its neighbours.
+    """
+    q = np.asarray(query, dtype=np.float64)
+    scores = oracle_unit_keys(ds.keys) @ (q / np.linalg.norm(q))
+    order = np.argsort(-scores, kind="stable")
+    return hits_at(Hits(scores[order], order), threshold)
 
 
 def oracle_save_index_v1(ds, path):

@@ -301,6 +301,28 @@ class TestSettingsChecked:
         assert snapshot(tmp_path) == before
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, exits", [([], 1), (["Why?"], 0)],
+                             ids=["every-question-too-long", "one-question-fits"])
+    def test_sweep_with_no_room_for_any_question(self, topic_index, tmp_path, capsys, extra,
+                                                 exits):
+        # the template leaves 10 tokens of context; each long question takes more than that
+        cfg = tmp_path / "tight.cfg"
+        cfg.write_text("rag.model_max_input = 272\n")
+        long_questions = ["Why do the " + " ".join(["words"] * n) + "?" for n in (20, 30)]
+        testset = tmp_path / "ts.jsonl"
+        testset.write_text('{"params": {}}\n' + "".join(
+            json.dumps({"question": q, "answer_text": "a.", "cluster_id": 0}) + "\n"
+            for q in long_questions + extra))
+        before = snapshot(tmp_path)
+        assert run("--config", str(cfg), "sweep", "--testset", str(testset),
+                   "--index-sentences", str(topic_index), "--output-dir", str(tmp_path / "out"),
+                   "--thresholds", "0.5", "--embedder", f"local:{EMBED_DIM}") == exits
+        if exits:
+            assert snapshot(tmp_path) == before
+            err = capsys.readouterr().err
+            assert "rag.model_max_input (272) minus rag.answer_reserve (256)" in err
+            assert "the shortest question has 24 tokens" in err
+
     def test_template_with_escaped_braces_and_conversion_runs(self, topic_index, tmp_path,
                                                               capsys):
         tpl = tmp_path / "tpl.txt"

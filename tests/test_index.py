@@ -2,7 +2,10 @@ import base64
 import json
 import math
 import random
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import zlib
@@ -21,16 +24,17 @@ from oracles import (
     oracle_load_index,
     oracle_load_index_v1,
     oracle_save_index_v1,
+    oracle_norms,
     oracle_search,
+    oracle_search_gemv,
     oracle_search_loop,
-    oracle_unit_keys,
 )
 from ragmark.corpus import Sentence
 from ragmark.embed import LocalHashEmbedder
 from ragmark.errors import ChecksumError, DimMismatchError, EmptyIndexError, PersistenceError
 from ragmark.index import (
     FORMAT_VERSION,
-    NORM_BLOCK_BYTES,
+    ROW_BLOCK_BYTES,
     SCORE_EPS,
     Hits,
     IndexKind,
@@ -92,7 +96,7 @@ def reseal(path, edit):
 
 def _rows_around_a_block(dim):
     """Row counts on both sides of one and two blocks of float64 rows at ``dim``, and any other."""
-    block = max(1, NORM_BLOCK_BYTES // (8 * dim))
+    block = max(1, ROW_BLOCK_BYTES // (8 * dim))
     edges = [rows for rows in (block - 1, block, block + 1, 2 * block, 2 * block + 1) if rows]
     return st.sampled_from(edges) | st.integers(1, 3 * block + 5)
 
@@ -185,12 +189,11 @@ class TestBuild:
         data=st.data(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_unit_keys_match_whole_matrix_norm_bit_for_bit(self, dim, seed, dtype, data):
+    def test_norms_match_whole_matrix_norm_bit_for_bit(self, dim, seed, dtype, data):
         keys = _scaled_keys(data.draw(_rows_around_a_block(dim)), dim, seed, dtype)
         ds = dataset_of(IndexKind.SENTENCES, [IndexEntry("k", "p", ("d", 0))] * len(keys),
                         "hand", keys)
-        expected = oracle_unit_keys(keys)
-        assert np.array_equal(ds.unit_keys.view(np.uint64), expected.view(np.uint64))
+        assert np.array_equal(ds.norms.view(np.uint64), oracle_norms(keys).view(np.uint64))
 
     @given(
         dim=st.sampled_from([512, 1000, 4096]),
@@ -198,28 +201,31 @@ class TestBuild:
         data=st.data(),
     )
     @settings(max_examples=20, deadline=None)
-    def test_loaded_unit_keys_match_whole_matrix_norm_bit_for_bit(self, dim, seed, data):
+    def test_loaded_norms_match_whole_matrix_norm_bit_for_bit(self, dim, seed, data):
         keys = _scaled_keys(data.draw(_rows_around_a_block(dim)), dim, seed, np.float32)
         ds = dataset_of(IndexKind.SENTENCES, [IndexEntry("k", "p", ("d", 0))] * len(keys),
                         "hand", keys)
         with tempfile.TemporaryDirectory() as tmp:
             save_index(ds, Path(tmp) / "idx.jsonl")
             loaded = load_index(Path(tmp) / "idx.jsonl")
-        expected = oracle_unit_keys(keys)
-        assert np.array_equal(loaded.unit_keys.view(np.uint64), expected.view(np.uint64))
+        assert np.array_equal(loaded.norms.view(np.uint64), oracle_norms(keys).view(np.uint64))
 
-    def test_unit_keys_peak_memory_is_the_result_alone(self):
-        # the row norms' temporaries are one block each, and the division makes no copy
-        keys = np.random.default_rng(3).standard_normal((1000, 512)).astype(np.float32)
-        entries = [IndexEntry("k", "p", ("d", 0))] * 1000
+    def test_search_peak_memory_is_one_block_and_the_ranking(self):
+        # the scan widens one block of rows at a time into one reused float64 buffer
+        rng = np.random.default_rng(3)
+        n, dim = 1000, 512
+        keys = rng.standard_normal((n, dim)).astype(np.float32)
+        ds = dataset_of(IndexKind.SENTENCES, [IndexEntry("k", "p", ("d", 0))] * n, "rand", keys)
+        query = rng.standard_normal(dim)
         tracemalloc.start()
         try:
-            unit = dataset_of(IndexKind.SENTENCES, entries, "rand", keys).unit_keys
+            hits = search(ds, query, 0.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert unit.dtype == np.float64
-        assert peak < unit.nbytes + 2**20
+        block = min(n, ROW_BLOCK_BYTES // (8 * dim)) * dim * 8
+        assert len(hits) == n
+        assert peak < block + hits.scores.nbytes + hits.refs.nbytes + 2**20
 
     def test_zero_vector_entries_skipped(self):
         class SometimesZero:
@@ -248,7 +254,7 @@ class TestBuild:
         sents = [Sentence("d", 0, i, text, 2) for i, text in enumerate(["tiny one", "big one"])]
         ds = build_sentence_index(sents, Underflow())
         assert ds.key_texts == ["big one"] and ds.doc_ids == ["d"] and ds.ordinals == [0]
-        assert ds.keys.tolist() == [[0.0, 1.0]] and ds.norms.tolist() == [[1.0]]
+        assert ds.keys.tolist() == [[0.0, 1.0]] and ds.norms.tolist() == [1.0]
 
 
 class TestSearch:
@@ -365,6 +371,100 @@ class TestSearchMatchesLoopOracle:
             assert _bits(found) == _bits(expected)
             assert hits_at(lowest, t) == found
             assert oracle_hits_at(list(lowest), t) == expected
+
+
+def _dense_keys(rows, dim, seed):
+    """Dense float32 rows, as a remote embedder gives: every component nonzero."""
+    return np.random.default_rng(seed).standard_normal((rows, dim)).astype(np.float32)
+
+
+def _scores_by_entry(hits):
+    scores = np.empty(len(hits))
+    scores[hits.refs] = hits.scores
+    return scores
+
+
+def _index_of(keys):
+    """An index with row i of ``keys`` as entry i's key."""
+    entries = [IndexEntry(f"k{i}", f"p{i}", ("d", i)) for i in range(len(keys))]
+    return dataset_of(IndexKind.SENTENCES, entries, "dense", keys)
+
+
+DIMS = st.integers(1, 24) | st.sampled_from([512, 1000, 4096])
+
+# The scan of a fixed dense 12,500 x 512 index; writes every entry's score to argv[1].
+SCAN_SCRIPT = """
+import sys
+import numpy as np
+from ragmark.index import IndexedDataset, IndexKind, search
+
+rng = np.random.default_rng(2024)
+keys = rng.standard_normal((12_500, 512)).astype(np.float32)
+n = len(keys)
+ds = IndexedDataset.from_columns(IndexKind.SENTENCES, [""] * n, [""] * n, [""] * n, [0] * n,
+                                 "dense", keys)
+hits = search(ds, rng.standard_normal(512), 0.0)
+scores = np.empty(n)
+scores[hits.refs] = hits.scores
+np.save(sys.argv[1], scores)
+"""
+
+
+class TestRowLocalScan:
+    """A key's score depends on its own row alone."""
+
+    @given(dim=DIMS, seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_sub_index_scores_equal_the_full_index_scores(self, dim, seed, data):
+        keys = _dense_keys(data.draw(_rows_around_a_block(dim)), dim, seed)
+        kept = np.flatnonzero(np.random.default_rng(seed).random(len(keys)) < 0.5)
+        if not len(kept):
+            kept = np.array([len(keys) - 1])
+        query = np.random.default_rng(seed + 1).standard_normal(dim)
+        full = _scores_by_entry(search(_index_of(keys), query, 0.0))
+        sub = _scores_by_entry(search(_index_of(keys[kept]), query, 0.0))
+        assert np.array_equal(sub.view(np.uint64), full[kept].view(np.uint64))
+
+    @given(dim=DIMS, seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_identical_dense_rows_keep_insertion_order(self, dim, seed, data):
+        rows = data.draw(_rows_around_a_block(dim))
+        keys = np.repeat(_dense_keys(1, dim, seed), rows, axis=0)
+        query = np.random.default_rng(seed + 1).standard_normal(dim)
+        hits = search(_index_of(keys), query, 0.0)
+        assert hits.refs.tolist() == list(range(rows))
+        assert len(set(hits.scores.tolist())) == 1
+
+    @given(dim=DIMS, seed=st.integers(0, 2**32 - 1), dense=st.booleans(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_scores_within_1e_15_of_the_whole_matrix_gemv(self, dim, seed, dense, data):
+        rows = data.draw(_rows_around_a_block(dim))
+        if dense:
+            keys = _dense_keys(rows, dim, seed)
+            query = np.random.default_rng(seed + 1).standard_normal(dim)
+        else:  # sparse hashed bags of words, the local embedder's keys
+            embedder = LocalHashEmbedder(dim=max(dim, 8))
+            texts = [f"entry {i} words thing{i % 7} more{i % 3}" for i in range(rows)]
+            keys = embedder.embed_batch(texts).astype(np.float32)
+            query = embedder.embed_batch(["entry 2 words thing2"])[0]
+        ds = _index_of(keys)
+        got = _scores_by_entry(search(ds, query, 0.0))
+        want = _scores_by_entry(oracle_search_gemv(ds, query, 0.0))
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_same_score_bits_at_one_and_two_blas_threads(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        scores = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            out = tmp_path / f"scores{threads}.npy"
+            done = subprocess.run([sys.executable, "-c", SCAN_SCRIPT, str(out)], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr[-2000:]
+            scores.append(np.load(out))
+        differ = np.count_nonzero(scores[0].view(np.uint64) != scores[1].view(np.uint64))
+        assert differ == 0, f"{differ} of {len(scores[0])} scores changed with the thread count"
 
 
 class TestHits:
@@ -714,9 +814,8 @@ class TestPersistence:
             want.kind, want.embedder_name, entries_of(want))
         assert got.keys.dtype == want.keys.dtype == np.float32
         assert np.array_equal(got.keys.view(np.uint32), want.keys.view(np.uint32))
-        assert np.array_equal(got.unit_keys.view(np.uint64), want.unit_keys.view(np.uint64))
-        assert np.array_equal(got.unit_keys.view(np.uint64),
-                              oracle_unit_keys(got.keys).view(np.uint64))
+        assert np.array_equal(got.norms.view(np.uint64), want.norms.view(np.uint64))
+        assert np.array_equal(got.norms.view(np.uint64), oracle_norms(got.keys).view(np.uint64))
 
     def test_save_peak_memory_stays_under_one_and_a_half_times_the_bytes_written(self, tmp_path):
         n, dim = 10_000, 512

@@ -2,6 +2,7 @@ import csv
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,11 +11,12 @@ from oracles import (
     oracle_align,
     oracle_bleu,
     oracle_bleu_tokens,
+    oracle_cs_best,
     oracle_lcs_length,
     oracle_rouge,
     streaming_means,
 )
-from ragmark.embed import LocalHashEmbedder
+from ragmark.embed import LocalHashEmbedder, cosine
 from ragmark.errors import EmptyReferenceError
 from ragmark.metrics import (
     _align,
@@ -237,6 +239,35 @@ class TestCsScore:
         generated, reference = "One sentence. Two sentence.", "Ref one. Ref two. Ref three."
         assert cs_score(generated, reference, Recording()) == cs_score(generated, reference, embedder)
         assert batches == [["One sentence.", "Two sentence."], ["Ref one.", "Ref two.", "Ref three."]]
+
+
+# Vectors with a small pool of components, so that equal and proportional
+# vectors (exact best-match ties) are common.
+CS_VECTORS = st.integers(1, 6).flatmap(lambda dim: st.tuples(*[
+    st.lists(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]) | st.floats(1e-6, 1e3)
+                      | st.floats(-1e3, -1e-6), min_size=dim, max_size=dim).filter(any),
+             min_size=1, max_size=5)
+    for _ in range(2)]))
+
+
+class TestCsScoreMatchesPairLoop:
+    @given(CS_VECTORS)
+    @settings(max_examples=200, deadline=None)
+    def test_same_bits_as_a_cosine_per_pair(self, vectors):
+        g_vecs, r_vecs = (np.array(v) for v in vectors)
+
+        class Scripted:  # the generated sentences' batch, then the reference's
+            batches = [g_vecs, r_vecs]
+
+            def embed_batch(self, texts):
+                return self.batches.pop(0)
+
+        def text(n):
+            return " ".join(f"Sentence {i} here." for i in range(n))
+
+        got = cs_score(text(len(g_vecs)), text(len(r_vecs)), Scripted())
+        assert got == oracle_cs_best(g_vecs, r_vecs, cosine)
+        assert got == pytest.approx(oracle_cs_best(g_vecs, r_vecs), abs=1e-12)
 
 
 class TestScoreRow:
