@@ -17,7 +17,7 @@ from .corpus import (
     split_paragraphs,
     split_sentences,
 )
-from .embed import LocalHashEmbedder, RemoteEmbedder, cosine
+from .embed import LocalHashEmbedder, RemoteEmbedder
 from .errors import RagmarkError
 from .experiment import ExperimentConfig, emit_report, run_baseline, run_sweep, summarize
 from .generate import ExtractiveMockClient, GenerationRequest, RemoteGenerationClient
@@ -25,7 +25,6 @@ from .index import (
     Hits,
     IndexedDataset,
     IndexKind,
-    RetrievalHit,
     build_question_index,
     build_sentence_index,
     load_index,
@@ -34,7 +33,7 @@ from .index import (
 )
 from .metrics import ScoreRow, bleu, cs_score, meteor, rouge, score_row
 from .qagen import QADataset, QAPair, build_qa_dataset, split_train_validation
-from .retrieve import Budgets, PackedContext, RagAnswer, answer, pack_context
+from .retrieve import Budgets, PackedContext, answer, pack_context
 from .testgen import ClusterParams, TestSet, assemble_test_set
 
 __version__ = "0.1.0"
@@ -54,11 +53,9 @@ __all__ = [
     "Paragraph",
     "QADataset",
     "QAPair",
-    "RagAnswer",
     "RagmarkError",
     "RemoteEmbedder",
     "RemoteGenerationClient",
-    "RetrievalHit",
     "ScoreRow",
     "Sentence",
     "TestSet",
@@ -68,7 +65,6 @@ __all__ = [
     "build_qa_dataset",
     "build_question_index",
     "build_sentence_index",
-    "cosine",
     "cs_score",
     "emit_report",
     "filter_cord19",

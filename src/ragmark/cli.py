@@ -21,6 +21,8 @@ from pathlib import Path
 
 from . import config as cfgmod
 from .corpus import (
+    check_paragraph_budget,
+    check_word_range,
     extract_sentences,
     filter_cord19,
     filter_sentences,
@@ -58,6 +60,8 @@ from .metrics import METRIC_NAMES, score_row, write_score_rows_csv, write_score_
 from .qagen import (
     QuestionGenClient,
     build_qa_dataset,
+    check_question_count,
+    check_split_ratio,
     make_question_client,
     read_qa_jsonl,
     split_train_validation,
@@ -203,6 +207,8 @@ def _question_client(cfg: dict[str, str]) -> QuestionGenClient:
 # ---------------------------------------------------------------------------
 
 def _cmd_ingest(args) -> int:
+    check_paragraph_budget(args.budget)
+    check_word_range(args.min_words, args.max_words)
     _require_files(args.input)
     if args.format == "cord19":
         rejections: list[tuple[int, str]] = []
@@ -231,6 +237,8 @@ def _cmd_qa_gen(args) -> int:
     if bool(args.train_out) != bool(args.val_out):
         missing = "--val-out" if args.train_out else "--train-out"
         raise UsageError(f"--train-out and --val-out go together; {missing} is missing")
+    check_question_count(args.questions_per_paragraph, "questions_per_paragraph")
+    check_split_ratio(args.ratio)
     _require_files(args.paragraphs)
     cfg = _resolve(args, {"qg.endpoint": args.endpoint})
     paragraphs = read_paragraphs_jsonl(args.paragraphs)
@@ -272,9 +280,7 @@ def _cmd_testgen(args) -> int:
     _require_files(args.index)
     cfg = _resolve(args, {"qg.endpoint": args.qg_endpoint})
     params = ClusterParams(eps=args.eps, min_pts=args.min_pts, max_clusters=args.max_clusters)
-    if args.questions_per_cluster < 1:  # assemble_test_set checks it too, after the dry run
-        raise ValueError(
-            f"questions_per_cluster must be at least 1, got {args.questions_per_cluster}")
+    check_question_count(args.questions_per_cluster, "questions_per_cluster")
     ds = load_index(args.index)
     if args.dry_run:
         print(f"dry-run: would cluster {len(ds.key_texts)} entries "
@@ -302,17 +308,18 @@ def _cmd_ask(args) -> int:
         return 0
     ds = load_index(args.index)
     embedder = _embedder(cfg)
-    result = answer(args.question, ds, args.threshold, embedder,
-                    _gen_client(cfg), budgets, template=template)
+    found, generated = answer(args.question, ds, args.threshold, embedder,
+                              _gen_client(cfg), budgets, template=template)
+    context = found.context
     print(f"question : {args.question}")
-    print(f"threshold: {result.threshold} ({ds.kind.value} index, "
-          f"{len(result.hits)} hits, {len(result.context.included)} packed"
-          f"{', truncated' if result.context.truncated else ''})")
+    print(f"threshold: {found.threshold} ({ds.kind.value} index, "
+          f"{len(found.hits)} hits, {len(context.included)} packed"
+          f"{', truncated' if context.truncated else ''})")
     print("context  :")
-    print(result.context.text if result.context.text else "  (empty)")
-    print(f"answer   : {result.generated_text}")
+    print(context.text if context.text else "  (empty)")
+    print(f"answer   : {generated}")
     if args.reference:
-        row = score_row("ask", result.generated_text, args.reference, embedder)
+        row = score_row("ask", generated, args.reference, embedder)
         print(f"scores   : rouge={row.rouge:.4f} meteor={row.meteor:.4f} "
               f"bleu={row.bleu:.4f} cs={row.cs:.4f}")
     return 0

@@ -236,20 +236,31 @@ def extract_sentences(paragraphs: Iterable[Paragraph]) -> list[Sentence]:
     return out
 
 
+def check_word_range(min_words: int, max_words: int) -> None:
+    """Reject a sentence word range that no sentence can fall in."""
+    if min_words > max_words:
+        raise ValueError(f"min_words ({min_words}) must not exceed max_words ({max_words})")
+
+
 def filter_sentences(
     sentences: Iterable[Sentence],
     min_words: int = SENTENCE_MIN_WORDS,
     max_words: int = SENTENCE_MAX_WORDS,
 ) -> list[Sentence]:
     """Keep sentences whose word count lies in the closed interval [min_words, max_words]."""
-    if min_words > max_words:
-        raise ValueError("min_words must not exceed max_words")
+    check_word_range(min_words, max_words)
     return [s for s in sentences if min_words <= s.word_count <= max_words]
 
 
 # ---------------------------------------------------------------------------
 # Paragraph splitting
 # ---------------------------------------------------------------------------
+
+def check_paragraph_budget(budget: int) -> None:
+    """Reject a paragraph token budget too small to hold a short sentence."""
+    if budget < 16:
+        raise ValueError(f"budget must be at least 16 tokens, got {budget}")
+
 
 def split_paragraphs(doc: Document, budget: int = PARAGRAPH_TOKEN_BUDGET) -> list[Paragraph]:
     """Chunk a document body into paragraphs within ``budget`` tokens.
@@ -259,8 +270,7 @@ def split_paragraphs(doc: Document, budget: int = PARAGRAPH_TOKEN_BUDGET) -> lis
     hard-split on token boundaries. A hard-split piece is an ordinary
     paragraph; nothing records that it was cut.
     """
-    if budget < 16:
-        raise ValueError("budget must be at least 16 tokens")
+    check_paragraph_budget(budget)
     body = doc.body.strip()
     if not body:
         raise EmptyDocumentError(f"document {doc.id!r} has an empty body")

@@ -1,4 +1,4 @@
-"""Embedding contract, cosine similarity, and two interchangeable embedders.
+"""Embedding contract and two interchangeable embedders.
 
 ``RemoteEmbedder`` talks to an HTTP sentence-embedding service.
 ``LocalHashEmbedder`` is a deterministic hashed bag-of-words stand-in so the
@@ -16,7 +16,6 @@ import requests
 
 from .errors import (
     BadResponseError,
-    DimMismatchError,
     EmbedderChangedError,
     ZeroVectorError,
 )
@@ -37,19 +36,6 @@ def fnv1a64(data: bytes) -> int:
         h ^= byte
         h = (h * FNV64_PRIME) & 0xFFFFFFFFFFFFFFFF
     return h
-
-
-def cosine(x: np.ndarray, y: np.ndarray) -> float:
-    """Dot product over the product of norms; symmetric and scale-invariant."""
-    xv = np.asarray(x, dtype=np.float64)
-    yv = np.asarray(y, dtype=np.float64)
-    if xv.shape != yv.shape:
-        raise DimMismatchError(f"dim mismatch: {xv.shape} vs {yv.shape}")
-    nx = float(np.linalg.norm(xv))
-    ny = float(np.linalg.norm(yv))
-    if nx == 0.0 or ny == 0.0:
-        raise ZeroVectorError("cosine is undefined for zero-norm vectors")
-    return float(np.dot(xv, yv) / (nx * ny))
 
 
 class Embedder(Protocol):

@@ -73,12 +73,12 @@ def prompt_settings(cfg: dict[str, str]) -> tuple[Budgets, str]:
     )
     # retrieve_at also subtracts each question; with no room even for an empty
     # one, every RAG arm would silently equal the baseline
-    scaffold = count_tokens(template.format(context="", question=""))
-    if budgets.model_max_input - budgets.answer_reserve - scaffold < 1:
+    room = context_room("", budgets, template)
+    if room < 1:
         raise ConfigError(
             f"no room for context: rag.model_max_input ({budgets.model_max_input}) minus "
-            f"rag.answer_reserve ({budgets.answer_reserve}) leaves no tokens after the "
-            f"{scaffold}-token prompt template"
+            f"rag.answer_reserve ({budgets.answer_reserve}) leaves {room} tokens for "
+            f"context after the prompt template"
         )
     return budgets, template
 

@@ -13,7 +13,10 @@ the same blocks: it widens one block at a time into a reused float64
 buffer, takes each row's dot product with the unit query on its own, and
 divides by the row's stored length. A key's score therefore depends on its
 row alone, not on which rows are scanned with it or on how many BLAS
-threads run, and no float64 copy of the whole index is made.
+threads run, and no float64 copy of the whole index is made. The ranking
+a search returns is two arrays, ``Hits``: the scores best first and the
+entry ref (the row index) of each. It stays that way through the threshold
+cut and context packing.
 
 An index saved at ``X`` is two files that travel together. ``X`` is
 line-oriented JSON: a header, one record per entry (texts and paragraph
@@ -157,18 +160,11 @@ class IndexedDataset:
         return count
 
 
-@dataclass(frozen=True)
-class RetrievalHit:
-    score: float
-    entry_ref: int  # entry index: a row of IndexedDataset.keys and of each column
+class Hits:
+    """A ranking as two arrays: ``scores`` (float64) best first, ``refs`` the entry of each.
 
-
-class Hits(Sequence[RetrievalHit]):
-    """A ranking as two arrays: ``scores`` best first, ``refs`` the entry of each.
-
-    An int index or iteration makes ``RetrievalHit``s, so only the hits a
-    reader walks become objects; a slice is a ``Hits`` view. A ranking
-    equals any sequence holding the same hits in the same order.
+    A ref is an entry index: a row of ``IndexedDataset.keys`` and of each
+    column.
     """
 
     __slots__ = ("scores", "refs")
@@ -179,19 +175,6 @@ class Hits(Sequence[RetrievalHit]):
 
     def __len__(self) -> int:
         return len(self.scores)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return Hits(self.scores[i], self.refs[i])
-        return RetrievalHit(float(self.scores[i]), int(self.refs[i]))
-
-    def __iter__(self):
-        return map(RetrievalHit, self.scores.tolist(), self.refs.tolist())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return list(self) == list(other)
 
 
 def _build(
@@ -257,7 +240,8 @@ def hits_at(hits: Hits, threshold: float) -> Hits:
     """
     if threshold <= 0.0:
         return hits
-    return hits[:np.count_nonzero(hits.scores >= threshold - SCORE_EPS)]
+    cut = np.count_nonzero(hits.scores >= threshold - SCORE_EPS)
+    return Hits(hits.scores[:cut], hits.refs[:cut])
 
 
 def _scores(ds: IndexedDataset, unit_query: np.ndarray) -> np.ndarray:
@@ -283,7 +267,8 @@ def _scores(ds: IndexedDataset, unit_query: np.ndarray) -> np.ndarray:
 def search(ds: IndexedDataset, query: np.ndarray, threshold: float) -> Hits:
     """Exact scan: every entry that passes ``threshold`` (see ``hits_at``), best first.
 
-    Ties keep insertion order. Threshold 0.0 returns all entries; threshold
+    The ranking is two arrays (``Hits``), scores and entry refs. Ties keep
+    insertion order. Threshold 0.0 returns all entries; threshold
     1.0 keeps only perfect directional matches (within float slack).
     """
     if not 0.0 <= threshold <= 1.0:

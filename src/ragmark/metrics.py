@@ -230,7 +230,7 @@ def cs_score(generated: str, reference: str, embedder: Embedder) -> float:
         return 0.0
     g_vecs = np.asarray(embedder.embed_batch(g_sentences), dtype=np.float64)
     r_vecs = np.asarray(embedder.embed_batch(r_sentences), dtype=np.float64)
-    # embed.cosine of every pair, with each vector's length taken once
+    # each pair's cosine, the dot product over both lengths, with each length taken once
     references = list(zip(r_vecs, _lengths(r_vecs)))
     best = [max(float(np.dot(g, r) / (g_length * r_length)) for r, r_length in references)
             for g, g_length in zip(g_vecs, _lengths(g_vecs))]

@@ -73,6 +73,18 @@ def dedupe_questions(questions: Iterable[str]) -> list[str]:
     return out
 
 
+def check_question_count(k: int, name: str = "k") -> None:
+    """Reject asking for fewer than one question per text; ``name`` is the setting's name."""
+    if k < 1:
+        raise ValueError(f"{name} must be at least 1, got {k}")
+
+
+def check_split_ratio(ratio: float) -> None:
+    """Reject a validation share outside (0, 1), NaN included."""
+    if not 0.0 < ratio < 1.0:
+        raise ValueError(f"ratio must be in (0, 1), got {ratio}")
+
+
 def questions_for(text: str, client: QuestionGenClient, k: int) -> tuple[list[str], bool]:
     """Between 1 and ``k`` distinct questions for ``text``, and whether they are synthetic.
 
@@ -80,8 +92,7 @@ def questions_for(text: str, client: QuestionGenClient, k: int) -> tuple[list[st
     A text yielding nothing usable gets the fixed fallback question, flagged
     synthetic.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    check_question_count(k)
     raw = client.generate(text, k)
     questions = dedupe_questions(q for q in raw if isinstance(q, str))[:k]
     if questions:
@@ -101,8 +112,7 @@ def build_qa_dataset(
     """
     if not paragraphs:
         raise ValueError("no paragraphs to build from")
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    check_question_count(k)
 
     def task(paragraph: Paragraph):
         return questions_for(paragraph.text, client, k)
@@ -147,8 +157,7 @@ def split_train_validation(
     seeded uniform selection over eligible pairs; when the eligible pool is
     smaller than round(ratio * total) the whole pool is taken with a warning.
     """
-    if not 0.0 < ratio < 1.0:
-        raise ValueError("ratio must be in (0, 1)")
+    check_split_ratio(ratio)
     group_sizes: dict[tuple[str, int], int] = {}
     for pair in ds.pairs:
         group_sizes[pair.paragraph_ref] = group_sizes.get(pair.paragraph_ref, 0) + 1

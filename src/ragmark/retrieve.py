@@ -2,26 +2,26 @@
 
 Embed the question, scan the index at a similarity threshold, pack the
 passing payloads into the prompt in descending-similarity order under a hard
-token budget, and hand the rendered prompt to a generation client. The
-answer keeps the hits, packed context and prompt it came from. A threshold
-sweep embeds and scans once per question, at its lowest threshold, and packs
-each distinct prefix of those hits once. The scan's ranking stays two arrays
-(``Hits``); only the hits packing walks become ``RetrievalHit`` objects, and
-each payload's token count is taken once per loaded index
-(``IndexedDataset.payload_tokens``).
+token budget, and hand the rendered prompt to a generation client. A
+``Retrieval`` keeps the hits, packed context and prompt a threshold gave;
+``answer`` returns it with the generated text. A threshold sweep embeds and
+scans once per question, at its lowest threshold, and packs each distinct
+prefix of those hits once. The ranking stays two arrays (``Hits``) from the
+scan to the prompt: packing walks its entry refs as ints and records the
+refs it packed, and each payload's token count is taken once per loaded
+index (``IndexedDataset.payload_tokens``).
 """
 
 from __future__ import annotations
 
 import logging
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 from .corpus import count_tokens, truncate_to_token_budget
 from .embed import Embedder
 from .errors import ConfigError
 from .generate import GenerationClient, GenerationRequest
-from .index import Hits, IndexedDataset, RetrievalHit, hits_at, search
+from .index import Hits, IndexedDataset, hits_at, search
 
 log = logging.getLogger(__name__)
 
@@ -45,7 +45,7 @@ class Budgets:
 @dataclass
 class PackedContext:
     text: str
-    included: list[RetrievalHit]
+    included: list[int]  # the entry refs whose payloads were packed, in packing order
     truncated: bool
     token_count: int
 
@@ -60,13 +60,6 @@ class Retrieval:
     prompt: str
 
 
-@dataclass
-class RagAnswer(Retrieval):
-    """A Retrieval plus the text generated from its prompt."""
-
-    generated_text: str
-
-
 def render_prompt(question: str, context: str, template: str = DEFAULT_TEMPLATE) -> str:
     """Fill the prompt template; an empty context drops the context block entirely."""
     if context:
@@ -76,26 +69,27 @@ def render_prompt(question: str, context: str, template: str = DEFAULT_TEMPLATE)
     return template.format(context="", question=question)
 
 
-def pack_context(hits: Sequence[RetrievalHit], ds: IndexedDataset, budget: int) -> PackedContext:
+def pack_context(hits: Hits, ds: IndexedDataset, budget: int) -> PackedContext:
     """Greedy packing of hit payloads, best first, newline-joined.
 
-    A payload seen before is skipped: several questions can share one parent
-    paragraph, which the index holds once under one payload id. The first
-    payload that would overflow is cut on a token boundary so the context
-    fills the remaining budget exactly, and packing stops there. Each
-    payload is counted once per loaded index (``ds.payload_tokens``): token
-    counts add over newline joins, so the running total is the joined
-    context's count.
+    The hits' entry refs are walked as ints. A payload seen before is
+    skipped: several questions can share one parent paragraph, which the
+    index holds once under one payload id. The first payload that would
+    overflow is cut on a token boundary so the context fills the remaining
+    budget exactly, and packing stops there. ``included`` lists the refs
+    whose payloads were packed. Each payload is counted once per loaded
+    index (``ds.payload_tokens``): token counts add over newline joins, so
+    the running total is the joined context's count.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1 token")
     parts: list[str] = []
     used = 0
-    included: list[RetrievalHit] = []
+    included: list[int] = []
     truncated = False
     seen: set[int] = set()
-    for hit in hits:
-        payload_id = ds.payload_ids[hit.entry_ref]
+    for ref in hits.refs.tolist():
+        payload_id = ds.payload_ids[ref]
         if payload_id in seen:
             continue
         payload = ds.payloads[payload_id]
@@ -110,7 +104,7 @@ def pack_context(hits: Sequence[RetrievalHit], ds: IndexedDataset, budget: int) 
             parts.append(payload)
         used += count
         seen.add(payload_id)
-        included.append(hit)
+        included.append(ref)
         if truncated:
             break
     return PackedContext(text="\n".join(parts), included=included, truncated=truncated,
@@ -177,12 +171,12 @@ def answer(
     budgets: Budgets | None = None,
     *,
     template: str = DEFAULT_TEMPLATE,
-) -> RagAnswer:
+) -> tuple[Retrieval, str]:
     """embed -> search -> pack -> render -> generate at one threshold.
 
-    A failed generate raises the client's own error, code included.
+    Returns the threshold's ``Retrieval`` and the text generated from its
+    prompt. A failed generate raises the client's own error, code included.
     """
     budgets = budgets or Budgets()
     [found] = retrieve_at(question, ds, [threshold], embedder, budgets, template=template)
-    generated = gen_client.generate(generation_request(found.prompt, budgets))
-    return RagAnswer(**vars(found), generated_text=generated)
+    return found, gen_client.generate(generation_request(found.prompt, budgets))

@@ -19,7 +19,14 @@ import numpy as np
 from .corpus import count_tokens
 from .errors import DegenerateCloudError, EmptyTestSetError, NoClustersError, PersistenceError
 from .index import IndexedDataset, IndexKind
-from .qagen import QAPair, QuestionGenClient, decode_pair, encode_pair, questions_for
+from .qagen import (
+    QAPair,
+    QuestionGenClient,
+    check_question_count,
+    decode_pair,
+    encode_pair,
+    questions_for,
+)
 from .wire import read_jsonl, write_jsonl
 
 log = logging.getLogger(__name__)
@@ -209,8 +216,7 @@ def assemble_test_set(
     order. A cluster over the token budget is dropped; questions follow the
     same dedup and fallback rules as the training pipeline.
     """
-    if questions_per_cluster < 1:
-        raise ValueError(f"questions_per_cluster must be at least 1, got {questions_per_cluster}")
+    check_question_count(questions_per_cluster, "questions_per_cluster")
     if ds.kind is not IndexKind.SENTENCES:
         raise ValueError("test set generation needs a sentence-keyed index")
     points = reduce_dim(ds.keys, 2)

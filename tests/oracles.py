@@ -14,8 +14,8 @@ keys file, one ``IndexEntry`` object per index record, checked record by
 record, instead of columns checked a column at a time, BLEU that counts
 every reference n-gram at every level, a binary search over token prefixes
 instead of a cut at the budget-th token, re-counting the whole joined
-context per packed payload, one ``RetrievalHit`` per ranked entry and a
-bisect over them instead of two arrays and a vectorised cut, and one
+context per packed payload, one ``(score, ref)`` pair per ranked entry and
+a bisect over them instead of two arrays and a vectorised cut, and one
 search, pack, generate and score per sweep cell. Slow is fine; different
 code paths are the point.
 """
@@ -38,6 +38,7 @@ from ragmark.errors import (
     DimMismatchError,
     PersistenceError,
     RagmarkError,
+    ZeroVectorError,
 )
 from ragmark.experiment import _check_failures, _question_ids
 from ragmark.generate import GenerationRequest
@@ -46,7 +47,6 @@ from ragmark.index import (
     Hits,
     IndexedDataset,
     IndexKind,
-    RetrievalHit,
     hits_at,
     keys_path,
     search,
@@ -223,9 +223,22 @@ def _oracle_below_threshold(score, threshold):
 
 
 def oracle_hits_at(hits, threshold):
-    """The prefix of a list of RetrievalHits that passes ``threshold``, by bisection."""
-    cut = bisect.bisect_left(hits, True, key=lambda h: _oracle_below_threshold(h.score, threshold))
+    """The prefix of a list of (score, ref) pairs that passes ``threshold``, by bisection."""
+    cut = bisect.bisect_left(hits, True, key=lambda h: _oracle_below_threshold(h[0], threshold))
     return hits[:cut]
+
+
+def oracle_pair_cosine(x: np.ndarray, y: np.ndarray) -> float:
+    """Dot product over the product of norms; symmetric and scale-invariant."""
+    xv = np.asarray(x, dtype=np.float64)
+    yv = np.asarray(y, dtype=np.float64)
+    if xv.shape != yv.shape:
+        raise DimMismatchError(f"dim mismatch: {xv.shape} vs {yv.shape}")
+    nx = float(np.linalg.norm(xv))
+    ny = float(np.linalg.norm(yv))
+    if nx == 0.0 or ny == 0.0:
+        raise ZeroVectorError("cosine is undefined for zero-norm vectors")
+    return float(np.dot(xv, yv) / (nx * ny))
 
 
 def oracle_cs_best(g_vecs, r_vecs, cos=oracle_cosine):
@@ -235,7 +248,7 @@ def oracle_cs_best(g_vecs, r_vecs, cos=oracle_cosine):
 
 
 def oracle_search_loop(ds, query, threshold):
-    """Each row's dot product over its length, a row at a time; one RetrievalHit per hit."""
+    """Each row's dot product over its length, a row at a time; one (score, ref) pair per hit."""
     q = np.asarray(query, dtype=np.float64)
     unit_query = q / np.linalg.norm(q)
     norms = oracle_norms(ds.keys)
@@ -247,7 +260,7 @@ def oracle_search_loop(ds, query, threshold):
         s = float(scores[i])
         if _oracle_below_threshold(s, threshold):
             break  # scores only fall from here
-        hits.append(RetrievalHit(score=s, entry_ref=int(i)))
+        hits.append((s, int(i)))
     return hits
 
 
@@ -429,8 +442,8 @@ def oracle_pack_context(hits, ds, budget):
     included = []
     truncated = False
     seen = set()
-    for hit in hits:
-        payload = ds.payloads[ds.payload_ids[hit.entry_ref]]
+    for ref in hits.refs.tolist():
+        payload = ds.payloads[ds.payload_ids[ref]]
         if payload in seen:
             continue
         candidate = payload if not text else text + "\n" + payload
@@ -438,13 +451,13 @@ def oracle_pack_context(hits, ds, budget):
         if count <= budget:
             text, used = candidate, count
             seen.add(payload)
-            included.append(hit)
+            included.append(ref)
             continue
         prefix = _oracle_truncate_join(text, payload, budget)
         if prefix:
             text = prefix if not text else text + "\n" + prefix
             used = count_tokens(text)
-            included.append(hit)
+            included.append(ref)
         truncated = True
         break
     return PackedContext(text=text, included=included, truncated=truncated, token_count=used)

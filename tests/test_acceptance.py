@@ -296,19 +296,19 @@ def test_criterion_4_retrieval_semantics():
     assert len(all_hits) == len(entries)  # threshold 0 accepts everything
 
     perfect = search(ds, query, 1.0)
-    assert [h.entry_ref for h in perfect] == [200]
-    assert all(h.score >= 1.0 - 1e-9 for h in perfect)
+    assert perfect.refs.tolist() == [200]
+    assert all(score >= 1.0 - 1e-9 for score in perfect.scores.tolist())
 
     sizes = []
     for t in [i / 10 for i in range(11)]:
         hits = search(ds, query, t)
-        scores = [h.score for h in hits]
+        scores = hits.scores.tolist()
         assert scores == sorted(scores, reverse=True)
         sizes.append(len(hits))
         expected = oracle_search(key_values, query_values, t)
-        assert [h.entry_ref for h in hits] == [i for _, i in expected]
-        for hit, (score, _) in zip(hits, expected):
-            assert hit.score == pytest.approx(score, abs=1e-9)
+        assert hits.refs.tolist() == [i for _, i in expected]
+        for found, (score, _) in zip(scores, expected):
+            assert found == pytest.approx(score, abs=1e-9)
     assert sizes == sorted(sizes, reverse=True)
 
     # stable tie order for identical keys
@@ -317,7 +317,7 @@ def test_criterion_4_retrieval_semantics():
         [IndexEntry(f"k{i}", f"p{i}", ("d", i)) for i in range(3)],
         "tie", np.array([[1.0, 0.0]] * 3),
     )
-    assert [h.entry_ref for h in search(tie, np.array([1.0, 0.0]), 0.5)] == [0, 1, 2]
+    assert search(tie, np.array([1.0, 0.0]), 0.5).refs.tolist() == [0, 1, 2]
     _report("criterion 4: threshold edge semantics, ordering, monotonicity, and "
             "200-entry oracle parity hold")
 

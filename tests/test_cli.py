@@ -230,6 +230,35 @@ class TestSettingsChecked:
         assert snapshot(tmp_path) == before
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--budget", "8"], "budget"),
+        (["--min-words", "40", "--max-words", "30"], "min_words"),
+    ], ids=["small-budget", "empty-word-range"])
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+    def test_ingest_setting_out_of_range(self, corpus_dir, tmp_path, capsys, flags, named,
+                                         dry_run):
+        src, _ = corpus_dir
+        before = snapshot(tmp_path)
+        assert run("ingest", "--input", str(src), "--out-paragraphs", str(tmp_path / "p.jsonl"),
+                   "--out-sentences", str(tmp_path / "s.jsonl"), *flags, *dry_run) == 1
+        assert snapshot(tmp_path) == before
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--questions-per-paragraph", "0"], "questions_per_paragraph"),
+        (["--ratio", "1.5"], "ratio"),
+    ], ids=["zero-questions", "ratio-above-one"])
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+    def test_qa_gen_setting_out_of_range(self, tmp_path, capsys, flags, named, dry_run):
+        paragraphs = tmp_path / "p.jsonl"
+        paragraphs.write_text(GOOD_PARAGRAPH + "\n")
+        before = snapshot(tmp_path)
+        assert run("qa-gen", "--paragraphs", str(paragraphs), "--out", str(tmp_path / "qa.jsonl"),
+                   "--train-out", str(tmp_path / "t.jsonl"), "--val-out", str(tmp_path / "v.jsonl"),
+                   *flags, *dry_run) == 1
+        assert snapshot(tmp_path) == before
+        assert named in capsys.readouterr().err
+
     @pytest.mark.parametrize("given, missing", [("--train-out", "--val-out"),
                                                 ("--val-out", "--train-out")])
     def test_qa_gen_split_needs_both_outputs(self, tmp_path, capsys, given, missing):

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import oracle_pair_cosine as cosine
 from ragmark.embed import (
     _WORD_RE,
     CachingEmbedder,
     LocalHashEmbedder,
     RemoteEmbedder,
-    cosine,
     fnv1a64,
     make_embedder,
 )
@@ -28,6 +28,8 @@ def vec(*values):
 
 
 class TestCosine:
+    """The reference cosine that the embedder tests and cs_score's check measure with."""
+
     def test_identity(self):
         assert cosine(vec(1, 0, 0), vec(1, 0, 0)) == pytest.approx(1.0)
 

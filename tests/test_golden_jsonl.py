@@ -1,20 +1,24 @@
-"""Exact bytes of every JSONL writer.
+"""Exact bytes of every JSONL writer, and of ``ragmark ask``'s output.
 
 One sorted-key JSON object per line, ASCII-escaped, newline-terminated.
 Optional fields (``synthetic``) appear only when set, and the test set
-starts with its ``params`` header. The report files of a fixed table, and the
-two files of a sentence and a question index of the topic fixture, are
-compared with the copies under ``golden/``.
+starts with its ``params`` header. The report files of a fixed table, the
+two files of a sentence and a question index of the topic fixture, and what
+``ask`` prints over those two indexes are compared with the copies under
+``golden/``.
 """
 
+import contextlib
+import io
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import entries_of
-from topicfix import corpus_pipeline, make_topic_corpus, topic_question
+from topicfix import corpus_pipeline, make_test_pairs, make_topic_corpus, topic_question
 from ragmark import testgen
+from ragmark.cli import main
 from ragmark.corpus import Paragraph, Sentence, write_paragraphs_jsonl, write_sentences_jsonl
 from ragmark.embed import LocalHashEmbedder
 from ragmark.experiment import emit_report, summarize
@@ -148,3 +152,42 @@ def test_index_files(tmp_path, name):
         ds.kind, ds.embedder_name, entries_of(ds))
     assert loaded.payloads == ds.payloads and loaded.payload_ids == ds.payload_ids
     assert np.array_equal(loaded.keys.view(np.uint32), ds.keys.view(np.uint32))
+
+
+# Each ask case: the golden index, the model input (None keeps the default)
+# and whether the topic's reference answer is scored. At threshold 0.0 every
+# entry passes, so the question index offers each paragraph twice and a
+# 400-token model input cuts the pack short.
+ASK_CASES = {
+    "ask_sentences_t0.0.txt": ("index_sentences.jsonl", "0.0", 400, False),
+    "ask_questions_t0.0.txt": ("index_questions.jsonl", "0.0", 400, False),
+    "ask_sentences_t0.5.txt": ("index_sentences.jsonl", "0.5", None, True),
+    "ask_questions_t0.5.txt": ("index_questions.jsonl", "0.5", None, True),
+}
+
+
+def ask_output(name, tmp_path):
+    """What ``ragmark ask`` prints for the topic fixture's first test pair in case ``name``."""
+    index, threshold, model_max_input, scored = ASK_CASES[name]
+    docs, vocab = make_topic_corpus()
+    _, sentences = corpus_pipeline(docs)
+    pair = make_test_pairs(vocab, sentences)[0]
+    argv = []
+    if model_max_input is not None:
+        cfg = tmp_path / "ask.cfg"
+        cfg.write_text(f"rag.model_max_input = {model_max_input}\n")
+        argv = ["--config", str(cfg)]
+    argv += ["ask", "--question", pair.question, "--index", str(GOLDEN_DIR / index),
+             "--embedder", "local:16", "--threshold", threshold]
+    if scored:
+        argv += ["--reference", pair.answer_text]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("name", list(ASK_CASES))
+def test_ask_output(tmp_path, monkeypatch, name):
+    monkeypatch.delenv("RAGMARK_CONFIG", raising=False)
+    assert ask_output(name, tmp_path) == (GOLDEN_DIR / name).read_bytes()

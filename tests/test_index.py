@@ -38,7 +38,6 @@ from ragmark.index import (
     SCORE_EPS,
     Hits,
     IndexKind,
-    RetrievalHit,
     build_question_index,
     build_sentence_index,
     hits_at,
@@ -155,8 +154,8 @@ class TestBuild:
         query = embedder.embed_batch(["same question?"])[0]
         hits = search(ds, query, 0.5)
         assert len(hits) == 2
-        assert hits[0].score == hits[1].score
-        assert (hits[0].entry_ref, hits[1].entry_ref) == (0, 1)  # stable tie order
+        assert hits.scores[0] == hits.scores[1]
+        assert hits.refs.tolist() == [0, 1]  # stable tie order
 
     def test_remote_embedder_interchangeable_with_local(self, http_stub):
         from ragmark.embed import LocalHashEmbedder, RemoteEmbedder
@@ -173,9 +172,8 @@ class TestBuild:
         assert via_remote.embedder_name == via_local.embedder_name
         assert via_remote.dim == via_local.dim
         query = remote.embed_batch(["sentence number 2 talks"])[0]
-        assert [h.entry_ref for h in search(via_remote, query, 0.3)] == [
-            h.entry_ref for h in search(via_local, query, 0.3)
-        ]
+        assert (search(via_remote, query, 0.3).refs.tolist()
+                == search(via_local, query, 0.3).refs.tolist())
 
     def test_key_rows_must_match_entries(self):
         entries = [IndexEntry("k", "p", ("d", 0))]
@@ -257,33 +255,38 @@ class TestBuild:
         assert ds.keys.tolist() == [[0.0, 1.0]] and ds.norms.tolist() == [1.0]
 
 
+def _pairs(hits):
+    """A ``Hits`` ranking as (score, ref) pairs, the form the oracles return."""
+    return list(zip(hits.scores.tolist(), hits.refs.tolist()))
+
+
 class TestSearch:
     def test_threshold_zero_returns_everything(self):
         ds = tiny_index([0.0, math.pi / 3, math.pi])  # includes a negative-score entry
         hits = search(ds, unit(0.0), 0.0)
         assert len(hits) == 3
-        assert hits[-1].score < 0
+        assert hits.scores[-1] < 0
 
     def test_threshold_one_keeps_only_perfect_matches(self):
         ds = tiny_index([0.0, 0.1, math.pi / 2])
         hits = search(ds, unit(0.0), 1.0)
-        assert [h.entry_ref for h in hits] == [0]
-        assert hits[0].score >= 1.0 - 1e-9
+        assert hits.refs.tolist() == [0]
+        assert hits.scores[0] >= 1.0 - 1e-9
 
     def test_known_angles_filtered_and_ordered(self):
         # cosines against query at angle 0: 0.9, 0.5, 0.3
         ds = tiny_index([math.acos(0.9), math.acos(0.5), math.acos(0.3)])
         hits = search(ds, unit(0.0), 0.5)
-        assert [h.entry_ref for h in hits] == [0, 1]
-        assert hits[0].score == pytest.approx(0.9, abs=1e-12)
-        assert hits[1].score == pytest.approx(0.5, abs=1e-12)
+        assert hits.refs.tolist() == [0, 1]
+        assert hits.scores[0] == pytest.approx(0.9, abs=1e-12)
+        assert hits.scores[1] == pytest.approx(0.5, abs=1e-12)
 
     def test_descending_order_with_stable_ties(self):
         ds = tiny_index([0.2, 0.1, 0.2, 0.0])
         hits = search(ds, unit(0.0), 0.0)
-        scores = [h.score for h in hits]
+        scores = hits.scores.tolist()
         assert scores == sorted(scores, reverse=True)
-        tied = [h.entry_ref for h in hits if abs(h.score - math.cos(0.2)) < 1e-12]
+        tied = [ref for score, ref in _pairs(hits) if abs(score - math.cos(0.2)) < 1e-12]
         assert tied == [0, 2]
 
     def test_cardinality_monotone_nonincreasing_in_threshold(self, embedder):
@@ -310,8 +313,8 @@ class TestSearch:
         lowest = search(ds, query, 0.0)
         edges = [0.5 - 2e-9, 0.5 - 5e-10, 0.5, 0.5 + 5e-10, 0.5 + 2e-9]
         for t in [0.0, 0.9, 1.0] + edges + [rng.random() for _ in range(50)]:
-            assert hits_at(lowest, t) == search(ds, query, t)
-        assert hits_at(search(ds, query, 0.5), 0.9) == search(ds, query, 0.9)
+            assert _pairs(hits_at(lowest, t)) == _pairs(search(ds, query, t))
+        assert _pairs(hits_at(search(ds, query, 0.5), 0.9)) == _pairs(search(ds, query, 0.9))
 
     def test_matches_bruteforce_oracle_pair_for_pair(self):
         rng = random.Random(1234)
@@ -325,9 +328,9 @@ class TestSearch:
             query = tuple(rng.gauss(0, 1) for _ in range(dim))
             hits = search(ds, np.array(query), t)
             expected = oracle_search(key_values, query, t)
-            assert [h.entry_ref for h in hits] == [i for _, i in expected]
-            for hit, (score, _) in zip(hits, expected):
-                assert hit.score == pytest.approx(score, abs=1e-9)
+            assert hits.refs.tolist() == [i for _, i in expected]
+            for found, (score, _) in zip(hits.scores.tolist(), expected):
+                assert found == pytest.approx(score, abs=1e-9)
 
 
 # Key components: a small pool makes proportional rows and exact score ties
@@ -345,8 +348,8 @@ def _thresholds_around(scores):
     return sorted(t for t in out if 0.0 <= t <= 1.0)
 
 
-def _bits(hits):
-    return [(h.score.hex(), h.entry_ref) for h in hits]
+def _bits(pairs):
+    return [(score.hex(), ref) for score, ref in pairs]
 
 
 class TestSearchMatchesLoopOracle:
@@ -364,13 +367,13 @@ class TestSearchMatchesLoopOracle:
         query = np.array(data.draw(st.sampled_from(rows) | row), dtype=np.float64)
 
         lowest = search(ds, query, 0.0)
-        assert _bits(lowest) == _bits(oracle_search_loop(ds, query, 0.0))
-        for t in _thresholds_around([h.score for h in lowest]):
+        assert _bits(_pairs(lowest)) == _bits(oracle_search_loop(ds, query, 0.0))
+        for t in _thresholds_around(lowest.scores.tolist()):
             expected = oracle_search_loop(ds, query, t)
             found = search(ds, query, t)
-            assert _bits(found) == _bits(expected)
-            assert hits_at(lowest, t) == found
-            assert oracle_hits_at(list(lowest), t) == expected
+            assert _bits(_pairs(found)) == _bits(expected)
+            assert _bits(_pairs(hits_at(lowest, t))) == _bits(_pairs(found))
+            assert oracle_hits_at(_pairs(lowest), t) == expected
 
 
 def _dense_keys(rows, dim, seed):
@@ -468,18 +471,16 @@ class TestRowLocalScan:
 
 
 class TestHits:
-    def test_sequence_of_hits_made_on_demand(self):
-        hits = Hits(np.array([0.9, 0.5, -0.25]), np.array([2, 0, 1]))
-        expected = [RetrievalHit(0.9, 2), RetrievalHit(0.5, 0), RetrievalHit(-0.25, 1)]
-        assert len(hits) == 3
-        assert list(hits) == expected
-        assert hits[0] == expected[0] and hits[-1] == expected[-1]
-        assert type(hits[0].score) is float and type(hits[0].entry_ref) is int
-        view = hits[1:]
-        assert isinstance(view, Hits) and view == expected[1:]
-        assert hits == tuple(expected) and expected == hits
-        assert hits != expected[:2] and hits != [RetrievalHit(0.9, 2)] * 3
-        assert not hits[:0] and hits[:0] == []
+    def test_two_arrays_cut_together(self):
+        hits = Hits(np.array([0.9, 0.5, 0.5 - SCORE_EPS, -0.25]), np.array([2, 0, 3, 1]))
+        assert len(hits) == 4
+        assert not any(hasattr(hits, name) for name in ("__getitem__", "__iter__"))
+        assert "__eq__" not in vars(Hits)
+        assert _pairs(hits_at(hits, 0.0)) == _pairs(hits)
+        assert _pairs(hits_at(hits, 0.5)) == [(0.9, 2), (0.5, 0), (0.5 - SCORE_EPS, 3)]
+        assert _pairs(hits_at(hits, 0.9)) == [(0.9, 2)]
+        cut = hits_at(hits, 1.0)
+        assert not cut and len(cut.refs) == 0
 
 
 DELETE = object()

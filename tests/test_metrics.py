@@ -12,11 +12,12 @@ from oracles import (
     oracle_bleu,
     oracle_bleu_tokens,
     oracle_cs_best,
+    oracle_pair_cosine,
     oracle_lcs_length,
     oracle_rouge,
     streaming_means,
 )
-from ragmark.embed import LocalHashEmbedder, cosine
+from ragmark.embed import LocalHashEmbedder
 from ragmark.errors import EmptyReferenceError
 from ragmark.metrics import (
     _align,
@@ -266,7 +267,7 @@ class TestCsScoreMatchesPairLoop:
             return " ".join(f"Sentence {i} here." for i in range(n))
 
         got = cs_score(text(len(g_vecs)), text(len(r_vecs)), Scripted())
-        assert got == oracle_cs_best(g_vecs, r_vecs, cosine)
+        assert got == oracle_cs_best(g_vecs, r_vecs, oracle_pair_cosine)
         assert got == pytest.approx(oracle_cs_best(g_vecs, r_vecs), abs=1e-12)
 
 

@@ -12,7 +12,7 @@ from ragmark.corpus import count_tokens
 from ragmark.embed import LocalHashEmbedder
 from ragmark.errors import TransportError
 from ragmark.generate import ExtractiveMockClient
-from ragmark.index import IndexKind, search
+from ragmark.index import Hits, IndexKind, search
 from ragmark.retrieve import (
     DEFAULT_TEMPLATE,
     Budgets,
@@ -38,6 +38,14 @@ def make_index(payloads, kind=IndexKind.QUESTIONS):
 
 def hits_for(ds, threshold=0.0):
     return search(ds, np.array([1.0, 0.0]), threshold)
+
+
+def best(hits, n):
+    """The ranking's best ``n`` hits."""
+    return Hits(hits.scores[:n], hits.refs[:n])
+
+
+NO_HITS = Hits(np.array([]), np.array([], dtype=np.intp))
 
 
 class TestRenderPrompt:
@@ -74,14 +82,14 @@ class TestPackContext:
 
     def test_empty_hits_empty_context(self):
         ds = make_index([words(10)])
-        packed = pack_context([], ds, 100)
+        packed = pack_context(NO_HITS, ds, 100)
         assert packed.text == "" and packed.truncated is False and packed.token_count == 0
 
     def test_duplicate_payloads_packed_once_first_wins(self):
         ds = make_index(["shared paragraph text", "shared paragraph text", "other text"])
         packed = pack_context(hits_for(ds), ds, 100)
         assert packed.text.count("shared paragraph text") == 1
-        assert [h.entry_ref for h in packed.included] == [0, 2]
+        assert packed.included == [0, 2]
 
     def test_order_follows_scores(self):
         ds = make_index([words(5, "a"), words(5, "b"), words(5, "c")])
@@ -91,13 +99,13 @@ class TestPackContext:
     def test_budget_must_be_positive(self):
         ds = make_index(["x y z"])
         with pytest.raises(ValueError):
-            pack_context([], ds, 0)
+            pack_context(NO_HITS, ds, 0)
 
     def test_included_is_prefix_of_deduplicated_hits(self):
         ds = make_index([words(30, f"p{i}") for i in range(6)])
         hits = hits_for(ds)
         packed = pack_context(hits, ds, 70)
-        assert packed.included == hits[: len(packed.included)]
+        assert packed.included == hits.refs[:len(packed.included)].tolist()
 
     def test_randomized_budget_never_exceeded(self):
         rng = random.Random(99)
@@ -142,7 +150,7 @@ class TestPackContextMatchesOracle:
         ds = make_index(payloads)
         hits = hits_for(ds)
         for _ in range(2):  # the second call finds every count it needs already taken
-            prefix = hits[:data.draw(st.integers(0, len(hits)))]
+            prefix = best(hits, data.draw(st.integers(0, len(hits))))
             budget = data.draw(st.integers(1, 60))
             assert pack_context(prefix, ds, budget) == oracle_pack_context(prefix, ds, budget)
 
@@ -156,7 +164,7 @@ def test_each_payload_is_counted_once_per_index(monkeypatch):
     assert sorted(counted) == sorted(["", words(5, "a"), words(5, "b"), words(5, "c")])
     counted.clear()
     assert pack_context(hits_for(ds), ds, 100) == first
-    assert pack_context(hits_for(ds)[:2], ds, 7).truncated
+    assert pack_context(best(hits_for(ds), 2), ds, 7).truncated
     assert counted == []
 
 
@@ -182,41 +190,41 @@ class TestAnswer:
 
     def test_near_duplicate_question_tops_context(self):
         ds, emb = self._corpus_index()
-        result = answer(
+        found, generated = answer(
             "What cooling does the reactor alpha design actually use?",
             ds, 0.5, emb, ExtractiveMockClient(),
         )
-        first_packed = ds.payloads[ds.payload_ids[result.context.included[0].entry_ref]]
+        first_packed = ds.payloads[ds.payload_ids[found.context.included[0]]]
         assert first_packed.startswith("The reactor alpha design")
-        assert result.generated_text == "The reactor alpha design uses molten salt cooling throughout the core."
+        assert generated == "The reactor alpha design uses molten salt cooling throughout the core."
 
     def test_threshold_one_absent_question_empty_context(self):
         ds, emb = self._corpus_index()
-        result = answer("Completely unrelated mystery topic?", ds, 1.0, emb, ExtractiveMockClient())
-        assert result.context.text == ""
-        assert result.prompt == "Question: Completely unrelated mystery topic?\nAnswer:"
-        assert result.generated_text == "I do not know."
+        found, generated = answer("Completely unrelated mystery topic?", ds, 1.0, emb,
+                                  ExtractiveMockClient())
+        assert found.context.text == ""
+        assert found.prompt == "Question: Completely unrelated mystery topic?\nAnswer:"
+        assert generated == "I do not know."
 
     def test_mock_passthrough_first_sentence(self):
         ds, emb = self._corpus_index()
-        result = answer("What lives near deep sea vents?", ds, 0.3, emb, ExtractiveMockClient())
-        assert result.generated_text.endswith("ecosystems.")
+        _, generated = answer("What lives near deep sea vents?", ds, 0.3, emb, ExtractiveMockClient())
+        assert generated.endswith("ecosystems.")
 
     def test_prompt_overhead_accounted(self):
         ds, emb = self._corpus_index()
         budgets = Budgets(model_max_input=120, answer_reserve=20)
-        result = answer("What lives near deep sea vents?", ds, 0.0, emb, ExtractiveMockClient(), budgets)
-        assert count_tokens(result.prompt) + budgets.answer_reserve <= budgets.model_max_input
+        found, _ = answer("What lives near deep sea vents?", ds, 0.0, emb, ExtractiveMockClient(),
+                          budgets)
+        assert count_tokens(found.prompt) + budgets.answer_reserve <= budgets.model_max_input
 
     def test_raising_threshold_never_adds_payload(self):
         ds, emb = self._corpus_index()
         question = "What cooling does the reactor design use?"
         packed_sets = []
         for t in (0.2, 0.5, 0.8):
-            result = answer(question, ds, t, emb, ExtractiveMockClient())
-            packed_sets.append(
-                {ds.payload_ids[h.entry_ref] for h in result.context.included}
-            )
+            found, _ = answer(question, ds, t, emb, ExtractiveMockClient())
+            packed_sets.append({ds.payload_ids[ref] for ref in found.context.included})
         assert packed_sets[2] <= packed_sets[1] <= packed_sets[0]
 
     def test_generation_failure_keeps_its_code(self):
@@ -234,11 +242,11 @@ class TestAnswer:
 
     def test_audit_trail_retained(self):
         ds, emb = self._corpus_index()
-        result = answer("What lives near deep sea vents?", ds, 0.0, emb, ExtractiveMockClient())
-        assert result.threshold == 0.0
-        assert len(result.hits) == 3
-        assert result.context.text != ""
-        assert result.prompt.startswith("Context:\n")
+        found, _ = answer("What lives near deep sea vents?", ds, 0.0, emb, ExtractiveMockClient())
+        assert found.threshold == 0.0
+        assert len(found.hits) == 3
+        assert found.context.text != ""
+        assert found.prompt.startswith("Context:\n")
 
 
 class TestFullPromptBudgetProperty:
