@@ -4,6 +4,9 @@
 ``LocalHashEmbedder`` is a deterministic hashed bag-of-words stand-in so the
 whole pipeline runs and tests offline. Both satisfy the same contract and
 the vector dimension always comes from the embedder, never from callers.
+A caller names the dtype it stores (an index keeps float32 keys), and the
+vectors are written straight into one array of that dtype, so no wider
+copy of a whole batch is made.
 """
 
 from __future__ import annotations
@@ -28,6 +31,10 @@ FNV64_PRIME = 0x100000001B3
 
 EMBED_RETRIES = 1  # transport retries per request, as gen.retries' default
 
+# Texts counted at a time by LocalHashEmbedder: the block's counts stay
+# about 1 MiB at dim 512 whatever the batch size.
+EMBED_BLOCK_TEXTS = 256
+
 
 def fnv1a64(data: bytes) -> int:
     """FNV-1a 64-bit hash; stable across platforms and processes."""
@@ -41,14 +48,15 @@ def fnv1a64(data: bytes) -> int:
 class Embedder(Protocol):
     """Deterministic text-to-vector mapping with a declared dimension.
 
-    ``embed_batch`` returns one finite float64 array of shape
-    ``(len(texts), dim)``, row i embedding texts[i].
+    ``embed_batch`` returns one finite array of shape ``(len(texts), dim)``
+    and the given ``dtype``, row i embedding texts[i]. The rows in a
+    narrower dtype are the float64 rows cast to it.
     """
 
     name: str
     dim: int
 
-    def embed_batch(self, texts: Sequence[str]) -> np.ndarray: ...
+    def embed_batch(self, texts: Sequence[str], dtype=np.float64) -> np.ndarray: ...
 
 
 class _WordBuckets(dict):
@@ -69,7 +77,10 @@ class LocalHashEmbedder:
     Each lowercase word is hashed (FNV-1a 64) to one of ``dim`` buckets;
     bucket counts are L2-normalized, so identical texts map to identical
     unit vectors. Each word is hashed once per instance: the vocabulary
-    bounds the memo.
+    bounds the memo. A block of texts is counted at once with one
+    ``bincount``; the counts are small integers, so each squared length is
+    an exact sum and a row is bit-identical to dividing that text's counts
+    by their ``np.linalg.norm``.
     """
 
     def __init__(self, dim: int = 64):
@@ -82,27 +93,44 @@ class LocalHashEmbedder:
     def bucket(self, word: str) -> int:
         return self._buckets[word.lower()]
 
-    def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
-        out = np.empty((len(texts), self.dim), dtype=np.float64)
-        buckets = self._buckets
-        for i, text in enumerate(texts):
+    def embed_batch(self, texts: Sequence[str], dtype=np.float64) -> np.ndarray:
+        out = np.empty((len(texts), self.dim), dtype=dtype)
+        for start in range(0, len(texts), EMBED_BLOCK_TEXTS):
+            self._embed_block(texts[start: start + EMBED_BLOCK_TEXTS],
+                              out[start: start + EMBED_BLOCK_TEXTS])
+        return out
+
+    def _embed_block(self, texts: Sequence[str], out: np.ndarray) -> None:
+        """Write the vectors of ``texts`` into ``out``; the block's counts die on return."""
+        rows, dim = out.shape
+        bucket_of = self._buckets.__getitem__
+        buckets: list[int] = []
+        word_counts = []
+        for text in texts:
             words = _WORD_RE.findall(text.lower())
             if not words:
                 raise ZeroVectorError(f"no embeddable words in {text!r}")
-            counts = np.zeros(self.dim, dtype=np.float64)
-            for w in words:
-                counts[buckets[w]] += 1.0
-            counts /= np.linalg.norm(counts)
-            out[i] = counts
-        return out
+            buckets.extend(map(bucket_of, words))
+            word_counts.append(len(words))
+        # each word's cell in the block's flattened (rows, dim) counts; a
+        # one-text block, as a query is, skips building the row offsets
+        cells = buckets
+        if rows > 1:
+            cells = np.repeat(np.arange(0, rows * dim, dim), word_counts)
+            cells += buckets
+        counts = np.bincount(cells, minlength=rows * dim).reshape(rows, dim)
+        norms = np.sqrt(np.vecdot(counts, counts))
+        np.divide(counts, norms[:, None], out=out)
 
 
 class RemoteEmbedder:
     """Client for an HTTP embedding service (POST /embed).
 
-    Requests are split at ``batch_size`` and results concatenated in input
-    order. The declared dimension is learned from the first response; any
-    later drift is an error, since mixed-dimension vectors poison an index.
+    Requests are split at ``batch_size`` and each checked response is
+    written into the output, in input order, as it arrives; the dtype the
+    caller stores changes no request. The declared dimension is learned
+    from the first response; any later drift is an error, since
+    mixed-dimension vectors poison an index.
     A transport failure or 5xx is retried ``EMBED_RETRIES`` times.
     This is where vectors enter the program, so every response is checked
     here once for count, shape and finiteness.
@@ -126,18 +154,20 @@ class RemoteEmbedder:
             timeout_ms=timeout_ms, retries=EMBED_RETRIES, session=session,
         )
 
-    def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
+    def embed_batch(self, texts: Sequence[str], dtype=np.float64) -> np.ndarray:
         texts = list(texts)
         for t in texts:
             if not t or not t.strip():
                 raise ZeroVectorError("cannot embed empty text")
-        chunks = [
-            self._embed_chunk(texts[start: start + self.batch_size])
-            for start in range(0, len(texts), self.batch_size)
-        ]
-        if not chunks:
-            return np.empty((0, self.dim or 0), dtype=np.float64)
-        return np.concatenate(chunks)
+        out = None
+        for start in range(0, len(texts), self.batch_size):
+            vectors = self._embed_chunk(texts[start: start + self.batch_size])
+            if out is None:  # the first response declares the dimension
+                out = np.empty((len(texts), self.dim), dtype=dtype)
+            out[start: start + len(vectors)] = vectors
+        if out is None:
+            return np.empty((0, self.dim or 0), dtype=dtype)
+        return out
 
     def _embed_chunk(self, chunk: list[str]) -> np.ndarray:
         body = self._http.post({"texts": chunk})
@@ -172,7 +202,8 @@ class CachingEmbedder:
     ``batches`` maps a batch's texts, in order, to what ``inner`` returned
     for it, so a cached result is bit-identical to a fresh call even for an
     embedder whose vectors depend on the rest of the batch. A failed call
-    stores nothing. The stored arrays are shared and read-only.
+    stores nothing. The stored arrays are float64, shared and read-only; a
+    narrower ``dtype`` is a cast of them, as the contract makes a fresh call.
     """
 
     def __init__(self, inner: Embedder, batches: dict[tuple[str, ...], np.ndarray]):
@@ -187,14 +218,14 @@ class CachingEmbedder:
     def dim(self) -> int:
         return self.inner.dim
 
-    def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
+    def embed_batch(self, texts: Sequence[str], dtype=np.float64) -> np.ndarray:
         key = tuple(texts)
         vectors = self.batches.get(key)
         if vectors is None:
             vectors = self.inner.embed_batch(texts)
             vectors.flags.writeable = False
             self.batches[key] = vectors
-        return vectors
+        return vectors.astype(dtype, copy=False)
 
 
 def make_embedder(

@@ -33,7 +33,7 @@ import json
 import logging
 import os
 import zlib
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -63,6 +63,9 @@ SCORE_EPS = 1e-9
 # scan: each temporary and the scan's buffer stay cache-sized (128 rows at
 # dim 512) and are reused by the allocator instead of being mapped afresh.
 ROW_BLOCK_BYTES = 512 * 1024
+
+# Bytes of index records that save_index encodes before it writes them.
+SAVE_CHUNK_BYTES = 256 * 1024
 
 
 class IndexKind(str, Enum):
@@ -185,9 +188,16 @@ def _build(
     ordinals: list[int],
     embedder: Embedder,
 ) -> IndexedDataset:
+    """The index whose entry i has these texts and paragraph, keyed by ``key_texts[i]``.
+
+    The keys are embedded in one call straight into float32, the stored
+    precision, so no float64 ``(n, dim)`` matrix is made (the texts go
+    positionally: ``bench/tracer.py`` counts them as ``args[1]``). An entry
+    whose float32 key has no direction is skipped with a warning.
+    """
     if not key_texts:
         raise EmptyIndexError("nothing to index")
-    keys = embedder.embed_batch(key_texts).astype(np.float32)
+    keys = embedder.embed_batch(key_texts, dtype=np.float32)
     norms = _row_norms(keys)
     unusable = _unusable(norms)
     if unusable.any():
@@ -299,12 +309,28 @@ def keys_path(path: str | Path) -> Path:
 _encode_sorted = json.JSONEncoder(sort_keys=True).encode
 
 
+def _index_lines(ds: IndexedDataset, header: dict) -> Iterator[str]:
+    yield _encode_sorted(header)
+    for key_text, payload_id, doc_id, ordinal in zip(ds.key_texts, ds.payload_ids, ds.doc_ids,
+                                                     ds.ordinals):
+        rec = {
+            "key_text": key_text,
+            "payload_text": ds.payloads[payload_id],
+            "doc_id": doc_id,
+            "ordinal": ordinal,
+        }
+        yield _encode_sorted(rec)
+
+
 def save_index(ds: IndexedDataset, path: str | Path) -> None:
     """Write the keys file, then the header, one record per entry and the CRC32 trailer.
 
     The keys go first: a crash between the two writes leaves either no index
     file or an older one whose keys CRC does not match, which ``load_index``
-    reports.
+    reports. The records are encoded and written a chunk at a time, with the
+    body's CRC taken as they go, so the whole body is never held at once; a
+    crash mid-write leaves a file without a valid trailer, which
+    ``load_index`` reports as a ``ChecksumError``.
     """
     keys = np.ascontiguousarray(ds.keys, dtype="<f4")
     with open(keys_path(path), "wb") as f:
@@ -317,21 +343,19 @@ def save_index(ds: IndexedDataset, path: str | Path) -> None:
         "count": len(ds.key_texts),
         "keys_crc32": zlib.crc32(keys) & 0xFFFFFFFF,
     }
-    lines = [_encode_sorted(header)]
-    for key_text, payload_id, doc_id, ordinal in zip(ds.key_texts, ds.payload_ids, ds.doc_ids,
-                                                     ds.ordinals):
-        rec = {
-            "key_text": key_text,
-            "payload_text": ds.payloads[payload_id],
-            "doc_id": doc_id,
-            "ordinal": ordinal,
-        }
-        lines.append(_encode_sorted(rec))
-    body = "".join(line + "\n" for line in lines).encode("utf-8")
-    trailer = json.dumps({"crc32": zlib.crc32(body) & 0xFFFFFFFF}) + "\n"
+    crc = 0
+    chunk = bytearray()
     with open(path, "wb") as f:
-        f.write(body)
-        f.write(trailer.encode("utf-8"))
+        for line in _index_lines(ds, header):
+            chunk += line.encode("utf-8")
+            chunk += b"\n"
+            if len(chunk) >= SAVE_CHUNK_BYTES:
+                crc = zlib.crc32(chunk, crc)
+                f.write(chunk)
+                chunk.clear()
+        crc = zlib.crc32(chunk, crc)
+        f.write(chunk)
+        f.write((json.dumps({"crc32": crc}) + "\n").encode("utf-8"))
 
 
 def _int_at_least(value, low: int) -> bool:
@@ -405,7 +429,7 @@ def load_index(path: str | Path) -> IndexedDataset:
     bad = [name for name, ok in valid.items() if not ok]
     if bad:
         raise PersistenceError(f"{path}: header lacks a valid {', '.join(bad)}")
-    count = raw.count(b"\n", pos, body_end)
+    count = int(np.count_nonzero(np.frombuffer(raw, np.uint8, body_end - pos, pos) == ord("\n")))
     if count != promised:
         raise PersistenceError(f"{path}: header promises {promised} entries, found {count}")
 

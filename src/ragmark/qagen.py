@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import random
 import re
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -107,35 +108,50 @@ def build_qa_dataset(
 ) -> QADataset:
     """Generate questions for every paragraph; the paragraph text is the answer.
 
-    Client failures skip the affected paragraph with a warning; the build
-    fails only when no paragraph survived.
+    ``QUESTION_GEN_WORKERS`` threads each take the next paragraph from one
+    shared queue, so that many requests are in flight at once. Client
+    failures skip the affected paragraph with a warning, in paragraph
+    order; the build fails only when no paragraph survived. Any other
+    exception stops the workers and is raised.
     """
     if not paragraphs:
         raise ValueError("no paragraphs to build from")
     check_question_count(k)
 
-    def task(paragraph: Paragraph):
-        return questions_for(paragraph.text, client, k)
+    outcomes: list = [None] * len(paragraphs)  # each paragraph's questions, or its exception
+    queue = enumerate(paragraphs)
+    lock = threading.Lock()
 
-    results: dict[int, tuple[list[str], bool]] = {}
-    with ThreadPoolExecutor(max_workers=QUESTION_GEN_WORKERS) as pool:
-        futures = {i: pool.submit(task, p) for i, p in enumerate(paragraphs)}
-        for i, fut in futures.items():
+    def work():
+        while True:
+            with lock:
+                i, paragraph = next(queue, (None, None))
+            if paragraph is None:
+                return
             try:
-                results[i] = fut.result()
-            except RagmarkError as exc:
-                log.warning(
-                    "skipping paragraph %s#%d: %s",
-                    paragraphs[i].doc_id, paragraphs[i].ordinal, exc,
-                )
-    if not results:
-        raise RagmarkError("question generation failed for every paragraph")
+                outcomes[i] = questions_for(paragraph.text, client, k)
+            except BaseException as exc:
+                outcomes[i] = exc
+                if not isinstance(exc, RagmarkError):
+                    with lock:
+                        for _ in queue:  # nobody takes another paragraph
+                            pass
+                    return
+
+    with ThreadPoolExecutor(max_workers=QUESTION_GEN_WORKERS) as pool:
+        workers = [pool.submit(work) for _ in range(QUESTION_GEN_WORKERS)]
+    for worker in workers:
+        worker.result()
 
     pairs = []
-    for i, paragraph in enumerate(paragraphs):
-        if i not in results:
+    for paragraph, outcome in zip(paragraphs, outcomes):
+        if isinstance(outcome, RagmarkError):
+            log.warning("skipping paragraph %s#%d: %s", paragraph.doc_id, paragraph.ordinal,
+                        outcome)
             continue
-        questions, synthetic = results[i]
+        if isinstance(outcome, BaseException):
+            raise outcome
+        questions, synthetic = outcome
         for q in questions:
             pairs.append(
                 QAPair(
@@ -145,6 +161,8 @@ def build_qa_dataset(
                     synthetic=synthetic,
                 )
             )
+    if not pairs:
+        raise RagmarkError("question generation failed for every paragraph")
     return QADataset(pairs=pairs)
 
 

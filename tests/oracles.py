@@ -15,9 +15,12 @@ record, instead of columns checked a column at a time, BLEU that counts
 every reference n-gram at every level, a binary search over token prefixes
 instead of a cut at the budget-th token, re-counting the whole joined
 context per packed payload, one ``(score, ref)`` pair per ranked entry and
-a bisect over them instead of two arrays and a vectorised cut, and one
-search, pack, generate and score per sweep cell. Slow is fine; different
-code paths are the point.
+a bisect over them instead of two arrays and a vectorised cut, one
+search, pack, generate and score per sweep cell, a hashed embedding counted
+one word at a time into its own float64 row instead of one ``bincount``
+per block of texts, and an index file encoded as one body before it is
+written instead of streamed in chunks. Slow is fine; different code paths
+are the point.
 """
 
 import base64
@@ -32,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from ragmark.corpus import count_tokens, token_spans
+from ragmark.embed import _WORD_RE, fnv1a64
 from ragmark.errors import (
     ChecksumError,
     DegenerateCloudError,
@@ -290,6 +294,21 @@ def oracle_reduce_dim(vectors, target_dim=2):
     return centered @ components.T
 
 
+def oracle_local_hash_embed(texts, dim):
+    """``LocalHashEmbedder(dim)`` one text at a time: count each word, divide by the norm."""
+    out = np.empty((len(texts), dim), dtype=np.float64)
+    for i, text in enumerate(texts):
+        words = _WORD_RE.findall(text.lower())
+        if not words:
+            raise ZeroVectorError(f"no embeddable words in {text!r}")
+        counts = np.zeros(dim, dtype=np.float64)
+        for w in words:
+            counts[fnv1a64(w.encode("utf-8")) % dim] += 1.0
+        counts /= np.linalg.norm(counts)
+        out[i] = counts
+    return out
+
+
 def oracle_norms(keys):
     """Each row's float64 length, with one norm over the whole matrix."""
     return np.linalg.norm(keys.astype(np.float64), axis=1)
@@ -310,6 +329,28 @@ def oracle_search_gemv(ds, query, threshold):
     scores = oracle_unit_keys(ds.keys) @ (q / np.linalg.norm(q))
     order = np.argsort(-scores, kind="stable")
     return hits_at(Hits(scores[order], order), threshold)
+
+
+def oracle_save_index(ds, path):
+    """Format 2 as one encoded body: the keys file, then every line joined, CRC'd and written."""
+    keys = np.ascontiguousarray(ds.keys, dtype="<f4")
+    keys_path(path).write_bytes(keys.tobytes())
+    header = {
+        "format_version": 2,
+        "kind": ds.kind.value,
+        "embedder_name": ds.embedder_name,
+        "dim": ds.dim,
+        "count": len(ds.key_texts),
+        "keys_crc32": zlib.crc32(keys) & 0xFFFFFFFF,
+    }
+    lines = [json.dumps(header, sort_keys=True)]
+    for e in entries_of(ds):
+        rec = {"key_text": e.key_text, "payload_text": e.payload_text,
+               "doc_id": e.paragraph_ref[0], "ordinal": e.paragraph_ref[1]}
+        lines.append(json.dumps(rec, sort_keys=True))
+    body = "".join(line + "\n" for line in lines).encode("utf-8")
+    trailer = json.dumps({"crc32": zlib.crc32(body) & 0xFFFFFFFF}) + "\n"
+    Path(path).write_bytes(body + trailer.encode("utf-8"))
 
 
 def oracle_save_index_v1(ds, path):

@@ -1,13 +1,16 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import oracle_local_hash_embed
 from oracles import oracle_pair_cosine as cosine
 from ragmark.embed import (
     _WORD_RE,
+    EMBED_BLOCK_TEXTS,
     CachingEmbedder,
     LocalHashEmbedder,
     RemoteEmbedder,
@@ -107,11 +110,7 @@ class TestLocalHashEmbedder:
 
     def test_warm_word_memo_gives_the_hashed_vectors_bit_for_bit(self):
         texts = ["Apple apple APPLE pie", "pie and cream", "Ünïcode wörds, pie too"]
-        expected = np.zeros((len(texts), 64))
-        for i, text in enumerate(texts):
-            for word in _WORD_RE.findall(text.lower()):
-                expected[i, fnv1a64(word.encode("utf-8")) % 64] += 1.0
-            expected[i] /= np.linalg.norm(expected[i])
+        expected = oracle_local_hash_embed(texts, 64)
         emb = LocalHashEmbedder(64)
         assert emb.bucket("PIE") == fnv1a64(b"pie") % 64
         for _ in range(2):  # the second pass reads every bucket from the memo
@@ -122,6 +121,56 @@ class TestLocalHashEmbedder:
         # reference values for the 64-bit FNV-1a parameters
         assert fnv1a64(b"") == 0xCBF29CE484222325
         assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
+
+
+# Repeated words, case variants and Unicode (final sigma, sharp s, dotted
+# capital I, CJK, combining marks) between separators \w+ never matches.
+WORDS = st.sampled_from(["pie", "Pie", "PIE", "apple", "Straße", "STRASSE", "ΣΊΣΥΦΟΣ",
+                         "σίσυφος", "İstanbul", "日本語", "naïve", "nai\u0308ve", "x_1", "42"])
+SEPARATORS = st.sampled_from([" ", ", ", "\n", " -- ", "? ", "\u2028"])
+TEXTS = st.lists(st.tuples(WORDS, SEPARATORS), min_size=1, max_size=12).map(
+    lambda pairs: "".join(w + sep for w, sep in pairs)) | st.text(min_size=1).filter(
+    lambda t: _WORD_RE.search(t.lower()) is not None)
+BATCH_SIZES = st.sampled_from([1, EMBED_BLOCK_TEXTS - 1, EMBED_BLOCK_TEXTS, EMBED_BLOCK_TEXTS + 1])
+
+
+class TestLocalHashEmbedderMatchesOracle:
+    """The block ``bincount`` against one text and one word at a time, bit for bit."""
+
+    @given(
+        dim=st.sampled_from([8, 64, 512, 1000]),
+        pool=st.lists(TEXTS, min_size=1, max_size=20),
+        size=BATCH_SIZES,
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_same_vectors_bit_for_bit(self, dim, pool, size, seed):
+        picks = np.random.default_rng(seed).integers(len(pool), size=size)
+        texts = [pool[i] for i in picks]
+        emb = LocalHashEmbedder(dim)
+        got = emb.embed_batch(texts)
+        expected = oracle_local_hash_embed(texts, dim)
+        assert got.dtype == np.float64 and got.shape == (size, dim)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        narrow = emb.embed_batch(texts, dtype=np.float32)
+        assert narrow.dtype == np.float32
+        assert np.array_equal(narrow.view(np.uint32),
+                              expected.astype(np.float32).view(np.uint32))
+
+    @pytest.mark.parametrize("first", [0, EMBED_BLOCK_TEXTS - 1, EMBED_BLOCK_TEXTS + 3])
+    def test_a_wordless_text_names_the_first_one(self, first):
+        texts = [f"text number {i}" for i in range(2 * EMBED_BLOCK_TEXTS)]
+        texts[first], texts[first + 5] = "?? --", "!!"
+        for dtype in (np.float64, np.float32):
+            with pytest.raises(ZeroVectorError, match=re.escape(repr("?? --"))):
+                LocalHashEmbedder(64).embed_batch(texts, dtype=dtype)
+        with pytest.raises(ZeroVectorError, match=re.escape(repr("?? --"))):
+            oracle_local_hash_embed(texts, 64)
+
+    def test_empty_batch_is_zero_rows(self):
+        for dtype in (np.float64, np.float32):
+            out = LocalHashEmbedder(16).embed_batch([], dtype=dtype)
+            assert out.shape == (0, 16) and out.dtype == dtype
 
 
 class TestMakeEmbedder:
@@ -164,6 +213,16 @@ class TestCachingEmbedder:
         assert np.array_equal(first.view(np.uint64), fresh.view(np.uint64))
         assert np.array_equal(other[::-1], first)
         assert (cached.name, cached.dim) == (inner.name, inner.dim)
+
+    def test_a_narrower_dtype_is_a_cast_of_the_stored_vectors(self):
+        inner = self.Counting()
+        cached = CachingEmbedder(inner, {})
+        wide = cached.embed_batch(["Alpha beta.", "Gamma."])
+        narrow = cached.embed_batch(["Alpha beta.", "Gamma."], dtype=np.float32)
+        assert len(inner.batches) == 1 and narrow.dtype == np.float32
+        fresh = LocalHashEmbedder(dim=16).embed_batch(["Alpha beta.", "Gamma."], dtype=np.float32)
+        assert np.array_equal(narrow.view(np.uint32), fresh.view(np.uint32))
+        assert np.array_equal(narrow, wide.astype(np.float32))
 
     def test_failed_batch_is_not_stored(self):
         inner = self.Counting()
@@ -263,6 +322,51 @@ class TestRemoteEmbedder:
         client = RemoteEmbedder("http://127.0.0.1:1")  # never reached
         with pytest.raises(ZeroVectorError):
             client.embed_batch(["fine", "  "])
+
+
+class TestRemoteEmbedderDtype:
+    """A stored dtype changes what the client writes into, never what it asks for."""
+
+    @staticmethod
+    def _client(stub_session, calls, dims=None, counts=None, batch_size=4):
+        """Vectors of ``1 / (i + 1)`` for text ``t<i>``; ``dims`` and ``counts`` script replies."""
+        def app(path, payload):
+            calls.append(list(payload["texts"]))
+            n = len(calls) - 1
+            dim = dims[n] if dims else 3
+            texts = payload["texts"][:counts[n]] if counts else payload["texts"]
+            vectors = [[1.0 / (int(t[1:]) + 1)] * dim for t in texts]
+            return 200, {"vectors": vectors, "dim": dim, "model": "m"}
+
+        return RemoteEmbedder("http://stub", batch_size=batch_size, session=stub_session(app))
+
+    def test_same_requests_and_cast_rows_at_float32(self, stub_session):
+        texts = [f"t{i}" for i in range(10)]
+        wide_calls, narrow_calls = [], []
+        wide = self._client(stub_session, wide_calls).embed_batch(texts)
+        narrow = self._client(stub_session, narrow_calls).embed_batch(texts, dtype=np.float32)
+        assert wide_calls == narrow_calls == [texts[0:4], texts[4:8], texts[8:10]]
+        assert wide.dtype == np.float64 and narrow.dtype == np.float32
+        assert np.array_equal(narrow.view(np.uint32), wide.astype(np.float32).view(np.uint32))
+
+    def test_dimension_drift_mid_batch_still_raised(self, stub_session):
+        calls = []
+        client = self._client(stub_session, calls, dims=[3, 3, 5])
+        with pytest.raises(EmbedderChangedError):
+            client.embed_batch([f"t{i}" for i in range(10)], dtype=np.float32)
+        assert len(calls) == 3
+
+    def test_wrong_count_mid_batch_still_raised(self, stub_session):
+        calls = []
+        client = self._client(stub_session, calls, counts=[4, 3])
+        with pytest.raises(BadResponseError, match="asked for 4 vectors, got 3"):
+            client.embed_batch([f"t{i}" for i in range(10)], dtype=np.float32)
+        assert len(calls) == 2
+
+    def test_no_texts_no_request(self, stub_session):
+        calls = []
+        out = self._client(stub_session, calls).embed_batch([], dtype=np.float32)
+        assert calls == [] and out.shape == (0, 0) and out.dtype == np.float32
 
 
 class TestRemoteEmbedderBadVectors:

@@ -10,6 +10,7 @@ import tempfile
 import tracemalloc
 import zlib
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,16 +26,19 @@ from oracles import (
     oracle_load_index_v1,
     oracle_save_index_v1,
     oracle_norms,
+    oracle_save_index,
     oracle_search,
     oracle_search_gemv,
     oracle_search_loop,
 )
 from ragmark.corpus import Sentence
-from ragmark.embed import LocalHashEmbedder
+from ragmark import index as index_module
+from ragmark.embed import EMBED_BLOCK_TEXTS, LocalHashEmbedder
 from ragmark.errors import ChecksumError, DimMismatchError, EmptyIndexError, PersistenceError
 from ragmark.index import (
     FORMAT_VERSION,
     ROW_BLOCK_BYTES,
+    SAVE_CHUNK_BYTES,
     SCORE_EPS,
     Hits,
     IndexKind,
@@ -225,13 +229,29 @@ class TestBuild:
         assert len(hits) == n
         assert peak < block + hits.scores.nbytes + hits.refs.nbytes + 2**20
 
+    def test_build_peak_memory_is_the_float32_keys_and_one_embed_block(self):
+        # the keys are embedded straight into float32: no float64 (n, dim) matrix
+        n, dim = 2000, 512
+        sents = [Sentence("d", i // 10, i % 10, f"sentence {i} about thing{i % 97} and more", 6)
+                 for i in range(n)]
+        embedder = LocalHashEmbedder(dim)
+        tracemalloc.start()
+        try:
+            ds = build_sentence_index(sents, embedder)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.keys.dtype == np.float32 and ds.keys.shape == (n, dim)
+        assert peak < ds.keys.nbytes + EMBED_BLOCK_TEXTS * dim * 8 + 2**20
+
     def test_zero_vector_entries_skipped(self):
         class SometimesZero:
             name = "stub"
             dim = 2
 
-            def embed_batch(self, texts):
-                return np.array([[0.0, 0.0] if "ghost" in t else [1.0, 0.0] for t in texts])
+            def embed_batch(self, texts, dtype=np.float64):
+                return np.array([[0.0, 0.0] if "ghost" in t else [1.0, 0.0] for t in texts],
+                                dtype=dtype)
 
         sents = [
             Sentence("d", 0, 0, "normal text here", 3),
@@ -246,8 +266,9 @@ class TestBuild:
             name = "stub"
             dim = 2
 
-            def embed_batch(self, texts):
-                return np.array([[1e-50, 0.0] if "tiny" in t else [0.0, 1.0] for t in texts])
+            def embed_batch(self, texts, dtype=np.float64):
+                return np.array([[1e-50, 0.0] if "tiny" in t else [0.0, 1.0] for t in texts],
+                                dtype=dtype)
 
         sents = [Sentence("d", 0, i, text, 2) for i, text in enumerate(["tiny one", "big one"])]
         ds = build_sentence_index(sents, Underflow())
@@ -817,6 +838,46 @@ class TestPersistence:
         assert np.array_equal(got.keys.view(np.uint32), want.keys.view(np.uint32))
         assert np.array_equal(got.norms.view(np.uint64), want.norms.view(np.uint64))
         assert np.array_equal(got.norms.view(np.uint64), oracle_norms(got.keys).view(np.uint64))
+
+    @given(
+        rows=st.lists(st.tuples(TEXTS, TEXTS, st.text(max_size=6), st.integers(-2**40, 2**40)),
+                      max_size=12),
+        kind=st.sampled_from(list(IndexKind)),
+        chunk=st.integers(1, 200),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_streamed_save_writes_the_one_body_oracle_bytes(self, rows, kind, chunk, seed):
+        keys = np.random.default_rng(seed).standard_normal((len(rows), 3)).astype(np.float32)
+        entries = [IndexEntry(k, p, (d, o)) for k, p, d, o in rows]
+        ds = dataset_of(kind, entries, "hypothesis\nembedder", keys)
+        with tempfile.TemporaryDirectory() as tmp:
+            new, old = Path(tmp) / "new.jsonl", Path(tmp) / "old.jsonl"
+            with mock.patch.object(index_module, "SAVE_CHUNK_BYTES", chunk):
+                save_index(ds, new)
+            oracle_save_index(ds, old)
+            assert new.read_bytes() == old.read_bytes()
+            assert keys_path(new).read_bytes() == keys_path(old).read_bytes()
+
+    def test_save_peak_memory_is_a_few_chunks_not_the_file(self, tmp_path):
+        # 20 paragraphs of about 1,000 characters shared by 5,000 question keys: a
+        # 5.8 MB file, written a chunk at a time
+        n, dim = 5000, 8
+        paragraphs = [f"paragraph {j} " + "words of the paragraph " * 45 for j in range(20)]
+        entries = [IndexEntry(f"What does paragraph {i % 20} say about thing {i}?",
+                              paragraphs[i % 20], ("doc", i % 20)) for i in range(n)]
+        ds = dataset_of(IndexKind.QUESTIONS, entries, "rand",
+                        np.random.default_rng(7).standard_normal((n, dim)).astype(np.float32))
+        path = tmp_path / "big.jsonl"
+        tracemalloc.start()
+        try:
+            save_index(ds, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = 2 * SAVE_CHUNK_BYTES
+        assert path.stat().st_size > 8 * bound
+        assert peak < bound
 
     def test_save_peak_memory_stays_under_one_and_a_half_times_the_bytes_written(self, tmp_path):
         n, dim = 10_000, 512

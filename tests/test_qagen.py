@@ -1,4 +1,9 @@
 import json
+import logging
+import random
+import sys
+import threading
+import time
 
 import pytest
 
@@ -6,6 +11,7 @@ from ragmark.corpus import Paragraph
 from ragmark.errors import ConfigError, NoEligiblePairsError, TransportError
 from ragmark.qagen import (
     FALLBACK_QUESTION,
+    QUESTION_GEN_WORKERS,
     HttpQuestionGenClient,
     MockQuestionGenClient,
     QADataset,
@@ -117,6 +123,77 @@ class TestBuildDataset:
         )
         questions = [p.question for p in ds.pairs]
         assert len(questions) == len(set(q.lower().rstrip("? ") for q in questions))
+
+
+class TestBuildWorkers:
+    """``QUESTION_GEN_WORKERS`` threads share one queue of paragraphs."""
+
+    def test_that_many_requests_in_flight_at_once(self):
+        barrier = threading.Barrier(QUESTION_GEN_WORKERS, timeout=10)
+
+        class Gathering:
+            def generate(self, text, k):
+                barrier.wait()  # breaks unless every worker holds a request
+                return [f"{text}?"]
+
+        paragraphs = [para(i, f"text {i}") for i in range(3 * QUESTION_GEN_WORKERS)]
+        ds = build_qa_dataset(paragraphs, Gathering())
+        assert [p.question for p in ds.pairs] == [f"text {i}?" for i in range(len(paragraphs))]
+
+    def test_each_paragraph_taken_once_under_rapid_thread_switches(self):
+        calls = []  # list.append is atomic: a paragraph taken twice shows up twice
+
+        class Recording:
+            def generate(self, text, k):
+                calls.append(text)
+                return [f"{text}?"]
+
+        paragraphs = [para(i, f"text {i}") for i in range(3000)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ds = build_qa_dataset(paragraphs, Recording())
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(calls) == sorted(p.text for p in paragraphs)
+        assert [p.question for p in ds.pairs] == [f"text {i}?" for i in range(3000)]
+
+    def test_pairs_and_skip_warnings_in_paragraph_order(self, caplog):
+        class Jittery:
+            def generate(self, text, k):
+                time.sleep(random.random() / 500)  # finish out of order
+                if int(text.split()[1]) % 3 == 1:
+                    raise TransportError(f"down for {text}")
+                return [f"{text}?"]
+
+        paragraphs = [para(i, f"text {i}") for i in range(40)]
+        with caplog.at_level(logging.WARNING, logger="ragmark.qagen"):
+            ds = build_qa_dataset(paragraphs, Jittery())
+        kept = [i for i in range(40) if i % 3 != 1]
+        assert [p.paragraph_ref for p in ds.pairs] == [("doc", i) for i in kept]
+        skipped = [r.getMessage() for r in caplog.records]
+        assert skipped == [f"skipping paragraph doc#{i}: down for text {i}"
+                           for i in range(40) if i % 3 == 1]
+
+    def test_another_exception_stops_the_queue_and_is_raised(self, caplog):
+        calls = []
+
+        class Broken:
+            def generate(self, text, k):
+                calls.append(text)
+                time.sleep(0.001)
+                if text == "text 1":
+                    raise TransportError("down")
+                if text == "text 5":
+                    raise KeyError("a bug")
+                return [f"{text}?"]
+
+        paragraphs = [para(i, f"text {i}") for i in range(200)]
+        with caplog.at_level(logging.WARNING, logger="ragmark.qagen"):
+            with pytest.raises(KeyError, match="a bug"):
+                build_qa_dataset(paragraphs, Broken())
+        assert len(calls) < 50
+        assert [r.getMessage() for r in caplog.records] == ["skipping paragraph doc#1: down"]
 
 
 class TestSplitTrainValidation:
