@@ -357,7 +357,7 @@ def _cmd_sweep(args) -> int:
         return 0
 
     testset = read_test_set_jsonl(cfg["exp.testset"])
-    require_context_room(exp, testset)
+    require_context_room(exp, testset, cfg["exp.testset"])
     out = Path(cfg["exp.output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     manifest: dict = {"baseline": "scores_baseline.jsonl", "sweeps": {}}

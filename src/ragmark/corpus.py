@@ -3,8 +3,9 @@
 Raw documents are split into token-budgeted paragraphs and word-count
 filtered sentences. Every token budget in ragmark (paragraphs, test-set
 clusters, the model input) is counted by ``count_tokens``: words plus
-standalone punctuation marks. No token spans a newline, so counts add over
-newline joins, which context packing's running total relies on.
+standalone punctuation marks. No token spans whitespace, so counts add over
+newline and space joins: context packing's running total relies on the
+first, and paragraph re-packing's on the second.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ REJECT_LATEX = "latex_detected"
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 _BLANK_LINE_RE = re.compile(r"\n\s*\n")
 _WS_RE = re.compile(r"\s+")
-_TERMINATORS = ".!?"
+# A run of terminators, the whitespace after it and, unconsumed, the next character.
+_BOUNDARY_RE = re.compile(r"([.!?]+)\s+(?=\S)")
 
 
 # ---------------------------------------------------------------------------
@@ -178,34 +180,21 @@ def split_sentences(text: str) -> list[str]:
 def iter_sentences(text: str) -> Iterator[str]:
     """Rule-based sentence boundary detection, one sentence at a time.
 
-    A sentence ends at '.', '!' or '?' followed by whitespace and an upper
-    case letter or digit. A period directly after a known abbreviation does
-    not end a sentence. Joining the sentences with single spaces recovers
-    the input up to whitespace. Scanning stops where the caller stops
-    taking sentences.
+    A sentence ends at a run of '.', '!' or '?' followed by whitespace and an
+    upper case letter or digit. A lone period directly after a known
+    abbreviation does not end a sentence. Joining the sentences with single
+    spaces recovers the input up to whitespace. Scanning stops where the
+    caller stops taking sentences.
     """
-    n = len(text)
     start = 0
-    i = 0
-    while i < n:
-        if text[i] not in _TERMINATORS:
-            i += 1
+    for m in _BOUNDARY_RE.finditer(text):
+        after = text[m.end()]
+        if not (after.isupper() or after.isdigit()):
             continue
-        j = i
-        while j + 1 < n and text[j + 1] in _TERMINATORS:
-            j += 1
-        k = j + 1
-        if k < n and text[k].isspace():
-            m = k
-            while m < n and text[m].isspace():
-                m += 1
-            if m < n and (text[m].isupper() or text[m].isdigit()):
-                if not (text[i] == "." and i == j and _is_abbreviation(text, i)):
-                    piece = text[start: j + 1].strip()
-                    if piece:
-                        yield piece
-                    start = m
-        i = j + 1
+        if m.group(1) == "." and _is_abbreviation(text, m.start()):
+            continue
+        yield text[start:m.end(1)].strip()
+        start = m.end()
     tail = text[start:].strip()
     if tail:
         yield tail
@@ -275,50 +264,44 @@ def split_paragraphs(doc: Document, budget: int = PARAGRAPH_TOKEN_BUDGET) -> lis
     if not body:
         raise EmptyDocumentError(f"document {doc.id!r} has an empty body")
 
-    chunks: list[str] = []
+    chunks: list[tuple[str, int]] = []
     for natural in _BLANK_LINE_RE.split(body):
         text = normalize_ws(natural)
         if not text:
             continue
-        if count_tokens(text) <= budget:
-            chunks.append(text)
+        count = count_tokens(text)
+        if count <= budget:
+            chunks.append((text, count))
         else:
             chunks.extend(_split_oversize(text, budget))
 
     return [
-        Paragraph(doc_id=doc.id, ordinal=i, text=text, token_count=count_tokens(text))
-        for i, text in enumerate(chunks)
+        Paragraph(doc_id=doc.id, ordinal=i, text=text, token_count=count)
+        for i, (text, count) in enumerate(chunks)
     ]
 
 
-def _split_oversize(text: str, budget: int) -> list[str]:
-    chunks: list[str] = []
+def _split_oversize(text: str, budget: int) -> list[tuple[str, int]]:
+    """Sentences packed into (chunk, token count) pairs by a running total;
+    a sentence over ``budget`` is cut after every ``budget``-th token."""
+    chunks: list[tuple[str, int]] = []
     current: list[str] = []
-
-    def flush():
-        if current:
-            chunks.append(" ".join(current))
-            current.clear()
-
-    for sentence in split_sentences(text):
-        if count_tokens(sentence) > budget:
-            flush()
-            chunks.extend(_hard_split(sentence, budget))
+    total = 0
+    for sentence in iter_sentences(text):
+        spans = token_spans(sentence)
+        if current and total + len(spans) > budget:
+            chunks.append((" ".join(current), total))
+            current, total = [], 0
+        if len(spans) <= budget:
+            current.append(sentence)
+            total += len(spans)
             continue
-        if current and count_tokens(" ".join(current + [sentence])) > budget:
-            flush()
-        current.append(sentence)
-    flush()
+        for lo in range(0, len(spans), budget):
+            piece = spans[lo:lo + budget]
+            chunks.append((sentence[piece[0][0]:piece[-1][1]], len(piece)))
+    if current:
+        chunks.append((" ".join(current), total))
     return chunks
-
-
-def _hard_split(text: str, budget: int) -> list[str]:
-    pieces = []
-    rest = text
-    while rest:  # rest starts on a token and budget >= 1, so every cut takes one
-        prefix, rest = truncate_to_token_budget(rest, budget)
-        pieces.append(prefix)
-    return pieces
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ import json
 import logging
 import math
 import string
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from xml.sax.saxutils import escape
 
@@ -27,6 +28,7 @@ from .errors import ConfigError, RagmarkError, RunAbortedError
 from .generate import GenerationClient
 from .index import IndexedDataset, IndexKind, load_index
 from .metrics import METRIC_NAMES, ScoreRow, score_row
+from .qagen import QAPair
 from .retrieve import (
     DEFAULT_TEMPLATE,
     Budgets,
@@ -124,13 +126,16 @@ class ExperimentConfig:
         return self.index_questions_path
 
 
-def require_context_room(cfg: ExperimentConfig, testset: TestSet) -> None:
-    """Reject a sweep in which no test question leaves a token for context.
+def require_context_room(cfg: ExperimentConfig, testset: TestSet, source: str) -> None:
+    """Reject a sweep over no test question, or in which none leaves a token for context.
 
-    Every RAG row of such a question would silently equal its baseline row.
+    An arm with no rows has no mean, and every RAG row of a question with no
+    room would silently equal its baseline row. ``source`` names the test set.
     """
     questions = [pair.question for pair in testset.pairs]
-    if questions and max(context_room(q, cfg.budgets, cfg.template) for q in questions) < 1:
+    if not questions:
+        raise ConfigError(f"test set {source} has no question-answer pairs")
+    if max(context_room(q, cfg.budgets, cfg.template) for q in questions) < 1:
         raise ConfigError(
             f"no room for context: rag.model_max_input ({cfg.budgets.model_max_input}) minus "
             f"rag.answer_reserve ({cfg.budgets.answer_reserve}) leaves no tokens after the "
@@ -167,7 +172,7 @@ class SweepMemo:
 
     def __init__(self):
         self.texts: dict[str, str] = {}
-        self.scores: dict[tuple[str, str], tuple[float, float, float, float]] = {}
+        self.scores: dict[tuple[str, str], ScoreRow] = {}
         self.batches: dict[tuple[str, ...], np.ndarray] = {}
 
     def row(self, qid: str, prompt: str, reference: str, gen_client: GenerationClient,
@@ -177,12 +182,45 @@ class SweepMemo:
         if generated is None:
             generated = gen_client.generate(generation_request(prompt, budgets))
             self.texts[prompt] = generated
-        scores = self.scores.get((generated, reference))
-        if scores is not None:
-            return ScoreRow(qid, *scores)
-        row = score_row(qid, generated, reference, CachingEmbedder(embedder, self.batches))
-        self.scores[(generated, reference)] = (row.rouge, row.meteor, row.bleu, row.cs)
-        return row
+        row = self.scores.get((generated, reference))
+        if row is None:
+            row = score_row(qid, generated, reference, CachingEmbedder(embedder, self.batches))
+            self.scores[(generated, reference)] = row
+        return replace(row, question_id=qid)
+
+
+def _score_cells(cfg: ExperimentConfig, testset: TestSet, keys: list,
+                 prompts: Callable[[QAPair], list[str]], memo: SweepMemo,
+                 gen_client: GenerationClient, embedder: Embedder) -> dict:
+    """Rows by key, where ``prompts(pair)`` gives a pair's prompt at each key, in order.
+
+    The keys are [None] for the baseline and the thresholds for a sweep arm;
+    zero rows follow ``run_sweep``'s rules, with key for threshold.
+    """
+    results: dict = {key: [] for key in keys}
+    failures = dict.fromkeys(keys, 0)
+
+    def zero_row(qid: str, key, exc: RagmarkError) -> None:
+        cell = qid if key is None else f"{qid} @ {key:.1f}"
+        log.warning("%s: %s; zero row", cell, exc)
+        failures[key] += 1
+        _check_failures(failures[key], len(testset.pairs), cfg.failure_budget)
+        results[key].append(ScoreRow(qid, 0.0, 0.0, 0.0, 0.0))
+
+    for qid, pair in zip(_question_ids(testset), testset.pairs):
+        try:
+            cells = prompts(pair)
+        except RagmarkError as exc:
+            for key in keys:
+                zero_row(qid, key, exc)
+            continue
+        for key, prompt in zip(keys, cells):
+            try:
+                results[key].append(memo.row(qid, prompt, pair.answer_text, gen_client,
+                                             embedder, cfg.budgets))
+            except RagmarkError as exc:
+                zero_row(qid, key, exc)
+    return results
 
 
 def run_baseline(
@@ -197,22 +235,10 @@ def run_baseline(
 
     Without ``memo``, a fresh one is used; the rows are the same either way.
     """
-    if memo is None:
-        memo = SweepMemo()
-    rows: list[ScoreRow] = []
-    failures = 0
-    ids = _question_ids(testset)
-    for qid, pair in zip(ids, testset.pairs):
-        prompt = render_prompt(pair.question, "", cfg.template)
-        try:
-            rows.append(memo.row(qid, prompt, pair.answer_text, gen_client, embedder,
-                                 cfg.budgets))
-        except RagmarkError as exc:
-            log.warning("%s: %s; zero row", qid, exc)
-            failures += 1
-            _check_failures(failures, len(testset.pairs), cfg.failure_budget)
-            rows.append(ScoreRow(qid, 0.0, 0.0, 0.0, 0.0))
-    return rows
+    return _score_cells(
+        cfg, testset, [None], lambda pair: [render_prompt(pair.question, "", cfg.template)],
+        memo or SweepMemo(), gen_client, embedder,
+    )[None]
 
 
 def run_sweep(
@@ -236,8 +262,6 @@ def run_sweep(
     row counts against its own threshold's failure budget. Without
     ``index``, the configured index of ``ds_kind`` is loaded.
     """
-    if memo is None:
-        memo = SweepMemo()
     if index is None:
         path = cfg.index_path(ds_kind)
         if not path:
@@ -247,32 +271,13 @@ def run_sweep(
         raise ConfigError(
             f"index is {index.kind.value}-keyed but the sweep asked for {ds_kind.value}"
         )
-    results: dict[float, list[ScoreRow]] = {t: [] for t in cfg.thresholds}
-    failures = dict.fromkeys(cfg.thresholds, 0)
 
-    def zero_row(qid: str, threshold: float, exc: RagmarkError) -> None:
-        log.warning("%s @ %.1f: %s; zero row", qid, threshold, exc)
-        failures[threshold] += 1
-        _check_failures(failures[threshold], len(testset.pairs), cfg.failure_budget)
-        results[threshold].append(ScoreRow(qid, 0.0, 0.0, 0.0, 0.0))
+    def prompts(pair: QAPair) -> list[str]:
+        return [cell.prompt for cell in retrieve_at(pair.question, index, cfg.thresholds,
+                                                    embedder, cfg.budgets, template=cfg.template)]
 
-    for qid, pair in zip(_question_ids(testset), testset.pairs):
-        try:
-            cells = retrieve_at(pair.question, index, cfg.thresholds, embedder, cfg.budgets,
-                                template=cfg.template)
-        except RagmarkError as exc:
-            for threshold in cfg.thresholds:
-                zero_row(qid, threshold, exc)
-            continue
-        for cell in cells:
-            try:
-                row = memo.row(qid, cell.prompt, pair.answer_text, gen_client, embedder,
-                               cfg.budgets)
-            except RagmarkError as exc:
-                zero_row(qid, cell.threshold, exc)
-                continue
-            results[cell.threshold].append(row)
-    return results
+    return _score_cells(cfg, testset, cfg.thresholds, prompts, memo or SweepMemo(), gen_client,
+                        embedder)
 
 
 # ---------------------------------------------------------------------------

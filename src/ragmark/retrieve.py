@@ -99,7 +99,7 @@ def pack_context(hits: Hits, ds: IndexedDataset, budget: int) -> PackedContext:
             payload, _ = truncate_to_token_budget(payload, budget - used)
             if not payload:
                 break
-            count = count_tokens(payload)
+            count = budget - used  # the cut holds exactly that many tokens
         if payload or parts:  # empty payloads ahead of all text leave no separator
             parts.append(payload)
         used += count

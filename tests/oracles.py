@@ -18,9 +18,12 @@ context per packed payload, one ``(score, ref)`` pair per ranked entry and
 a bisect over them instead of two arrays and a vectorised cut, one
 search, pack, generate and score per sweep cell, a hashed embedding counted
 one word at a time into its own float64 row instead of one ``bincount``
-per block of texts, and an index file encoded as one body before it is
-written instead of streamed in chunks. Slow is fine; different code paths
-are the point.
+per block of texts, an index file encoded as one body before it is
+written instead of streamed in chunks, a sentence scanner that walks the
+text one character at a time instead of one boundary pattern, and paragraph
+splitting that re-counts every joined chunk and re-scans the rest of an
+over-budget sentence for every piece instead of carrying counts forward.
+Slow is fine; different code paths are the point.
 """
 
 import base64
@@ -34,12 +37,22 @@ from pathlib import Path
 
 import numpy as np
 
-from ragmark.corpus import count_tokens, token_spans
+from ragmark.corpus import (
+    _BLANK_LINE_RE,
+    Paragraph,
+    _is_abbreviation,
+    check_paragraph_budget,
+    count_tokens,
+    normalize_ws,
+    token_spans,
+    truncate_to_token_budget,
+)
 from ragmark.embed import _WORD_RE, fnv1a64
 from ragmark.errors import (
     ChecksumError,
     DegenerateCloudError,
     DimMismatchError,
+    EmptyDocumentError,
     PersistenceError,
     RagmarkError,
     ZeroVectorError,
@@ -450,6 +463,86 @@ def streaming_means(values):
     for i, v in enumerate(values, 1):
         mean += (v - mean) / i
     return mean
+
+
+def oracle_iter_sentences(text):
+    """Sentence boundaries found by walking ``text`` one character at a time."""
+    n = len(text)
+    start = 0
+    i = 0
+    while i < n:
+        if text[i] not in ".!?":
+            i += 1
+            continue
+        j = i
+        while j + 1 < n and text[j + 1] in ".!?":
+            j += 1
+        k = j + 1
+        if k < n and text[k].isspace():
+            m = k
+            while m < n and text[m].isspace():
+                m += 1
+            if m < n and (text[m].isupper() or text[m].isdigit()):
+                if not (text[i] == "." and i == j and _is_abbreviation(text, i)):
+                    piece = text[start: j + 1].strip()
+                    if piece:
+                        yield piece
+                    start = m
+        i = j + 1
+    tail = text[start:].strip()
+    if tail:
+        yield tail
+
+
+def oracle_split_paragraphs(doc, budget):
+    """Paragraph chunks that re-count each chunk once it is built."""
+    check_paragraph_budget(budget)
+    body = doc.body.strip()
+    if not body:
+        raise EmptyDocumentError(f"document {doc.id!r} has an empty body")
+    chunks = []
+    for natural in _BLANK_LINE_RE.split(body):
+        text = normalize_ws(natural)
+        if not text:
+            continue
+        if count_tokens(text) <= budget:
+            chunks.append(text)
+        else:
+            chunks.extend(_oracle_split_oversize(text, budget))
+    return [Paragraph(doc_id=doc.id, ordinal=i, text=text, token_count=count_tokens(text))
+            for i, text in enumerate(chunks)]
+
+
+def _oracle_split_oversize(text, budget):
+    """Sentences packed by re-counting the joined chunk for every sentence."""
+    chunks = []
+    current = []
+
+    def flush():
+        if current:
+            chunks.append(" ".join(current))
+            current.clear()
+
+    for sentence in oracle_iter_sentences(text):
+        if count_tokens(sentence) > budget:
+            flush()
+            chunks.extend(_oracle_hard_split(sentence, budget))
+            continue
+        if current and count_tokens(" ".join(current + [sentence])) > budget:
+            flush()
+        current.append(sentence)
+    flush()
+    return chunks
+
+
+def _oracle_hard_split(text, budget):
+    """Budget-sized pieces, each cut from a fresh scan of the rest of ``text``."""
+    pieces = []
+    rest = text
+    while rest:  # rest starts on a token and budget >= 1, so every cut takes one
+        prefix, rest = truncate_to_token_budget(rest, budget)
+        pieces.append(prefix)
+    return pieces
 
 
 def oracle_truncate_to_token_budget(text, budget):

@@ -352,6 +352,16 @@ class TestSettingsChecked:
             assert "rag.model_max_input (272) minus rag.answer_reserve (256)" in err
             assert "the shortest question has 24 tokens" in err
 
+    @pytest.mark.parametrize("content", ['{"params": {}}\n', ""], ids=["header-only", "empty"])
+    def test_sweep_over_test_set_with_no_pairs(self, topic_index, tmp_path, capsys, content):
+        testset = tmp_path / "ts.jsonl"
+        testset.write_text(content)
+        before = snapshot(tmp_path)
+        assert run("sweep", "--testset", str(testset), "--index-sentences", str(topic_index),
+                   "--output-dir", str(tmp_path / "out"), "--embedder", f"local:{EMBED_DIM}") == 1
+        assert snapshot(tmp_path) == before
+        assert f"test set {testset} has no question-answer pairs" in capsys.readouterr().err
+
     def test_template_with_escaped_braces_and_conversion_runs(self, topic_index, tmp_path,
                                                               capsys):
         tpl = tmp_path / "tpl.txt"

@@ -1,10 +1,13 @@
 import json
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ragmark.corpus import (
+    ABBREVIATIONS,
     REJECT_LATEX,
     REJECT_MALFORMED,
     REJECT_NO_ABSTRACT,
@@ -16,6 +19,7 @@ from ragmark.corpus import (
     extract_sentences,
     filter_cord19,
     filter_sentences,
+    iter_sentences,
     normalize_ws,
     read_paragraphs_jsonl,
     read_sentences_jsonl,
@@ -27,7 +31,7 @@ from ragmark.corpus import (
     write_paragraphs_jsonl,
     write_sentences_jsonl,
 )
-from oracles import oracle_truncate_to_token_budget
+from oracles import oracle_iter_sentences, oracle_split_paragraphs, oracle_truncate_to_token_budget
 from ragmark.errors import EmptyDocumentError
 
 
@@ -136,6 +140,42 @@ class TestSplitSentences:
         assert normalize_ws(" ".join(split_sentences(joined))) == normalize_ws(joined)
 
 
+EVERY_CODE_POINT = "".join(map(chr, range(sys.maxunicode + 1)))
+WHITESPACE = [ch for ch in EVERY_CODE_POINT if ch.isspace()]
+ABBREVIATION_WORDS = sorted(ABBREVIATIONS | {w.capitalize() for w in ABBREVIATIONS})
+
+# Texts dense in sentence-boundary decisions: every whitespace code point,
+# terminator runs, upper case that is not ASCII, titlecase (not upper), digits
+# that are not ASCII, abbreviations behind opening marks, and dotted words.
+boundary_texts = st.lists(
+    st.one_of(
+        st.sampled_from(WHITESPACE),
+        st.text(alphabet=".!?", min_size=1, max_size=4),
+        st.sampled_from(["A", "a", "7", "\u00c9", "\u216b", "\u01c5", "\u0663", "x.y", "3.5",
+                         ",", "word"]),
+        st.builds(str.__add__, st.sampled_from(["", "(", '"', "'", "(\""]),
+                  st.sampled_from(ABBREVIATION_WORDS)),
+    ),
+    max_size=40,
+).map("".join)
+
+
+class TestSentenceBoundaryOracle:
+    def test_regex_whitespace_is_str_isspace(self):
+        # the boundary pattern's \s must agree with the old scanner's isspace()
+        assert re.findall(r"\s", EVERY_CODE_POINT) == WHITESPACE
+
+    @given(st.one_of(boundary_texts, st.text()))
+    @settings(max_examples=1000)
+    def test_same_sentences_as_character_scanner(self, text):
+        assert split_sentences(text) == list(oracle_iter_sentences(text))
+
+    @given(boundary_texts)
+    @settings(max_examples=300)
+    def test_first_sentence_taken_lazily(self, text):
+        assert next(iter_sentences(text), None) == next(oracle_iter_sentences(text), None)
+
+
 class TestFilterSentences:
     def _sentence(self, n_words):
         return Sentence("d", 0, 0, " ".join(["w"] * n_words), n_words)
@@ -167,6 +207,12 @@ class TestTokenCounter:
     @settings(max_examples=100)
     def test_subadditive_under_space_join(self, a, b):
         assert count_tokens(a + " " + b) <= count_tokens(a) + count_tokens(b) + 1
+
+    @given(st.text(), st.text())
+    @settings(max_examples=300)
+    def test_additive_under_space_join(self, a, b):
+        # paragraph re-packing's running total relies on this
+        assert count_tokens(a + " " + b) == count_tokens(a) + count_tokens(b)
 
     @given(st.text(), st.text())
     @settings(max_examples=300)
@@ -233,6 +279,28 @@ class TestSplitParagraphs:
     def test_budget_under_minimum_rejected(self):
         with pytest.raises(ValueError):
             split_paragraphs(Document("d", "", "text"), budget=8)
+
+
+# Bodies with over-budget natural paragraphs and over-budget sentences.
+_SENTENCE = st.lists(
+    st.sampled_from(["alpha", "Beta", "e.g.", "Dr.", "x,", "3.5", "(note)", "\u00c9t\u00e9", "42"]),
+    min_size=1, max_size=45,
+).map(" ".join).flatmap(
+    lambda words: st.sampled_from([".", "?!", "", "..."]).map(lambda end: words + end))
+_PARAGRAPH = st.lists(_SENTENCE, min_size=1, max_size=6).flatmap(
+    lambda sentences: st.sampled_from([" ", "\n", "\u00a0", "  \t"]).map(
+        lambda sep: sep.join(s[0].upper() + s[1:] for s in sentences)))
+_BODY = st.lists(_PARAGRAPH, min_size=1, max_size=4).map("\n\n".join)
+
+
+class TestSplitParagraphsOracle:
+    @given(_BODY, st.integers(16, 40))
+    @settings(max_examples=300)
+    def test_same_paragraphs_as_recounting_split(self, body, budget):
+        doc = Document("d", "", body)
+        paras = split_paragraphs(doc, budget)
+        assert paras == oracle_split_paragraphs(doc, budget)
+        assert all(p.token_count == count_tokens(p.text) <= budget for p in paras)
 
 
 class TestExtractAndPersist:

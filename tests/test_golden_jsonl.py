@@ -3,9 +3,9 @@
 One sorted-key JSON object per line, ASCII-escaped, newline-terminated.
 Optional fields (``synthetic``) appear only when set, and the test set
 starts with its ``params`` header. The report files of a fixed table, the
-two files of a sentence and a question index of the topic fixture, and what
-``ask`` prints over those two indexes are compared with the copies under
-``golden/``.
+two files of a sentence and a question index of the topic fixture, what
+``ask`` prints over those two indexes, and what ``ingest`` splits one
+hand-made document into are compared with the copies under ``golden/``.
 """
 
 import contextlib
@@ -191,3 +191,45 @@ def ask_output(name, tmp_path):
 def test_ask_output(tmp_path, monkeypatch, name):
     monkeypatch.delenv("RAGMARK_CONFIG", raising=False)
     assert ask_output(name, tmp_path) == (GOLDEN_DIR / name).read_bytes()
+
+
+# Abbreviations before capitals, a "?!" run, a non-breaking space before a
+# capital, an upper case letter that is not ASCII, a sentence that starts
+# with a digit, a natural paragraph over 16 tokens and a sentence over 16
+# tokens with no terminator. At a budget of 16, three short sentences share
+# one paragraph.
+INGEST_DOC = (
+    "Dr. Smith measured the blood samples twice, e.g. Plasma and serum from forty "
+    "patients in the clinic. Did the second round of results hold up for every patient?! "
+    "They held, and the team wrote a short report for the review board.\u00a0Results "
+    "improved after the second round of careful testing in the spring. \u00c9mile checked "
+    "each vial by hand. It worked. So did the rest. 42 samples were positive and 17 of "
+    "them came from the same ward.\n"
+    "  \n"
+    "Short note.\n\n"
+    "The committee reviewed every measurement from the trial across eleven hospital sites "
+    "in three countries without finding one inconsistent value or missing record\n"
+)
+INGEST_BUDGETS = {"ingest": None, "ingest_b16": 16}
+
+
+def ingest_output(stem, tmp_path):
+    """The paragraph and sentence files ``ragmark ingest`` writes for ``INGEST_DOC``."""
+    src = tmp_path / "doc.txt"
+    src.write_text(INGEST_DOC, encoding="utf-8")
+    paragraphs, sentences = tmp_path / "p.jsonl", tmp_path / "s.jsonl"
+    budget = INGEST_BUDGETS[stem]
+    argv = ["ingest", "--input", str(src), "--out-paragraphs", str(paragraphs),
+            "--out-sentences", str(sentences)]
+    if budget is not None:
+        argv += ["--budget", str(budget)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    return {f"{stem}_paragraphs.jsonl": paragraphs.read_bytes(),
+            f"{stem}_sentences.jsonl": sentences.read_bytes()}
+
+
+@pytest.mark.parametrize("stem", list(INGEST_BUDGETS))
+def test_ingest_output(tmp_path, stem):
+    for name, data in ingest_output(stem, tmp_path).items():
+        assert data == (GOLDEN_DIR / name).read_bytes(), name
