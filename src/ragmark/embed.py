@@ -12,10 +12,9 @@ copy of a whole batch is made.
 from __future__ import annotations
 
 import re
-from typing import Protocol, Sequence
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 import numpy as np
-import requests
 
 from .errors import (
     BadResponseError,
@@ -23,6 +22,9 @@ from .errors import (
     ZeroVectorError,
 )
 from .wire import JsonEndpoint
+
+if TYPE_CHECKING:
+    import requests
 
 _WORD_RE = re.compile(r"\w+")
 

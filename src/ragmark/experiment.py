@@ -17,7 +17,6 @@ import string
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -361,6 +360,8 @@ def emit_report(report: dict, output_dir: str | Path, *, svg: bool = False) -> l
 
 def _radar_svg(arms: list[dict], size: int = 420) -> str:
     """Self-contained radar render: one axis per metric, one polygon per arm."""
+    from xml.sax.saxutils import escape  # here, so that only --svg loads the XML package
+
     cx = cy = size / 2
     radius = size * 0.38
     angles = [math.pi / 2 - 2 * math.pi * i / len(METRIC_NAMES) for i in range(len(METRIC_NAMES))]

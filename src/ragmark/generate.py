@@ -8,13 +8,14 @@ pure function of the request and keeps the whole evaluation loop offline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
-
-import requests
+from typing import TYPE_CHECKING, Protocol
 
 from .corpus import iter_sentences
 from .errors import BadResponseError
 from .wire import JsonEndpoint
+
+if TYPE_CHECKING:
+    import requests
 
 NO_ANSWER = "I do not know."
 

@@ -231,15 +231,14 @@ def cs_score(generated: str, reference: str, embedder: Embedder) -> float:
     g_vecs = np.asarray(embedder.embed_batch(g_sentences), dtype=np.float64)
     r_vecs = np.asarray(embedder.embed_batch(r_sentences), dtype=np.float64)
     # each pair's cosine, the dot product over both lengths, with each length taken once
-    references = list(zip(r_vecs, _lengths(r_vecs)))
-    best = [max(float(np.dot(g, r) / (g_length * r_length)) for r, r_length in references)
-            for g, g_length in zip(g_vecs, _lengths(g_vecs))]
-    return math.fsum(best) / len(best)
+    cosines = (np.vecdot(g_vecs[:, None], r_vecs[None])
+               / np.multiply.outer(_lengths(g_vecs), _lengths(r_vecs)))
+    return math.fsum(cosines.max(axis=1)) / len(g_vecs)
 
 
-def _lengths(vectors: np.ndarray) -> list[float]:
-    lengths = [float(np.linalg.norm(v)) for v in vectors]
-    if 0.0 in lengths:
+def _lengths(vectors: np.ndarray) -> np.ndarray:
+    lengths = np.sqrt(np.vecdot(vectors, vectors))
+    if not lengths.all():
         raise ZeroVectorError("cosine is undefined for zero-norm vectors")
     return lengths
 

@@ -15,14 +15,15 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
 
 from .corpus import Paragraph
 from .embed import fnv1a64
 from .errors import BadResponseError, NoEligiblePairsError, RagmarkError
 from .wire import JsonEndpoint, read_jsonl, write_jsonl
+
+if TYPE_CHECKING:
+    import requests
 
 log = logging.getLogger(__name__)
 

@@ -13,11 +13,12 @@ import logging
 import math
 import typing
 from pathlib import Path
-from typing import Any, Callable, Generic, Iterable, TypeVar
-
-import requests
+from typing import TYPE_CHECKING, Any, Callable, Generic, Iterable, TypeVar
 
 from .errors import BadResponseError, ConfigError, PersistenceError, TransportError
+
+if TYPE_CHECKING:
+    import requests
 
 log = logging.getLogger(__name__)
 
@@ -44,11 +45,14 @@ class JsonEndpoint:
             )
         if retries < 0:
             raise ConfigError(f"{config}.retries must be nonnegative, got {retries}")
+        import requests  # here, so that offline commands never load the HTTP stack
+
         self.url = url
         self.what = what
         self.timeout = timeout_ms / 1000.0
         self.retries = retries
         self._session = session or requests.Session()
+        self._request_error = requests.RequestException
 
     def post(self, payload: dict) -> dict[str, Any]:
         attempt = 0
@@ -65,7 +69,7 @@ class JsonEndpoint:
     def _attempt(self, payload: dict) -> dict[str, Any]:
         try:
             resp = self._session.post(self.url, json=payload, timeout=self.timeout)
-        except requests.RequestException as exc:
+        except self._request_error as exc:
             raise TransportError(f"{self.what} request failed: {exc}") from exc
         if resp.status_code >= 500:
             raise TransportError(f"{self.what} endpoint returned HTTP {resp.status_code}")
