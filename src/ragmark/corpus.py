@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import EmptyDocumentError
-from .wire import FlatRecord, read_jsonl, write_jsonl
+from .wire import FlatRecord, read_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -338,7 +338,7 @@ _SENTENCE = FlatRecord(Sentence)
 
 
 def write_paragraphs_jsonl(paragraphs: Iterable[Paragraph], path: str | Path) -> None:
-    write_jsonl(map(_PARAGRAPH.encode, paragraphs), path)
+    _PARAGRAPH.write(paragraphs, path)
 
 
 def read_paragraphs_jsonl(path: str | Path) -> list[Paragraph]:
@@ -346,7 +346,7 @@ def read_paragraphs_jsonl(path: str | Path) -> list[Paragraph]:
 
 
 def write_sentences_jsonl(sentences: Iterable[Sentence], path: str | Path) -> None:
-    write_jsonl(map(_SENTENCE.encode, sentences), path)
+    _SENTENCE.write(sentences, path)
 
 
 def read_sentences_jsonl(path: str | Path) -> list[Sentence]:

@@ -360,7 +360,7 @@ def emit_report(report: dict, output_dir: str | Path, *, svg: bool = False) -> l
 
 def _radar_svg(arms: list[dict], size: int = 420) -> str:
     """Self-contained radar render: one axis per metric, one polygon per arm."""
-    from xml.sax.saxutils import escape  # here, so that only --svg loads the XML package
+    from html import escape  # here, so that only --svg loads html's entity table
 
     cx = cy = size / 2
     radius = size * 0.38
@@ -384,7 +384,7 @@ def _radar_svg(arms: list[dict], size: int = 420) -> str:
         parts.append(f'<line x1="{cx}" y1="{cy}" x2="{x:.2f}" y2="{y:.2f}" stroke="#999999"/>')
         parts.append(
             f'<text x="{lx:.2f}" y="{ly:.2f}" font-size="12" text-anchor="middle">'
-            f"{escape(name)}</text>"
+            f"{escape(name, quote=False)}</text>"
         )
     top = max((arm["means"][m] for arm in arms for m in METRIC_NAMES), default=1.0)
     scale = top if top > 0 else 1.0
@@ -402,7 +402,7 @@ def _radar_svg(arms: list[dict], size: int = 420) -> str:
         )
         parts.append(
             f'<text x="12" y="{20 + 16 * i}" font-size="12" fill="{color}">'
-            f"{escape(arm['label'])}</text>"
+            f"{escape(arm['label'], quote=False)}</text>"
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -33,7 +33,7 @@ import json
 import logging
 import os
 import zlib
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -50,6 +50,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .qagen import QADataset
+from .wire import LineTemplate
 
 log = logging.getLogger(__name__)
 
@@ -64,7 +65,8 @@ SCORE_EPS = 1e-9
 # dim 512) and are reused by the allocator instead of being mapped afresh.
 ROW_BLOCK_BYTES = 512 * 1024
 
-# Bytes of index records that save_index encodes before it writes them.
+# Bytes of index records that save_index holds before it writes them: a chunk
+# of rows is held as text and then as the bytes written, half of this each.
 SAVE_CHUNK_BYTES = 256 * 1024
 
 
@@ -312,22 +314,19 @@ def keys_path(path: str | Path) -> Path:
     return path.with_name(path.name + ".f32")
 
 
-# json.dumps(obj, sort_keys=True) builds a new encoder on every call; one
-# shared encoder writes the same bytes.
-_encode_sorted = json.JSONEncoder(sort_keys=True).encode
+_ENTRY = LineTemplate({"key_text": str, "payload_text": str, "doc_id": str, "ordinal": int})
 
 
-def _index_lines(ds: IndexedDataset, header: dict) -> Iterator[str]:
-    yield _encode_sorted(header)
-    for key_text, payload_id, doc_id, ordinal in zip(ds.key_texts, ds.payload_ids, ds.doc_ids,
-                                                     ds.ordinals):
-        rec = {
-            "key_text": key_text,
-            "payload_text": ds.payloads[payload_id],
-            "doc_id": doc_id,
-            "ordinal": ordinal,
-        }
-        yield _encode_sorted(rec)
+def _rows_per_chunk(ds: IndexedDataset, payload_texts: list[str]) -> int:
+    """Rows whose record text, held once as text and once as bytes, is about ``SAVE_CHUNK_BYTES``.
+
+    Sized from the mean record: its key text and escaped payload, plus 64
+    bytes for the field names, the document id and the ordinal.
+    """
+    count = len(ds.key_texts)
+    lengths = list(map(len, payload_texts))
+    text = sum(map(len, ds.key_texts)) + sum(map(lengths.__getitem__, ds.payload_ids))
+    return max(1, int(SAVE_CHUNK_BYTES / (2 * (text / max(count, 1) + 64))))
 
 
 def save_index(ds: IndexedDataset, path: str | Path) -> None:
@@ -335,10 +334,11 @@ def save_index(ds: IndexedDataset, path: str | Path) -> None:
 
     The keys go first: a crash between the two writes leaves either no index
     file or an older one whose keys CRC does not match, which ``load_index``
-    reports. The records are encoded and written a chunk at a time, with the
-    body's CRC taken as they go, so the whole body is never held at once; a
-    crash mid-write leaves a file without a valid trailer, which
-    ``load_index`` reports as a ``ChecksumError``.
+    reports. Each distinct payload is escaped once; the records are
+    formatted and written a chunk of rows at a time, with the body's CRC
+    taken as they go, so the whole body is never held at once. A crash
+    mid-write leaves a file without a valid trailer, which ``load_index``
+    reports as a ``ChecksumError``.
     """
     keys = np.ascontiguousarray(ds.keys, dtype="<f4")
     with open(keys_path(path), "wb") as f:
@@ -351,18 +351,22 @@ def save_index(ds: IndexedDataset, path: str | Path) -> None:
         "count": len(ds.key_texts),
         "keys_crc32": zlib.crc32(keys) & 0xFFFFFFFF,
     }
-    crc = 0
-    chunk = bytearray()
+    payload_texts = _ENTRY.format("payload_text", ds.payloads)
+    rows = _rows_per_chunk(ds, payload_texts)
     with open(path, "wb") as f:
-        for line in _index_lines(ds, header):
-            chunk += line.encode("utf-8")
-            chunk += b"\n"
-            if len(chunk) >= SAVE_CHUNK_BYTES:
-                crc = zlib.crc32(chunk, crc)
-                f.write(chunk)
-                chunk.clear()
-        crc = zlib.crc32(chunk, crc)
-        f.write(chunk)
+        data = (json.dumps(header, sort_keys=True) + "\n").encode("utf-8")
+        crc = zlib.crc32(data)
+        f.write(data)
+        for start in range(0, len(ds.key_texts), rows):
+            stop = start + rows
+            data = _ENTRY.join({
+                "key_text": _ENTRY.format("key_text", ds.key_texts[start:stop]),
+                "payload_text": list(map(payload_texts.__getitem__, ds.payload_ids[start:stop])),
+                "doc_id": _ENTRY.format("doc_id", ds.doc_ids[start:stop]),
+                "ordinal": _ENTRY.format("ordinal", ds.ordinals[start:stop]),
+            }).encode("utf-8")
+            crc = zlib.crc32(data, crc)
+            f.write(data)
         f.write((json.dumps({"crc32": crc}) + "\n").encode("utf-8"))
 
 

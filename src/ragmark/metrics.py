@@ -29,7 +29,7 @@ import numpy as np
 from .corpus import split_sentences, tokenize
 from .embed import Embedder
 from .errors import EmptyReferenceError, ZeroVectorError
-from .wire import FlatRecord, read_jsonl, write_jsonl
+from .wire import FlatRecord, read_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -274,7 +274,7 @@ _SCORE_ROW = FlatRecord(ScoreRow)
 
 
 def write_score_rows_jsonl(rows: Iterable[ScoreRow], path: str | Path) -> None:
-    write_jsonl(map(_SCORE_ROW.encode, rows), path)
+    _SCORE_ROW.write(rows, path)
 
 
 def read_score_rows_jsonl(path: str | Path) -> list[ScoreRow]:

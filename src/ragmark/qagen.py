@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
 from .corpus import Paragraph
 from .embed import fnv1a64
 from .errors import BadResponseError, NoEligiblePairsError, RagmarkError
-from .wire import JsonEndpoint, read_jsonl, write_jsonl
+from .wire import JsonEndpoint, LineTemplate, checked, chunked, read_jsonl, write_jsonl
 
 if TYPE_CHECKING:
     import requests
@@ -275,30 +275,41 @@ def make_question_client(
 # Persistence
 # ---------------------------------------------------------------------------
 
-def encode_pair(pair: QAPair, **ref) -> dict:
-    """JSONL record of a pair: its texts, the ``ref`` fields, and ``synthetic`` only when set."""
-    rec = {"question": pair.question, "answer_text": pair.answer_text, **ref}
-    if pair.synthetic:
-        rec["synthetic"] = True
-    return rec
+# The fields every stored pair has; each file adds the fields of its reference.
+# ``synthetic`` is a flag, written only when set. The pairs of one paragraph
+# (or cluster) share its text as their answer, so ``answer_text`` is escaped
+# once per distinct text.
+PAIR_FIELDS = {"question": str, "answer_text": str, "synthetic": bool}
+PAIR_SHARED = ("answer_text",)
+
+
+def pair_columns(pairs: Sequence[QAPair]) -> dict[str, list]:
+    """The ``PAIR_FIELDS`` columns of ``pairs``."""
+    return {"question": [p.question for p in pairs],
+            "answer_text": [p.answer_text for p in pairs],
+            "synthetic": [p.synthetic for p in pairs]}
 
 
 def decode_pair(rec: dict, paragraph_ref: tuple[str, int]) -> QAPair:
-    return QAPair(question=rec["question"], paragraph_ref=paragraph_ref,
-                  answer_text=rec["answer_text"], synthetic=rec.get("synthetic", False))
+    return QAPair(question=checked(rec["question"], str), paragraph_ref=paragraph_ref,
+                  answer_text=checked(rec["answer_text"], str),
+                  synthetic=checked(rec.get("synthetic", False), bool))
 
 
-def _encode_qa(pair: QAPair) -> dict:
-    doc_id, ordinal = pair.paragraph_ref
-    return encode_pair(pair, doc_id=doc_id, paragraph_ordinal=ordinal)
+_QA = LineTemplate({**PAIR_FIELDS, "doc_id": str, "paragraph_ordinal": int}, PAIR_SHARED)
+
+
+def _qa_columns(pairs: Sequence[QAPair]) -> dict[str, list]:
+    return {**pair_columns(pairs), "doc_id": [p.paragraph_ref[0] for p in pairs],
+            "paragraph_ordinal": [p.paragraph_ref[1] for p in pairs]}
 
 
 def _decode_qa(rec: dict) -> QAPair:
-    return decode_pair(rec, (rec["doc_id"], int(rec["paragraph_ordinal"])))
+    return decode_pair(rec, (checked(rec["doc_id"], str), checked(rec["paragraph_ordinal"], int)))
 
 
 def write_qa_jsonl(ds: QADataset, path: str | Path) -> None:
-    write_jsonl(map(_encode_qa, ds.pairs), path)
+    write_jsonl(_QA, map(_qa_columns, chunked(ds.pairs)), path)
 
 
 def read_qa_jsonl(path: str | Path) -> QADataset:

@@ -20,14 +20,16 @@ from .corpus import count_tokens
 from .errors import DegenerateCloudError, EmptyTestSetError, NoClustersError, PersistenceError
 from .index import IndexedDataset, IndexKind
 from .qagen import (
+    PAIR_FIELDS,
+    PAIR_SHARED,
     QAPair,
     QuestionGenClient,
     check_question_count,
     decode_pair,
-    encode_pair,
+    pair_columns,
     questions_for,
 )
-from .wire import read_jsonl, write_jsonl
+from .wire import LineTemplate, checked, chunked, read_jsonl, write_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -268,18 +270,22 @@ def assemble_test_set(
 # Persistence
 # ---------------------------------------------------------------------------
 
-def _encode_test_pair(pair: QAPair) -> dict:
-    return encode_pair(pair, cluster_id=pair.paragraph_ref[1])
+_TEST_PAIR = LineTemplate({**PAIR_FIELDS, "cluster_id": int}, PAIR_SHARED)
+
+
+def _test_columns(pairs: list[QAPair]) -> dict[str, list]:
+    return {**pair_columns(pairs), "cluster_id": [p.paragraph_ref[1] for p in pairs]}
 
 
 def _decode_test_record(rec: dict) -> QAPair | dict:
     if "params" in rec:
         return rec["params"]
-    return decode_pair(rec, ("cluster", int(rec["cluster_id"])))
+    return decode_pair(rec, ("cluster", checked(rec["cluster_id"], int)))
 
 
 def write_test_set_jsonl(ts: TestSet, path: str | Path) -> None:
-    write_jsonl([{"params": ts.params}, *map(_encode_test_pair, ts.pairs)], path)
+    write_jsonl(_TEST_PAIR, map(_test_columns, chunked(ts.pairs)), path,
+                header={"params": ts.params})
 
 
 def read_test_set_jsonl(path: str | Path) -> TestSet:

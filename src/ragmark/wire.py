@@ -1,19 +1,36 @@
 """The two formats ragmark exchanges with the outside: JSON over HTTP and JSONL files.
 
 ``JsonEndpoint`` is the one HTTP path, so the status mapping and the retry
-rule live here. ``write_jsonl``/``read_jsonl`` are the one JSONL codec; each
-record type supplies only its field mapping (``FlatRecord`` for flat dataclasses).
+rule live here. ``write_jsonl``/``read_jsonl`` are the one JSONL codec. Each
+record type compiles one ``LineTemplate`` from its field names and types
+(``FlatRecord`` does so for flat dataclasses) and is written through it a
+chunk of columns at a time; its lines are byte for byte what
+``json.dumps(record, sort_keys=True)`` writes.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import json
 import logging
 import math
+import operator
 import typing
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Generic, Iterable, TypeVar
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Generic,
+    Iterable,
+    Iterator,
+    Mapping,
+    Sequence,
+    TypeVar,
+)
 
 from .errors import BadResponseError, ConfigError, PersistenceError, TransportError
 
@@ -84,13 +101,124 @@ class JsonEndpoint:
         return body
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True)
+# Rows a JSONL writer formats and writes at once. A paragraph of 256 tokens,
+# the longest record ragmark writes at its default budget, is about 2 KB, so
+# a chunk stays well under a megabyte.
+CHUNK_ROWS = 256
+
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def write_jsonl(records: Iterable[dict], path: str | Path) -> None:
-    """One sorted-key JSON object per line, newline-terminated."""
+def _strings(values: Sequence) -> list[str]:
+    return list(map(encode_basestring_ascii, values))
+
+
+def _shared_strings(values: Sequence) -> list[str]:
+    """``_strings``, escaping each distinct value once."""
+    distinct = dict.fromkeys(values)
+    escaped = dict(zip(distinct, map(encode_basestring_ascii, distinct)))
+    return list(map(escaped.__getitem__, values))
+
+
+def _ints(values: Sequence) -> list[str]:
+    if bool in set(map(type, values)):  # int.__repr__ would write 1 where JSON writes true
+        raise TypeError("a bool is not an int")
+    return list(map(int.__repr__, values))
+
+
+def _floats(values: Sequence) -> list[str]:
+    """``float.__repr__``, with JSON's names for NaN and the infinities."""
+    text = list(map(float.__repr__, values))
+    if not _JSON_FLOATS.keys().isdisjoint(text):
+        text = [_JSON_FLOATS.get(t, t) for t in text]
+    return text
+
+
+def _flags(text: str, values: Sequence) -> list[str]:
+    """``text`` (the field's name and ``true``) where a value is set, else nothing."""
+    if not set(map(type, values)) <= {bool}:
+        raise TypeError("a flag must be a bool")
+    return [text if value else "" for value in values]
+
+
+_FORMATS: dict[Any, Callable[[Sequence], list[str]]] = {str: _strings, int: _ints, float: _floats}
+
+
+class LineTemplate:
+    """The JSON line of a record with fixed, typed fields, compiled once.
+
+    ``fields`` maps each field name to str, int, float or bool. A line is
+    byte for byte what ``json.dumps(record, sort_keys=True)`` writes: the
+    fields in sorted order, strings through json's ASCII escaper, ints
+    through ``int.__repr__`` and floats through ``float.__repr__`` (NaN
+    and the infinities by their JSON names). A bool field is a flag,
+    written ``"name": true`` when set and left out when not; it cannot
+    sort first. A value outside its field's type is a TypeError naming the
+    field, never a different byte. Each distinct value of a ``shared``
+    string field, one whose values repeat across rows by construction (a
+    paragraph's text under each of its questions), is escaped once a chunk.
+
+    Records are formatted a column at a time (``format``) and joined into
+    lines a chunk of rows at a time (``join``), so no per-record dict or
+    encoder call is made.
+    """
+
+    def __init__(self, fields: Mapping[str, type], shared: Iterable[str] = ()):
+        self.names = tuple(sorted(fields))
+        self._formats = {}
+        pieces = []
+        for j, name in enumerate(self.names):
+            key = encode_basestring_ascii(name)
+            if fields[name] is bool:
+                if j == 0:
+                    raise ValueError(f"flag field {name!r} cannot sort first")
+                pieces.append("")
+                self._formats[name] = functools.partial(_flags, f", {key}: true")
+            elif fields[name] in _FORMATS:
+                pieces.append(("{" if j == 0 else ", ") + key + ": ")
+                self._formats[name] = _FORMATS[fields[name]]
+            else:
+                raise ValueError(f"field {name!r}: no JSONL format for {fields[name]!r}")
+        for name in shared:
+            self._formats[name] = _shared_strings
+        self._pieces = tuple(pieces)
+
+    def format(self, name: str, values: Sequence) -> list[str]:
+        """The JSON text of every value of field ``name``."""
+        try:
+            return self._formats[name](values)
+        except TypeError as exc:
+            raise TypeError(f"JSONL field {name!r}: {exc}") from None
+
+    def join(self, texts: Mapping[str, Sequence[str]]) -> str:
+        """One line per row of the formatted columns ``texts``, each newline-terminated."""
+        rows = len(texts[self.names[0]])
+        width = 2 * len(self.names) + 1  # a piece and a value per field, then the line end
+        parts = ["}\n"] * (width * rows)
+        for j, (name, piece) in enumerate(zip(self.names, self._pieces)):
+            parts[2 * j::width] = [piece] * rows
+            parts[2 * j + 1::width] = texts[name]
+        return "".join(parts)
+
+    def render(self, columns: Mapping[str, Sequence]) -> str:
+        """The lines of the records whose field values are ``columns``."""
+        return self.join({name: self.format(name, columns[name]) for name in self.names})
+
+
+def chunked(items: Iterable[T]) -> Iterator[list[T]]:
+    """``items`` in lists of ``CHUNK_ROWS`` (the last one shorter)."""
+    it = iter(items)
+    return iter(lambda: list(itertools.islice(it, CHUNK_ROWS)), [])
+
+
+def write_jsonl(template: LineTemplate, chunks: Iterable[Mapping[str, Sequence]],
+                path: str | Path, *, header: dict | None = None) -> None:
+    """``header`` (``json.dumps`` with sorted keys), then the lines of every chunk of columns."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_ENCODER.encode(rec) + "\n" for rec in records)
+        if header is not None:
+            fh.write(json.dumps(header, sort_keys=True) + "\n")
+        for columns in chunks:
+            fh.write(template.render(columns))
 
 
 def read_jsonl(path: str | Path, decode: Callable[[dict], T]) -> list[T]:
@@ -131,25 +259,54 @@ def _integer(value: Any) -> int:
     return int(value)
 
 
-_COERCE: dict[Any, Callable[[Any], Any]] = {int: _integer, float: _finite}
+def _string(value: Any) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{value!r} is not a string")
+    return value
+
+
+def _flag(value: Any) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a boolean")
+    return value
+
+
+_COERCE: dict[Any, Callable[[Any], Any]] = {int: _integer, float: _finite, str: _string,
+                                            bool: _flag}
+
+
+def checked(value: Any, kind: type) -> Any:
+    """``value``, read from JSON for a field of type ``kind``, as a ``LineTemplate`` writes it.
+
+    A string field takes only a string, and a bool field only a boolean; an
+    int or float field coerces as ``FlatRecord`` does. Anything else is a
+    ValueError, which ``read_jsonl`` reports as a bad record.
+    """
+    return _COERCE[kind](value)
 
 
 class FlatRecord(Generic[T]):
-    """JSONL field mapping of a dataclass whose fields are plain JSON values.
+    """JSONL layout of a dataclass whose fields are plain JSON values.
 
-    Each field is stored under its own name. int and float fields are
-    coerced on read, which checks values that come from outside; an int
-    field must be integral and not a boolean, a float field must be finite
-    and not a boolean.
+    Each field is stored under its own name, through one ``LineTemplate``
+    compiled from the field types. Every field is checked on read
+    (``checked``), since its value comes from outside: a string field must
+    hold a string, an int field an integral number that is not a boolean,
+    and a float field a finite number that is not a boolean.
     """
 
     def __init__(self, cls: type[T]):
         hints = typing.get_type_hints(cls)
         self.cls = cls
         self.fields = tuple((f.name, _COERCE.get(hints[f.name])) for f in dataclasses.fields(cls))
+        self.template = LineTemplate({name: hints[name] for name, _ in self.fields})
+        self._getters = {name: operator.attrgetter(name) for name, _ in self.fields}
 
-    def encode(self, obj: T) -> dict[str, Any]:
-        return {name: getattr(obj, name) for name, _ in self.fields}
+    def _columns(self, objs: Sequence[T]) -> dict[str, list]:
+        return {name: list(map(get, objs)) for name, get in self._getters.items()}
+
+    def write(self, objs: Iterable[T], path: str | Path) -> None:
+        write_jsonl(self.template, map(self._columns, chunked(objs)), path)
 
     def decode(self, rec: dict) -> T:
         return self.cls(**{

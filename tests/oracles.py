@@ -19,7 +19,9 @@ a bisect over them instead of two arrays and a vectorised cut, one
 search, pack, generate and score per sweep cell, a hashed embedding counted
 one word at a time into its own float64 row instead of one ``bincount``
 per block of texts, an index file encoded as one body before it is
-written instead of streamed in chunks, a sentence scanner that walks the
+written instead of streamed in chunks, JSONL records built as one dict
+each and encoded by ``JSONEncoder.encode`` instead of formatted a column
+at a time through a compiled line template, a sentence scanner that walks the
 text one character at a time instead of one boundary pattern, and paragraph
 splitting that re-counts every joined chunk and re-scans the rest of an
 over-budget sentence for every piece instead of carrying counts forward.
@@ -28,6 +30,7 @@ Slow is fine; different code paths are the point.
 
 import base64
 import bisect
+import dataclasses
 import json
 import logging
 import math
@@ -344,6 +347,51 @@ def oracle_search_gemv(ds, query, threshold):
     return hits_at(Hits(scores[order], order), threshold)
 
 
+# json.dumps(obj, sort_keys=True) builds a new encoder on every call; one
+# shared encoder writes the same bytes.
+encode_sorted = json.JSONEncoder(sort_keys=True).encode
+
+
+def oracle_flat_record(obj):
+    """The JSONL record of a flat dataclass: every field under its own name."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
+def oracle_pair_record(pair, **ref):
+    """JSONL record of a pair: its texts, the ``ref`` fields, and ``synthetic`` only when set."""
+    rec = {"question": pair.question, "answer_text": pair.answer_text, **ref}
+    if pair.synthetic:
+        rec["synthetic"] = True
+    return rec
+
+
+def oracle_qa_record(pair):
+    doc_id, ordinal = pair.paragraph_ref
+    return oracle_pair_record(pair, doc_id=doc_id, paragraph_ordinal=ordinal)
+
+
+def oracle_test_record(pair):
+    return oracle_pair_record(pair, cluster_id=pair.paragraph_ref[1])
+
+
+def oracle_jsonl(records):
+    """The bytes of a JSONL file: each record encoded on its own line."""
+    return "".join(encode_sorted(rec) + "\n" for rec in records).encode("utf-8")
+
+
+def oracle_index_lines(ds, header):
+    yield encode_sorted(header)
+    for key_text, payload_id, doc_id, ordinal in zip(ds.key_texts, ds.payload_ids, ds.doc_ids,
+                                                     ds.ordinals):
+        rec = {
+            "key_text": key_text,
+            "payload_text": ds.payloads[payload_id],
+            "doc_id": doc_id,
+            "ordinal": ordinal,
+        }
+        yield encode_sorted(rec)
+
+
 def oracle_save_index(ds, path):
     """Format 2 as one encoded body: the keys file, then every line joined, CRC'd and written."""
     keys = np.ascontiguousarray(ds.keys, dtype="<f4")
@@ -356,12 +404,7 @@ def oracle_save_index(ds, path):
         "count": len(ds.key_texts),
         "keys_crc32": zlib.crc32(keys) & 0xFFFFFFFF,
     }
-    lines = [json.dumps(header, sort_keys=True)]
-    for e in entries_of(ds):
-        rec = {"key_text": e.key_text, "payload_text": e.payload_text,
-               "doc_id": e.paragraph_ref[0], "ordinal": e.paragraph_ref[1]}
-        lines.append(json.dumps(rec, sort_keys=True))
-    body = "".join(line + "\n" for line in lines).encode("utf-8")
+    body = "".join(line + "\n" for line in oracle_index_lines(ds, header)).encode("utf-8")
     trailer = json.dumps({"crc32": zlib.crc32(body) & 0xFFFFFFFF}) + "\n"
     Path(path).write_bytes(body + trailer.encode("utf-8"))
 

@@ -112,8 +112,9 @@ class TestCliBasics:
     @pytest.mark.parametrize(
         "bad",
         ['{"doc_id": "d", "ordinal": 1, "token_count": 5}',
-         '{"doc_id": "d", "ordinal": "first", "text": "Words.", "token_count": 5}'],
-        ids=["missing-text", "non-numeric-ordinal"],
+         '{"doc_id": "d", "ordinal": "first", "text": "Words.", "token_count": 5}',
+         '{"doc_id": 5, "ordinal": 1, "text": "Words.", "token_count": 5}'],
+        ids=["missing-text", "non-numeric-ordinal", "numeric-doc-id"],
     )
     def test_bad_jsonl_record_is_io_error_naming_the_line(self, tmp_path, capsys, bad):
         paragraphs = tmp_path / "p.jsonl"

@@ -4,8 +4,10 @@ One sorted-key JSON object per line, ASCII-escaped, newline-terminated.
 Optional fields (``synthetic``) appear only when set, and the test set
 starts with its ``params`` header. The report files of a fixed table, the
 two files of a sentence and a question index of the topic fixture, what
-``ask`` prints over those two indexes, and what ``ingest`` splits one
-hand-made document into are compared with the copies under ``golden/``.
+``ask`` prints over those two indexes, what ``ingest`` splits one
+hand-made document into, and the Q&A files (with the train/val split) and
+test set that ``qa-gen`` and ``testgen`` write for the topic fixture are
+compared with the copies under ``golden/``.
 """
 
 import contextlib
@@ -16,7 +18,13 @@ import numpy as np
 import pytest
 
 from oracles import entries_of
-from topicfix import corpus_pipeline, make_test_pairs, make_topic_corpus, topic_question
+from topicfix import (
+    EMBED_DIM,
+    corpus_pipeline,
+    make_test_pairs,
+    make_topic_corpus,
+    topic_question,
+)
 from ragmark import testgen
 from ragmark.cli import main
 from ragmark.corpus import Paragraph, Sentence, write_paragraphs_jsonl, write_sentences_jsonl
@@ -232,4 +240,38 @@ def ingest_output(stem, tmp_path):
 @pytest.mark.parametrize("stem", list(INGEST_BUDGETS))
 def test_ingest_output(tmp_path, stem):
     for name, data in ingest_output(stem, tmp_path).items():
+        assert data == (GOLDEN_DIR / name).read_bytes(), name
+
+
+def pair_files(tmp_path):
+    """What ``qa-gen``, with its train/val split, and ``testgen`` write for the topic fixture."""
+    docs, _ = make_topic_corpus()
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    for doc in docs:
+        (raw / f"{doc.id}.txt").write_text(doc.body, encoding="utf-8")
+    files = {name: tmp_path / name for name in
+             ("qagen_qa.jsonl", "qagen_train.jsonl", "qagen_val.jsonl", "testgen_testset.jsonl")}
+    commands = [
+        ["ingest", "--input", str(raw), "--out-paragraphs", str(tmp_path / "p.jsonl"),
+         "--out-sentences", str(tmp_path / "s.jsonl")],
+        ["qa-gen", "--paragraphs", str(tmp_path / "p.jsonl"), "--out", str(files["qagen_qa.jsonl"]),
+         "--endpoint", "mock:3", "--questions-per-paragraph", "3",
+         "--train-out", str(files["qagen_train.jsonl"]),
+         "--val-out", str(files["qagen_val.jsonl"]), "--ratio", "0.2", "--seed", "5"],
+        ["index", "--kind", "sentences", "--input", str(tmp_path / "s.jsonl"),
+         "--out", str(tmp_path / "is.jsonl"), "--embedder", f"local:{EMBED_DIM}"],
+        ["testgen", "--index", str(tmp_path / "is.jsonl"),
+         "--out", str(files["testgen_testset.jsonl"]), "--eps", "0.2", "--min-pts", "6",
+         "--qg-endpoint", "mock:1"],
+    ]
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in commands:
+            assert main(argv) == 0, argv[0]
+    return {name: path.read_bytes() for name, path in files.items()}
+
+
+def test_qa_gen_and_testgen_output(tmp_path, monkeypatch):
+    monkeypatch.delenv("RAGMARK_CONFIG", raising=False)
+    for name, data in pair_files(tmp_path).items():
         assert data == (GOLDEN_DIR / name).read_bytes(), name

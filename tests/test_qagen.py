@@ -1,6 +1,7 @@
 import json
 import logging
 import random
+import re
 import sys
 import threading
 import time
@@ -8,7 +9,7 @@ import time
 import pytest
 
 from ragmark.corpus import Paragraph
-from ragmark.errors import ConfigError, NoEligiblePairsError, TransportError
+from ragmark.errors import ConfigError, NoEligiblePairsError, PersistenceError, TransportError
 from ragmark.qagen import (
     FALLBACK_QUESTION,
     QUESTION_GEN_WORKERS,
@@ -328,3 +329,20 @@ class TestPersistence:
         assert "synthetic" not in records[0]
         assert records[1]["synthetic"] is True
         assert [p.synthetic for p in read_qa_jsonl(path).pairs] == [False, True]
+
+    @pytest.mark.parametrize("field, value, detail", [
+        ("question", "7", "7 is not a string"),
+        ("answer_text", "null", "None is not a string"),
+        ("doc_id", "5", "5 is not a string"),
+        ("paragraph_ordinal", "2.5", "2.5 is not an integer"),
+        ("paragraph_ordinal", "true", "True is not an integer"),
+        ("synthetic", "1", "1 is not a boolean"),
+    ])
+    def test_value_the_writer_cannot_write_is_a_bad_record(self, tmp_path, field, value,
+                                                            detail):
+        rec = {"question": '"Q?"', "answer_text": '"A."', "doc_id": '"d"',
+               "paragraph_ordinal": "0", field: value}
+        path = tmp_path / "qa.jsonl"
+        path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in rec.items()) + "}\n")
+        with pytest.raises(PersistenceError, match=re.escape(f"{path}:1: bad record: {detail}")):
+            read_qa_jsonl(path)

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -380,6 +381,18 @@ class TestPersistence:
         assert loaded.params == {} and [p.paragraph_ref for p in loaded.pairs] == [("cluster", 4)]
         path.write_text(pair + '{"params": {}}\n')
         with pytest.raises(PersistenceError, match="first record"):
+            read_test_set_jsonl(path)
+
+    @pytest.mark.parametrize("pair, detail", [
+        ('{"question": "Why?", "answer_text": "Text.", "cluster_id": 4.5}', "4.5 is not an integer"),
+        ('{"question": "Why?", "answer_text": 3, "cluster_id": 4}', "3 is not a string"),
+        ('{"question": "Why?", "answer_text": "T.", "cluster_id": 4, "synthetic": "no"}',
+         "'no' is not a boolean"),
+    ])
+    def test_value_the_writer_cannot_write_is_a_bad_record(self, tmp_path, pair, detail):
+        path = tmp_path / "testset.jsonl"
+        path.write_text('{"params": {}}\n' + pair + "\n")
+        with pytest.raises(PersistenceError, match=re.escape(f"{path}:2: bad record: {detail}")):
             read_test_set_jsonl(path)
 
     def test_synthetic_flag_survives_roundtrip(self, tmp_path):
