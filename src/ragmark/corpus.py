@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import EmptyDocumentError
-from .wire import FlatRecord, read_jsonl
+from .wire import FlatRecord
 
 log = logging.getLogger(__name__)
 
@@ -342,7 +342,7 @@ def write_paragraphs_jsonl(paragraphs: Iterable[Paragraph], path: str | Path) ->
 
 
 def read_paragraphs_jsonl(path: str | Path) -> list[Paragraph]:
-    return read_jsonl(path, _PARAGRAPH.decode)
+    return _PARAGRAPH.read(path)
 
 
 def write_sentences_jsonl(sentences: Iterable[Sentence], path: str | Path) -> None:
@@ -350,4 +350,4 @@ def write_sentences_jsonl(sentences: Iterable[Sentence], path: str | Path) -> No
 
 
 def read_sentences_jsonl(path: str | Path) -> list[Sentence]:
-    return read_jsonl(path, _SENTENCE.decode)
+    return _SENTENCE.read(path)

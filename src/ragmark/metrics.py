@@ -29,7 +29,7 @@ import numpy as np
 from .corpus import split_sentences, tokenize
 from .embed import Embedder
 from .errors import EmptyReferenceError, ZeroVectorError
-from .wire import FlatRecord, read_jsonl
+from .wire import FlatRecord
 
 log = logging.getLogger(__name__)
 
@@ -278,4 +278,4 @@ def write_score_rows_jsonl(rows: Iterable[ScoreRow], path: str | Path) -> None:
 
 
 def read_score_rows_jsonl(path: str | Path) -> list[ScoreRow]:
-    return read_jsonl(path, _SCORE_ROW.decode)
+    return _SCORE_ROW.read(path)

@@ -15,12 +15,12 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Protocol, Sequence
 
 from .corpus import Paragraph
 from .embed import fnv1a64
 from .errors import BadResponseError, NoEligiblePairsError, RagmarkError
-from .wire import JsonEndpoint, LineTemplate, checked, chunked, read_jsonl, write_jsonl
+from .wire import JsonEndpoint, LineTemplate, chunked, read_jsonl, write_jsonl
 
 if TYPE_CHECKING:
     import requests
@@ -290,13 +290,14 @@ def pair_columns(pairs: Sequence[QAPair]) -> dict[str, list]:
             "synthetic": [p.synthetic for p in pairs]}
 
 
-def decode_pair(rec: dict, paragraph_ref: tuple[str, int]) -> QAPair:
-    return QAPair(question=checked(rec["question"], str), paragraph_ref=paragraph_ref,
-                  answer_text=checked(rec["answer_text"], str),
-                  synthetic=checked(rec.get("synthetic", False), bool))
+def column_pairs(columns: Mapping[str, list],
+                 refs: Iterable[tuple[str, int]]) -> Iterator[QAPair]:
+    """The pairs whose ``PAIR_FIELDS`` columns are ``columns``, with references ``refs``."""
+    return map(QAPair, columns["question"], refs, columns["answer_text"], columns["synthetic"])
 
 
-_QA = LineTemplate({**PAIR_FIELDS, "doc_id": str, "paragraph_ordinal": int}, PAIR_SHARED)
+# A record's reference is checked before its pair fields.
+_QA = LineTemplate({"doc_id": str, "paragraph_ordinal": int, **PAIR_FIELDS}, PAIR_SHARED)
 
 
 def _qa_columns(pairs: Sequence[QAPair]) -> dict[str, list]:
@@ -304,13 +305,12 @@ def _qa_columns(pairs: Sequence[QAPair]) -> dict[str, list]:
             "paragraph_ordinal": [p.paragraph_ref[1] for p in pairs]}
 
 
-def _decode_qa(rec: dict) -> QAPair:
-    return decode_pair(rec, (checked(rec["doc_id"], str), checked(rec["paragraph_ordinal"], int)))
-
-
 def write_qa_jsonl(ds: QADataset, path: str | Path) -> None:
     write_jsonl(_QA, map(_qa_columns, chunked(ds.pairs)), path)
 
 
 def read_qa_jsonl(path: str | Path) -> QADataset:
-    return QADataset(pairs=read_jsonl(path, _decode_qa))
+    pairs: list[QAPair] = []
+    for columns in read_jsonl(_QA, path):
+        pairs += column_pairs(columns, zip(columns["doc_id"], columns["paragraph_ordinal"]))
+    return QADataset(pairs=pairs)

@@ -10,6 +10,7 @@ reproduces the set byte for byte.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import count_tokens
-from .errors import DegenerateCloudError, EmptyTestSetError, NoClustersError, PersistenceError
+from .errors import DegenerateCloudError, EmptyTestSetError, NoClustersError
 from .index import IndexedDataset, IndexKind
 from .qagen import (
     PAIR_FIELDS,
@@ -25,11 +26,11 @@ from .qagen import (
     QAPair,
     QuestionGenClient,
     check_question_count,
-    decode_pair,
+    column_pairs,
     pair_columns,
     questions_for,
 )
-from .wire import LineTemplate, checked, chunked, read_jsonl, write_jsonl
+from .wire import LineTemplate, chunked, read_jsonl, write_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -270,17 +271,12 @@ def assemble_test_set(
 # Persistence
 # ---------------------------------------------------------------------------
 
-_TEST_PAIR = LineTemplate({**PAIR_FIELDS, "cluster_id": int}, PAIR_SHARED)
+# A record's cluster is checked before its pair fields.
+_TEST_PAIR = LineTemplate({"cluster_id": int, **PAIR_FIELDS}, PAIR_SHARED)
 
 
 def _test_columns(pairs: list[QAPair]) -> dict[str, list]:
     return {**pair_columns(pairs), "cluster_id": [p.paragraph_ref[1] for p in pairs]}
-
-
-def _decode_test_record(rec: dict) -> QAPair | dict:
-    if "params" in rec:
-        return rec["params"]
-    return decode_pair(rec, ("cluster", checked(rec["cluster_id"], int)))
 
 
 def write_test_set_jsonl(ts: TestSet, path: str | Path) -> None:
@@ -289,9 +285,15 @@ def write_test_set_jsonl(ts: TestSet, path: str | Path) -> None:
 
 
 def read_test_set_jsonl(path: str | Path) -> TestSet:
-    """The ``params`` header, when it is the first record, and the pairs after it."""
-    records = read_jsonl(path, _decode_test_record)
-    params = records.pop(0) if records and isinstance(records[0], dict) else {}
-    if any(isinstance(rec, dict) for rec in records):
-        raise PersistenceError(f"{path}: the params header must be the first record")
-    return TestSet(pairs=records, params=params)
+    """The ``params`` header, when it is the first record, and the pairs after it.
+
+    A header anywhere else, or one whose value is not an object, is a
+    PersistenceError.
+    """
+    params, pairs = {}, []
+    for columns in read_jsonl(_TEST_PAIR, path, header="params"):
+        if "params" in columns:
+            [params] = columns["params"]
+        else:
+            pairs += column_pairs(columns, zip(itertools.repeat("cluster"), columns["cluster_id"]))
+    return TestSet(pairs=pairs, params=params)

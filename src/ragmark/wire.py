@@ -5,7 +5,11 @@ rule live here. ``write_jsonl``/``read_jsonl`` are the one JSONL codec. Each
 record type compiles one ``LineTemplate`` from its field names and types
 (``FlatRecord`` does so for flat dataclasses) and is written through it a
 chunk of columns at a time; its lines are byte for byte what
-``json.dumps(record, sort_keys=True)`` writes.
+``json.dumps(record, sort_keys=True)`` writes. It is read back through the
+same template a chunk of lines at a time: each line is scanned once, as
+``json.loads`` would read it, and each column is checked once, by
+``checked``'s rules. Each distinct value of a ``shared`` field is held once,
+as the writer escapes it once.
 """
 
 from __future__ import annotations
@@ -160,10 +164,14 @@ class LineTemplate:
 
     Records are formatted a column at a time (``format``) and joined into
     lines a chunk of rows at a time (``join``), so no per-record dict or
-    encoder call is made.
+    encoder call is made. They are read back the same way (``read_jsonl``),
+    each field checked in the order ``fields`` gives, which is the field a
+    record with two bad values is reported for.
     """
 
     def __init__(self, fields: Mapping[str, type], shared: Iterable[str] = ()):
+        self.fields = dict(fields)
+        self.shared = tuple(shared)
         self.names = tuple(sorted(fields))
         self._formats = {}
         pieces = []
@@ -221,27 +229,6 @@ def write_jsonl(template: LineTemplate, chunks: Iterable[Mapping[str, Sequence]]
             fh.write(template.render(columns))
 
 
-def read_jsonl(path: str | Path, decode: Callable[[dict], T]) -> list[T]:
-    """``decode`` applied to the record on every non-blank line of ``path``.
-
-    A line that is not JSON, or a record ``decode`` rejects (a missing field
-    raises KeyError, a value it cannot coerce ValueError, TypeError or
-    OverflowError), is a PersistenceError naming ``path:line``.
-    """
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, text in enumerate(fh, 1):
-            if text.isspace():
-                continue
-            try:
-                out.append(decode(json.loads(text)))
-            except KeyError as exc:
-                raise PersistenceError(f"{path}:{lineno}: record has no field {exc}") from exc
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise PersistenceError(f"{path}:{lineno}: bad record: {exc}") from exc
-    return out
-
-
 def _finite(value: Any) -> float:
     """``float(value)``, refusing a JSON boolean, NaN and the infinities, which JSON cannot hold."""
     if isinstance(value, bool):
@@ -271,36 +258,232 @@ def _flag(value: Any) -> bool:
     return value
 
 
+def _object(value: Any) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{value!r} is not an object")
+    return value
+
+
 _COERCE: dict[Any, Callable[[Any], Any]] = {int: _integer, float: _finite, str: _string,
-                                            bool: _flag}
+                                            bool: _flag, dict: _object}
 
 
 def checked(value: Any, kind: type) -> Any:
     """``value``, read from JSON for a field of type ``kind``, as a ``LineTemplate`` writes it.
 
-    A string field takes only a string, and a bool field only a boolean; an
-    int or float field coerces as ``FlatRecord`` does. Anything else is a
-    ValueError, which ``read_jsonl`` reports as a bad record.
+    A string field takes only a string, a bool field only a boolean, and a
+    header only an object (dict). An int field takes an integral number or
+    numeric string that is not a boolean, and a float field a finite number
+    or numeric string that is not a boolean. Anything else is a ValueError,
+    which ``read_jsonl`` reports as a bad record.
     """
     return _COERCE[kind](value)
+
+
+# The scanner ``json.loads`` runs: one JSON value from an index of a string, and its end.
+_SCAN = json.JSONDecoder().scan_once
+
+# What checking a field of a parsed record raises: a missing field (KeyError),
+# a record that is not an object (TypeError), or a value ``checked`` refuses.
+_ROW_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+
+
+class _BadRow(Exception):
+    """The first row of a chunk that a check refused, and the error it raised."""
+
+    def __init__(self, row: int, cause: Exception):
+        super().__init__(row, cause)
+        self.row = row
+        self.cause = cause
+
+
+def _apply(fn: Callable[[Any], Any], rows: list) -> list:
+    """``list(map(fn, rows))``; a row ``fn`` refuses raises ``_BadRow`` naming the first one."""
+    rest = iter(rows)
+    try:
+        return list(map(fn, rest))
+    except _ROW_ERRORS as exc:
+        # map had taken the refused row, and no row after it, from ``rest``
+        raise _BadRow(len(rows) - operator.length_hint(rest) - 1, exc) from None
+
+
+def _column(name: str, kind: type, rows: list) -> list:
+    """Field ``name`` of every row, as ``checked`` reads it; an absent flag reads False.
+
+    A column whose values all have the field's exact type passes whole (a
+    float column also needs a finite sum, so no value is NaN or infinite).
+    Only a column that does not pass is checked value by value.
+    """
+    if kind is bool:
+        def get(row):  # a TypeError for a row that is not an object, as row[name] gives
+            return dict.get(row, name, False)
+    else:
+        get = operator.itemgetter(name)
+    try:
+        values = list(map(get, rows))
+    except _ROW_ERRORS:
+        values = None
+    if (values is not None and set(map(type, values)) == {kind}
+            and (kind is not float or math.isfinite(sum(values)))):
+        return values
+    return _apply(lambda row: checked(get(row), kind), rows)
+
+
+def _checked_columns(template: LineTemplate, rows: list) -> dict[str, list]:
+    """The checked columns of the parsed records ``rows``, in ``template.fields`` order.
+
+    A bad row raises ``_BadRow``. Of two, it names the earlier row, and of
+    two bad fields in one row the earlier field, as a check that went record
+    by record would.
+    """
+    columns, bad = {}, None
+    for name, kind in template.fields.items():
+        try:
+            columns[name] = _column(name, kind, rows)
+        except _BadRow as exc:
+            bad, rows = exc, rows[:exc.row]  # a later field wins only in an earlier row
+    if bad is not None:
+        raise bad
+    return columns
+
+
+def _bad_record(path: str | Path, lineno: int, exc: Exception) -> PersistenceError:
+    if isinstance(exc, KeyError):
+        return PersistenceError(f"{path}:{lineno}: record has no field {exc}")
+    return PersistenceError(f"{path}:{lineno}: bad record: {exc}")
+
+
+def _scan_chunk(lines: Iterator[tuple[int, str]]
+                ) -> tuple[list, list[int], tuple[int, Exception] | None]:
+    """Up to ``CHUNK_ROWS`` records parsed from the numbered ``lines``, their line numbers,
+    and what ended the chunk early.
+
+    A line holds one JSON value, as ``json.loads`` reads it; a blank line is
+    skipped. A line that is not one JSON value ends the chunk as ``(line,
+    json's error)``. A line nested too deep for json, or bytes that do not
+    decode, end it as ``(0, error)``: an error to raise as it is.
+    """
+    rows, linenos = [], []
+    try:
+        for lineno, text in lines:
+            try:
+                row, end = _SCAN(text, 0)
+                whole = text[end:] == "\n"
+            except (StopIteration, ValueError, RecursionError):
+                whole = False
+            if not whole:  # blank, padded, unterminated or not JSON: let json.loads decide
+                if text.isspace():
+                    continue
+                try:
+                    row = json.loads(text)
+                except ValueError as exc:
+                    return rows, linenos, (lineno, exc)
+                except RecursionError as exc:
+                    return rows, linenos, (0, exc)
+            rows.append(row)
+            linenos.append(lineno)
+            if len(rows) == CHUNK_ROWS:
+                break
+    except UnicodeDecodeError as exc:
+        return rows, linenos, (0, exc)
+    return rows, linenos, None
+
+
+def _split_header(template: LineTemplate, rows: list, header: str
+                  ) -> tuple[dict[int, dict], dict[str, list]]:
+    """The ``header`` object of each row holding one, by row, and the columns of the others.
+
+    ``header in row`` is asked of every row first, then a header row's value
+    is checked, and any other row's fields; a bad row raises ``_BadRow``
+    naming the first one.
+    """
+    bad = []
+    try:
+        marks = _apply(lambda row: header in row, rows)
+    except _BadRow as exc:
+        bad.append(exc)
+        marks = [header in row for row in rows[:exc.row]]
+    heads = [i for i, mark in enumerate(marks) if mark]
+    body = [i for i, mark in enumerate(marks) if not mark]
+    try:
+        values = _column(header, dict, [rows[i] for i in heads])
+    except _BadRow as exc:
+        bad.append(_BadRow(heads[exc.row], exc.cause))
+    try:
+        columns = _checked_columns(template, [rows[i] for i in body])
+    except _BadRow as exc:
+        bad.append(_BadRow(body[exc.row], exc.cause))
+    if bad:
+        raise min(bad, key=operator.attrgetter("row"))
+    return dict(zip(heads, values)), columns
+
+
+def read_jsonl(template: LineTemplate, path: str | Path, *,
+               header: str | None = None) -> Iterator[dict[str, list]]:
+    """The records of ``path`` as ``template``'s checked columns, one chunk of rows at a time.
+
+    Each line is scanned once and each column checked once, with
+    ``checked``'s rules: an int field takes ``"3"`` or ``2.0``, a float field
+    ``2``, and neither a boolean, NaN or a fraction in an int field. Blank
+    lines are skipped. Each distinct value of a ``shared`` field is
+    held once for the whole file. A line that is not JSON, or a record
+    missing a field or holding a value its field refuses, is a
+    PersistenceError naming ``path:line``; of two, the earlier line.
+
+    With ``header``, a record holding that key is the file's header, as
+    ``write_jsonl`` writes it: it must be the first record and hold an
+    object, which is yielded first as ``{header: [object]}``.
+    """
+    held: dict[str, dict] = {name: {} for name in template.shared}
+    misplaced = False
+    with open(path, encoding="utf-8") as fh:
+        lines = enumerate(fh, 1)
+        first = True
+        while True:
+            rows, linenos, stop = _scan_chunk(lines)
+            try:
+                heads, columns = (_split_header(template, rows, header) if header is not None
+                                  else ({}, _checked_columns(template, rows)))
+            except _BadRow as bad:
+                raise _bad_record(path, linenos[bad.row], bad.cause) from bad.cause
+            if stop is not None:
+                lineno, exc = stop
+                if not lineno:
+                    raise exc
+                raise _bad_record(path, lineno, exc) from exc
+            for i, value in heads.items():
+                if i or not first:
+                    misplaced = True
+                else:
+                    yield {header: [value]}
+            for name, hold in held.items():
+                columns[name] = list(map(hold.setdefault, columns[name], columns[name]))
+            if len(rows) > len(heads):
+                yield columns
+            if len(rows) < CHUNK_ROWS:
+                break
+            first = False
+    if misplaced:
+        raise PersistenceError(f"{path}: the {header} header must be the first record")
 
 
 class FlatRecord(Generic[T]):
     """JSONL layout of a dataclass whose fields are plain JSON values.
 
     Each field is stored under its own name, through one ``LineTemplate``
-    compiled from the field types. Every field is checked on read
-    (``checked``), since its value comes from outside: a string field must
-    hold a string, an int field an integral number that is not a boolean,
-    and a float field a finite number that is not a boolean.
+    compiled from the field types, in the order the dataclass declares them.
+    Every field is checked on read (``checked``), since its value comes from
+    outside: a string field must hold a string, an int field an integral
+    number that is not a boolean, and a float field a finite number that is
+    not a boolean.
     """
 
     def __init__(self, cls: type[T]):
         hints = typing.get_type_hints(cls)
+        names = [f.name for f in dataclasses.fields(cls)]
         self.cls = cls
-        self.fields = tuple((f.name, _COERCE.get(hints[f.name])) for f in dataclasses.fields(cls))
-        self.template = LineTemplate({name: hints[name] for name, _ in self.fields})
-        self._getters = {name: operator.attrgetter(name) for name, _ in self.fields}
+        self.template = LineTemplate({name: hints[name] for name in names})
+        self._getters = {name: operator.attrgetter(name) for name in names}
 
     def _columns(self, objs: Sequence[T]) -> dict[str, list]:
         return {name: list(map(get, objs)) for name, get in self._getters.items()}
@@ -308,8 +491,7 @@ class FlatRecord(Generic[T]):
     def write(self, objs: Iterable[T], path: str | Path) -> None:
         write_jsonl(self.template, map(self._columns, chunked(objs)), path)
 
-    def decode(self, rec: dict) -> T:
-        return self.cls(**{
-            name: rec[name] if coerce is None else coerce(rec[name])
-            for name, coerce in self.fields
-        })
+    def read(self, path: str | Path) -> list[T]:
+        """The records of ``path``, each built from its row of the checked columns."""
+        return list(itertools.chain.from_iterable(
+            map(self.cls, *columns.values()) for columns in read_jsonl(self.template, path)))

@@ -24,7 +24,10 @@ each and encoded by ``JSONEncoder.encode`` instead of formatted a column
 at a time through a compiled line template, a sentence scanner that walks the
 text one character at a time instead of one boundary pattern, and paragraph
 splitting that re-counts every joined chunk and re-scans the rest of an
-over-budget sentence for every piece instead of carrying counts forward.
+over-budget sentence for every piece instead of carrying counts forward, and
+JSONL files read with one ``json.loads`` and one decoder call per line, each
+field checked and passed by keyword, instead of a chunk of lines scanned into
+columns that are checked a column at a time.
 Slow is fine; different code paths are the point.
 """
 
@@ -34,6 +37,7 @@ import dataclasses
 import json
 import logging
 import math
+import typing
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -72,7 +76,10 @@ from ragmark.index import (
     search,
 )
 from ragmark.metrics import BLEU_SMOOTH_FLOOR, ScoreRow, _stem, score_row
+from ragmark.qagen import QAPair
 from ragmark.retrieve import PackedContext, render_prompt
+from ragmark.testgen import TestSet
+from ragmark.wire import checked
 
 log = logging.getLogger(__name__)
 
@@ -377,6 +384,60 @@ def oracle_test_record(pair):
 def oracle_jsonl(records):
     """The bytes of a JSONL file: each record encoded on its own line."""
     return "".join(encode_sorted(rec) + "\n" for rec in records).encode("utf-8")
+
+
+def oracle_read_jsonl(path, decode):
+    """``decode`` applied to the record on every non-blank line of ``path``.
+
+    A line that is not JSON, or a record ``decode`` rejects (a missing field
+    raises KeyError, a value it cannot coerce ValueError, TypeError or
+    OverflowError), is a PersistenceError naming ``path:line``.
+    """
+    out = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, text in enumerate(fh, 1):
+            if text.isspace():
+                continue
+            try:
+                out.append(decode(json.loads(text)))
+            except KeyError as exc:
+                raise PersistenceError(f"{path}:{lineno}: record has no field {exc}") from exc
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise PersistenceError(f"{path}:{lineno}: bad record: {exc}") from exc
+    return out
+
+
+def oracle_flat_decode(cls):
+    """The record decoder of flat dataclass ``cls``: every field ``checked``, in field order."""
+    hints = typing.get_type_hints(cls)
+    fields = [(f.name, hints[f.name]) for f in dataclasses.fields(cls)]
+    return lambda rec: cls(**{name: checked(rec[name], kind) for name, kind in fields})
+
+
+def oracle_decode_pair(rec, paragraph_ref):
+    return QAPair(question=checked(rec["question"], str), paragraph_ref=paragraph_ref,
+                  answer_text=checked(rec["answer_text"], str),
+                  synthetic=checked(rec.get("synthetic", False), bool))
+
+
+def oracle_decode_qa(rec):
+    return oracle_decode_pair(rec, (checked(rec["doc_id"], str),
+                                    checked(rec["paragraph_ordinal"], int)))
+
+
+def oracle_decode_test_record(rec):
+    """A test pair, or the object of a ``params`` header."""
+    if "params" in rec:
+        return checked(rec["params"], dict)
+    return oracle_decode_pair(rec, ("cluster", checked(rec["cluster_id"], int)))
+
+
+def oracle_read_test_set(path):
+    records = oracle_read_jsonl(path, oracle_decode_test_record)
+    params = records.pop(0) if records and isinstance(records[0], dict) else {}
+    if any(isinstance(rec, dict) for rec in records):
+        raise PersistenceError(f"{path}: the params header must be the first record")
+    return TestSet(pairs=records, params=params)
 
 
 def oracle_index_lines(ds, header):

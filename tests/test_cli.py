@@ -363,6 +363,19 @@ class TestSettingsChecked:
         assert snapshot(tmp_path) == before
         assert f"test set {testset} has no question-answer pairs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("params", ["[1]", "null", '"x"'])
+    def test_sweep_over_test_set_whose_header_is_not_an_object(self, topic_index, tmp_path,
+                                                               capsys, params):
+        testset = tmp_path / "ts.jsonl"
+        testset.write_text(f'{{"params": {params}}}\n' + ONE_QUESTION_TESTSET.split("\n", 1)[1])
+        before = snapshot(tmp_path)
+        assert run("sweep", "--testset", str(testset), "--index-sentences", str(topic_index),
+                   "--output-dir", str(tmp_path / "out"), "--embedder", f"local:{EMBED_DIM}") == 3
+        assert snapshot(tmp_path) == before
+        err = capsys.readouterr().err
+        assert err.startswith(f"i/o error: {testset}:1: bad record: ")
+        assert err.endswith(" is not an object\n")
+
     def test_template_with_escaped_braces_and_conversion_runs(self, topic_index, tmp_path,
                                                               capsys):
         tpl = tmp_path / "tpl.txt"

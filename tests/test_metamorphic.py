@@ -11,6 +11,8 @@ CLI:
   multiset is twice the sum, so the mean over 2n rows is the same double.
 - ``sweep --thresholds t`` writes the same score rows as column ``t`` of the
   full sweep.
+- ``ask --threshold t --reference R`` on a test question prints the scores of
+  that question's sweep row at ``t``, to four places, on either index.
 """
 
 import contextlib
@@ -24,11 +26,14 @@ from ragmark.cli import main
 from ragmark.config import DEFAULT_THRESHOLDS
 from ragmark.embed import LocalHashEmbedder
 from ragmark.experiment import SWEEP_ARMS
-from ragmark.index import build_question_index, build_sentence_index, save_index
+from ragmark.index import IndexKind, build_question_index, build_sentence_index, save_index
+from ragmark.metrics import read_score_rows_jsonl
 from ragmark.qagen import QADataset, QAPair
 
 REPORT_FILES = ("report.json", "report.csv", "radar.json")
 THRESHOLDS = [float(t) for t in DEFAULT_THRESHOLDS.split(",")]
+SOME_THRESHOLDS = [THRESHOLDS[0], THRESHOLDS[len(THRESHOLDS) // 2], THRESHOLDS[-1]]
+INDEX_FILES = {IndexKind.SENTENCES: "is.jsonl", IndexKind.QUESTIONS: "iq.jsonl"}
 
 
 @pytest.fixture(scope="module")
@@ -86,8 +91,7 @@ def test_duplicating_every_pair_leaves_the_report_unchanged(sweep_inputs, full_s
     assert same_files(full_sweep, out, REPORT_FILES) == dict.fromkeys(REPORT_FILES, True)
 
 
-@pytest.mark.parametrize("threshold", [THRESHOLDS[0], THRESHOLDS[len(THRESHOLDS) // 2],
-                                       THRESHOLDS[-1]])
+@pytest.mark.parametrize("threshold", SOME_THRESHOLDS)
 def test_one_threshold_sweep_writes_that_column_of_the_full_sweep(sweep_inputs, full_sweep,
                                                                    threshold):
     out = sweep(sweep_inputs, sweep_inputs[1], f"t{threshold}", "--thresholds", str(threshold))
@@ -97,3 +101,21 @@ def test_one_threshold_sweep_writes_that_column_of_the_full_sweep(sweep_inputs, 
     assert same_files(full_sweep, out, names) == dict.fromkeys(names, True)
     assert sorted(p.name for p in out.glob("scores_*_t*.jsonl")) == sorted(
         name for name in names if name.endswith(".jsonl") and "_t" in name)
+
+
+@pytest.mark.parametrize("kind", list(SWEEP_ARMS), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("threshold", SOME_THRESHOLDS)
+def test_ask_prints_the_scores_of_each_questions_sweep_row(sweep_inputs, full_sweep, kind,
+                                                          threshold):
+    root, pairs = sweep_inputs
+    rows = read_score_rows_jsonl(full_sweep / f"scores_{SWEEP_ARMS[kind]}_t{threshold}.jsonl")
+    assert [row.question_id for row in rows] == [f"q{i:04d}" for i in range(len(pairs))]
+    for pair, row in zip(pairs, rows):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["ask", "--question", pair.question, "--index",
+                         str(root / INDEX_FILES[kind]), "--threshold", str(threshold),
+                         "--reference", pair.answer_text, "--embedder", f"local:{EMBED_DIM}"]) == 0
+        [scores] = [line for line in out.getvalue().splitlines() if line.startswith("scores")]
+        assert scores == (f"scores   : rouge={row.rouge:.4f} meteor={row.meteor:.4f} "
+                          f"bleu={row.bleu:.4f} cs={row.cs:.4f}")

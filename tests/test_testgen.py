@@ -383,6 +383,21 @@ class TestPersistence:
         with pytest.raises(PersistenceError, match="first record"):
             read_test_set_jsonl(path)
 
+    @pytest.mark.parametrize("header, detail", [
+        ('{"params": [1]}', "[1] is not an object"),
+        ('{"params": null}', "None is not an object"),
+        ('{"params": "x"}', "'x' is not an object"),
+        ('{"params": {}, "x": 1}\n{"params": 5}', "5 is not an object"),
+    ], ids=["list", "null", "string", "second-header"])
+    def test_header_that_is_not_an_object_is_a_bad_record(self, tmp_path, header, detail):
+        path = tmp_path / "testset.jsonl"
+        pair = '{"question": "Why?", "answer_text": "Text.", "cluster_id": 4}'
+        path.write_text(f"{header}\n{pair}\n")
+        line = header.count("\n") + 1
+        with pytest.raises(PersistenceError,
+                           match=re.escape(f"{path}:{line}: bad record: {detail}")):
+            read_test_set_jsonl(path)
+
     @pytest.mark.parametrize("pair, detail", [
         ('{"question": "Why?", "answer_text": "Text.", "cluster_id": 4.5}', "4.5 is not an integer"),
         ('{"question": "Why?", "answer_text": 3, "cluster_id": 4}', "3 is not a string"),

@@ -1,3 +1,5 @@
+import functools
+import json
 import logging
 import tempfile
 from dataclasses import dataclass
@@ -7,26 +9,37 @@ from unittest import mock
 import numpy as np
 import pytest
 import requests
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     IndexEntry,
     dataset_of,
     encode_sorted,
+    oracle_decode_qa,
+    oracle_flat_decode,
     oracle_flat_record,
     oracle_jsonl,
     oracle_qa_record,
+    oracle_read_jsonl,
+    oracle_read_test_set,
     oracle_save_index,
     oracle_test_record,
 )
 from ragmark import testgen, wire
-from ragmark.corpus import Paragraph, Sentence, write_paragraphs_jsonl, write_sentences_jsonl
+from ragmark.corpus import (
+    Paragraph,
+    Sentence,
+    read_paragraphs_jsonl,
+    read_sentences_jsonl,
+    write_paragraphs_jsonl,
+    write_sentences_jsonl,
+)
 from ragmark.errors import BadResponseError, ConfigError, PersistenceError, TransportError
 from ragmark.index import IndexKind, keys_path, save_index
-from ragmark.metrics import ScoreRow, write_score_rows_jsonl
-from ragmark.qagen import QADataset, QAPair, write_qa_jsonl
-from ragmark.wire import MIN_TIMEOUT_MS, FlatRecord, JsonEndpoint, LineTemplate, read_jsonl
+from ragmark.metrics import ScoreRow, read_score_rows_jsonl, write_score_rows_jsonl
+from ragmark.qagen import QADataset, QAPair, read_qa_jsonl, write_qa_jsonl
+from ragmark.wire import MIN_TIMEOUT_MS, FlatRecord, JsonEndpoint, LineTemplate
 
 
 class _Reply:
@@ -115,18 +128,35 @@ class _Flat:
 FLAT = FlatRecord(_Flat)
 
 
+def _oracle_flat(cls):
+    """The record-by-record reader of flat dataclass ``cls``."""
+    return functools.partial(oracle_read_jsonl, decode=oracle_flat_decode(cls))
+
+
+ORACLE_FLAT = _oracle_flat(_Flat)
+GOOD = '{"name": "a", "count": 1, "score": 1.0}'
+
+
+def outcome(read, path):
+    """The repr of what ``read(path)`` returns (so 2 and 2.0 differ), or the error it raises."""
+    try:
+        return repr(read(path))
+    except PersistenceError as exc:
+        return type(exc), str(exc)
+
+
 class TestJsonl:
     def test_flat_roundtrip_keeps_every_field(self, tmp_path):
         path = tmp_path / "f.jsonl"
         items = [_Flat("a", 1, 0.5), _Flat("b", 2, 1e-9)]
         FLAT.write(items, path)
         assert path.read_text().splitlines()[0] == '{"count": 1, "name": "a", "score": 0.5}'
-        assert read_jsonl(path, FLAT.decode) == [_Flat("a", 1, 0.5), _Flat("b", 2, 1e-9)]
+        assert FLAT.read(path) == [_Flat("a", 1, 0.5), _Flat("b", 2, 1e-9)]
 
     def test_blank_lines_skipped_and_numbers_coerced(self, tmp_path):
         path = tmp_path / "f.jsonl"
         path.write_text('\n{"name": "a", "count": "3", "score": 2}\n  \n')
-        [item] = read_jsonl(path, FLAT.decode)
+        [item] = FLAT.read(path)
         assert item == _Flat("a", 3, 2.0)
         assert type(item.count) is int and type(item.score) is float
 
@@ -148,16 +178,112 @@ class TestJsonl:
         ('{"name": "a", "count": 1, "score": false}', "False is not a number"),
         ('{"name": 5, "count": 1, "score": 1.0}', "5 is not a string"),
         ('{"name": null, "count": 1, "score": 1.0}', "None is not a string"),
+        (GOOD + " " + GOOD, "Extra data"),
+        ('{"name": 5, "count": "many", "score": NaN}', "5 is not a string"),
+        ('{"count": "many", "score": 1.0}', "no field 'name'"),
+        ('{"name": "a", "count": 1e400, "score": 1.0}', "inf is not an integer"),
+        ("\ufeff" + GOOD, "Unexpected UTF-8 BOM"),
     ], ids=["missing", "non-numeric", "null", "not-an-object", "not-json", "nan-float",
             "infinite-float", "infinite-float-string", "infinite-int", "fractional-int",
             "negative-fractional-int", "true-int", "false-int", "true-float", "false-float",
-            "numeric-string", "null-string"])
+            "numeric-string", "null-string", "two-values", "three-bad-fields",
+            "missing-and-bad-field", "overflowing-int", "bom-mid-file"])
     def test_bad_record_names_path_and_line(self, tmp_path, line, detail):
         path = tmp_path / "f.jsonl"
-        path.write_text('{"name": "a", "count": 1, "score": 1.0}\n\n' + line + "\n")
+        path.write_text(GOOD + "\n\n" + line + "\n")
         with pytest.raises(PersistenceError, match=detail) as info:
-            read_jsonl(path, FLAT.decode)
+            FLAT.read(path)
         assert str(info.value).startswith(f"{path}:3: ")
+        assert outcome(ORACLE_FLAT, path) == (PersistenceError, str(info.value))
+
+    @pytest.mark.parametrize("content, expected", [
+        (b'{"name": "a", "count": 1, "score": 1.0}\r\n\r\n{"name": "b", "count": "2", '
+         b'"score": 2}\r\n', [_Flat("a", 1, 1.0), _Flat("b", 2, 2.0)]),
+        (b'{"name": "a", "count": 1, "score": 1.0}\r\n{"name": "b", "count": 2.5, '
+         b'"score": 2}\r\n', ":2: bad record: 2.5 is not an integer"),
+        (b' \t\n\x0c\n  {"name": "a", "count": 1, "score": 1.0}\t\n\xc2\xa0\n\n',
+         [_Flat("a", 1, 1.0)]),
+        (b'{"name": "a", "count": 1, "score": 1.0}', [_Flat("a", 1, 1.0)]),
+        (b'\xef\xbb\xbf{"name": "a", "count": 1, "score": 1.0}\n',
+         ":1: bad record: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+         "line 1 column 1 (char 0)"),
+        (b'{"name": "a", "count": "-4", "score": 0.5}\n'
+         b'{"name": "b", "count": 3.0, "score": 0.5}\n'
+         b'{"name": "c", "count": 1e2, "score": 0.5}\n'
+         b'{"name": "d", "count": " 7 ", "score": 0.5}\n',
+         [_Flat("a", -4, 0.5), _Flat("b", 3, 0.5), _Flat("c", 100, 0.5), _Flat("d", 7, 0.5)]),
+        (b'{"name": "a", "count": 1, "score": 2}\n{"name": "b", "count": 1, "score": "0.25"}\n'
+         b'{"name": "c", "count": 1, "score": -0}\n',
+         [_Flat("a", 1, 2.0), _Flat("b", 1, 0.25), _Flat("c", 1, 0.0)]),
+        (b'{"name": "a", "count": 1, "score": 1.0}\n{"name": "b", "count": 1, "score": "x"}\n'
+         b'{"name": 7, "count": 1, "score": 1.0}\n',
+         ":2: bad record: could not convert string to float: 'x'"),
+        (b'{"name": "a", "count": 1, "score": "x"}\n{"name": \n',
+         ":1: bad record: could not convert string to float: 'x'"),
+        (b'{"name": "a", "count": 1, "score": 1.0}\n{"name": \n{"name": 7}\n',
+         ":2: bad record: Expecting value: line 2 column 1 (char 10)"),
+    ], ids=["crlf", "crlf-bad", "whitespace-only-lines", "no-final-newline", "leading-bom",
+            "numeric-strings-and-integral-floats-in-int", "ints-in-float",
+            "earlier-row-before-earlier-field", "bad-field-before-bad-json",
+            "bad-json-before-bad-field"])
+    def test_file_reads_as_the_record_by_record_reader_reads_it(self, tmp_path, content,
+                                                                expected):
+        path = tmp_path / "f.jsonl"
+        path.write_bytes(content)
+        got = outcome(FLAT.read, path)
+        assert got == outcome(ORACLE_FLAT, path)
+        assert got == (repr(expected) if isinstance(expected, list)
+                       else (PersistenceError, f"{path}{expected}"))
+
+    @pytest.mark.parametrize("chunk_rows", [2, 3, wire.CHUNK_ROWS])
+    def test_bad_value_in_a_later_chunk_names_its_line(self, tmp_path, chunk_rows):
+        path = tmp_path / "f.jsonl"
+        lines = [f'{{"name": "r{i}", "count": {i}, "score": 0.5}}' for i in range(chunk_rows + 3)]
+        lines[chunk_rows + 1] = '{"name": "r", "count": 1, "score": false}'
+        path.write_text("\n".join(lines) + "\n")
+        with mock.patch.object(wire, "CHUNK_ROWS", chunk_rows):
+            got = outcome(FLAT.read, path)
+        assert got == outcome(ORACLE_FLAT, path)
+        assert got == (PersistenceError,
+                       f"{path}:{chunk_rows + 2}: bad record: False is not a number")
+
+    @pytest.mark.parametrize("bad_line", [None, 2])
+    @pytest.mark.parametrize("tail, error", [(b"\xff", UnicodeDecodeError),
+                                             (b"[" * 100_000, RecursionError)],
+                             ids=["undecodable", "nested-too-deep"])
+    def test_error_json_cannot_report_comes_after_an_earlier_bad_record(self, tmp_path,
+                                                                       bad_line, tail, error):
+        # the file is decoded 8 KiB at a time, so bytes that do not decode are
+        # met only after the lines of the first buffer are read; 220 lines fill
+        # more than one buffer but less than one chunk
+        path = tmp_path / "f.jsonl"
+        lines = [f'{{"name": "r{i}", "count": {i}, "score": 0.5}}' for i in range(220)]
+        if bad_line:
+            lines[bad_line - 1] = '{"name": "r", "count": 1.5, "score": 0.5}'
+        path.write_bytes("\n".join(lines).encode() + b"\n" + tail + b"\n")
+
+        def raised(read):
+            try:
+                read(path)
+            except (PersistenceError, error) as exc:
+                return type(exc), str(exc)
+
+        assert raised(FLAT.read) == raised(ORACLE_FLAT)
+        assert raised(FLAT.read)[0] is (PersistenceError if bad_line else error)
+
+    def test_each_distinct_shared_value_is_held_once(self, tmp_path):
+        path = tmp_path / "qa.jsonl"
+        text = "".join(f"{ch}. Shared text." for ch in "ab")
+        lines = [json.dumps({"doc_id": "d", "paragraph_ordinal": i % 2, "question": f"Q{i}?",
+                             "answer_text": text[:16] if i % 2 else text})
+                 for i in range(7)]
+        path.write_text("\n".join(lines) + "\n")
+        with mock.patch.object(wire, "CHUNK_ROWS", 3):
+            pairs = read_qa_jsonl(path).pairs
+        answers = [p.answer_text for p in pairs]
+        assert answers == [text, text[:16]] * 3 + [text]
+        assert len(set(map(id, answers))) == 2
+        assert len({id(p.question) for p in pairs}) == 7
 
 
 # What JSON escapes or writes specially: control characters, the quote and the
@@ -267,3 +393,136 @@ class TestLineTemplate:
     def test_template_rejects_what_it_cannot_write(self, fields, match):
         with pytest.raises(ValueError, match=match):
             LineTemplate(fields)
+
+
+# Values a field refuses, or takes only by coercion, and lines that hold no
+# record of any layout; a test set's header among them.
+ODD_VALUES = st.sampled_from([None, True, False, [], {}, ["a"], "", "x", "3", "-2", "2.5", " 7 ",
+                              "NaN", "1e400", 2.5, -0.5, 3, 2.0, -0.0, 1e300, 2**70,
+                              float("nan"), float("-inf")])
+ODD_LINES = st.sampled_from(["", " \t", "\x0c", "\u00a0", "[1, 2]", "5", "null", '"params"',
+                             '["params"]', "{", "{} {}", "\ufeff{}", '{"params": [1]}',
+                             '{"params": {}}', '{"params": null}', "  {}  "])
+
+
+def read_accepts(kind):
+    """Values a field of ``kind`` takes, some of them only by coercion."""
+    if kind is str:
+        return STRINGS | st.sampled_from(["Shared text.", "\U0001f600"])
+    if kind is int:
+        return st.integers(-2**70, 2**70).flatmap(lambda v: st.sampled_from([v, str(v), float(v)]))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return finite | finite.map(repr) | st.integers(-10**6, 10**6)
+
+
+# (reader, record-by-record reader, fields in the order a record is checked)
+LAYOUTS = {
+    "paragraphs": (read_paragraphs_jsonl, _oracle_flat(Paragraph),
+                   {"doc_id": str, "ordinal": int, "text": str, "token_count": int}),
+    "sentences": (read_sentences_jsonl, _oracle_flat(Sentence),
+                  {"doc_id": str, "paragraph_ordinal": int, "ordinal": int, "text": str,
+                   "word_count": int}),
+    "score-rows": (read_score_rows_jsonl, _oracle_flat(ScoreRow),
+                   {"question_id": str, "rouge": float, "meteor": float, "bleu": float,
+                    "cs": float}),
+    "qa": (read_qa_jsonl, lambda path: QADataset(oracle_read_jsonl(path, oracle_decode_qa)),
+           {"doc_id": str, "paragraph_ordinal": int, "question": str, "answer_text": str,
+            "synthetic": bool}),
+    "test-set": (testgen.read_test_set_jsonl, oracle_read_test_set,
+                 {"cluster_id": int, "question": str, "answer_text": str, "synthetic": bool}),
+}
+
+
+class TestColumnReader:
+    """Every JSONL reader against one ``json.loads`` and one decoder call per line."""
+
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    @given(data=st.data(), chunk_rows=st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_reads_what_the_record_by_record_reader_reads(self, layout, data, chunk_rows):
+        read, oracle, fields = LAYOUTS[layout]
+        record = st.fixed_dictionaries(
+            {name: read_accepts(kind) for name, kind in fields.items() if kind is not bool},
+            optional={name: st.booleans() for name, kind in fields.items() if kind is bool})
+        lines = data.draw(st.lists(record, max_size=8))
+        if layout == "test-set" and data.draw(st.booleans()):
+            lines.insert(0, {"params": data.draw(st.dictionaries(STRINGS, INTS, max_size=2))})
+        for _ in range(data.draw(st.integers(0, 2)) if lines else 0):
+            i = data.draw(st.integers(0, len(lines) - 1))
+            if data.draw(st.booleans()) and isinstance(lines[i], dict):
+                name = data.draw(st.sampled_from([*fields, "params"]))
+                if data.draw(st.booleans()):
+                    lines[i].pop(name, None)
+                else:
+                    lines[i][name] = data.draw(ODD_VALUES)
+            else:
+                lines.insert(i, data.draw(ODD_LINES))
+        end = data.draw(st.sampled_from(["\n", "\r\n"]))
+        sort_keys = data.draw(st.booleans())
+        text = "".join((json.dumps(line, sort_keys=sort_keys) if isinstance(line, dict) else line)
+                       + end for line in lines)
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(wire, "CHUNK_ROWS", chunk_rows):
+            path = Path(tmp) / "in.jsonl"
+            path.write_text(text, encoding="utf-8", newline="")
+            got = outcome(read, path)
+            event("refused" if isinstance(got, tuple) else "read")
+            assert got == outcome(oracle, path)
+
+    @pytest.mark.parametrize("lines, expected", [
+        (["5", '{"cluster_id": 0, "question": 1, "answer_text": "a"}'],
+         ":1: bad record: argument of type 'int' is not iterable"),
+        (['{"cluster_id": 0, "question": 1, "answer_text": "a"}', "5"],
+         ":1: bad record: 1 is not a string"),
+        (['["params"]', '{"cluster_id": "x", "question": "q", "answer_text": "a"}'],
+         ":1: bad record: list indices must be integers or slices, not str"),
+        (['{"cluster_id": 0, "question": "q", "answer_text": "a"}', '{"params": 5}',
+          '{"cluster_id": "x", "question": "q", "answer_text": "a"}'],
+         ":2: bad record: 5 is not an object"),
+        (['{"cluster_id": 0, "question": "q", "answer_text": "a"}',
+          '{"cluster_id": "x", "question": "q", "answer_text": "a"}', '"params"', "null"],
+         ":2: bad record: invalid literal for int() with base 10: 'x'"),
+        (['{"cluster_id": 0, "question": "q", "answer_text": "a"}', '{"params": {}}',
+          '{"cluster_id": 0, "question": "q"}'],
+         ":3: record has no field 'answer_text'"),
+        (['{"cluster_id": 0, "question": "q", "answer_text": "a"}', '{"params": {}}'],
+         ": the params header must be the first record"),
+    ], ids=["scalar-before-bad-pair", "bad-pair-before-scalar", "list-header-before-bad-pair",
+            "bad-header-before-bad-pair", "bad-pair-before-string-and-null",
+            "misplaced-header-then-bad-pair", "misplaced-header"])
+    @pytest.mark.parametrize("chunk_rows", [1, 4])
+    def test_test_set_header_rows_are_checked_in_line_order(self, tmp_path, lines, expected,
+                                                            chunk_rows):
+        path = tmp_path / "ts.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with mock.patch.object(wire, "CHUNK_ROWS", chunk_rows):
+            got = outcome(testgen.read_test_set_jsonl, path)
+        assert got == outcome(oracle_read_test_set, path)
+        assert got == (PersistenceError, f"{path}{expected}")
+
+    @given(paragraphs=st.lists(st.builds(Paragraph, STRINGS, INTS, STRINGS, INTS), max_size=8),
+           sentences=st.lists(st.builds(Sentence, STRINGS, INTS, INTS, STRINGS, INTS),
+                              max_size=8),
+           rows=st.lists(st.builds(ScoreRow, STRINGS, FLOATS, FLOATS, FLOATS, FLOATS),
+                         max_size=8),
+           pairs=st.lists(PAIRS, max_size=8),
+           params=st.dictionaries(STRINGS, INTS | FLOATS | STRINGS, max_size=3),
+           chunk_rows=st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_written_files_read_back_as_the_record_by_record_reader_reads_them(
+            self, paragraphs, sentences, rows, pairs, params, chunk_rows):
+        test_pairs = [QAPair(p.question, ("cluster", p.paragraph_ref[1]), p.answer_text,
+                             p.synthetic) for p in pairs]
+        cases = [("paragraphs", write_paragraphs_jsonl, paragraphs),
+                 ("sentences", write_sentences_jsonl, sentences),
+                 ("score-rows", write_score_rows_jsonl, rows),
+                 ("qa", write_qa_jsonl, QADataset(pairs=pairs)),
+                 ("test-set", testgen.write_test_set_jsonl,
+                  testgen.TestSet(pairs=test_pairs, params=params))]
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(wire, "CHUNK_ROWS", chunk_rows):
+            path = Path(tmp) / "out.jsonl"
+            for layout, write, objs in cases:
+                write(objs, path)
+                read, oracle, _ = LAYOUTS[layout]
+                assert outcome(read, path) == outcome(oracle, path)
