@@ -37,6 +37,12 @@ EMBED_RETRIES = 1  # transport retries per request, as gen.retries' default
 # about 1 MiB at dim 512 whatever the batch size.
 EMBED_BLOCK_TEXTS = 256
 
+# One numpy step of ``_fnv1a64_columns`` costs about as much as 24 bytes of
+# ``fnv1a64``'s Python loop (2-vCPU VM), so hashing by byte position pays only
+# when a step advances at least that many strings on average: total bytes at
+# least this many times the longest string.
+FNV_COLUMN_MIN_STRINGS = 24
+
 
 def fnv1a64(data: bytes) -> int:
     """FNV-1a 64-bit hash; stable across platforms and processes."""
@@ -45,6 +51,42 @@ def fnv1a64(data: bytes) -> int:
         h ^= byte
         h = (h * FNV64_PRIME) & 0xFFFFFFFFFFFFFFFF
     return h
+
+
+def fnv1a64_many(data: Sequence[bytes]) -> np.ndarray:
+    """``fnv1a64`` of each byte string, as uint64.
+
+    Many strings of like length are hashed a byte position at a time
+    (``_fnv1a64_columns``); a few, or one much longer than the rest, are
+    hashed byte by byte, which is then cheaper.
+    """
+    lengths = np.fromiter(map(len, data), dtype=np.intp, count=len(data))
+    if lengths.sum() < FNV_COLUMN_MIN_STRINGS * lengths.max(initial=0):
+        return np.fromiter(map(fnv1a64, data), dtype=np.uint64, count=len(data))
+    return _fnv1a64_columns(data, lengths)
+
+
+def _fnv1a64_columns(data: Sequence[bytes], lengths: np.ndarray) -> np.ndarray:
+    """``fnv1a64`` of each of ``data``, whose ``lengths`` are given; a numpy step a byte position.
+
+    The strings are taken longest first, so step j updates the hashes of the
+    leading strings longer than j with their j-th bytes. uint64 arithmetic
+    wraps around, as the scalar mask does, so every hash is the same bits.
+    """
+    order = np.argsort(-lengths, kind="stable")
+    lengths = lengths[order]
+    flat = np.frombuffer(b"".join([data[i] for i in order.tolist()]), dtype=np.uint8)
+    starts = np.cumsum(lengths) - lengths
+    hashes = np.full(len(data), FNV64_OFFSET, dtype=np.uint64)
+    prime = np.uint64(FNV64_PRIME)
+    longest = int(lengths.max(initial=0))
+    for j, count in enumerate(np.searchsorted(-lengths, -np.arange(longest)).tolist()):
+        step = hashes[:count]  # the strings longer than j
+        step ^= flat[starts[:count] + j]
+        step *= prime
+    out = np.empty_like(hashes)
+    out[order] = hashes
+    return out
 
 
 class Embedder(Protocol):

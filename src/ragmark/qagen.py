@@ -4,6 +4,10 @@ Each paragraph is oversampled with up to five deduplicated questions from a
 question-generator service (or its offline mock), and the train/validation
 split only promotes questions whose paragraph keeps at least one sibling in
 train, so validation always probes association rather than memorization.
+
+A question client takes every text of a build in one call and answers each
+in input order: the offline mock hashes them a chunk at a time, and the
+HTTP client keeps ``QUESTION_GEN_WORKERS`` requests in flight.
 """
 
 from __future__ import annotations
@@ -12,13 +16,12 @@ import logging
 import random
 import re
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Protocol, Sequence
 
 from .corpus import Paragraph
-from .embed import fnv1a64
+from .embed import fnv1a64_many
 from .errors import BadResponseError, NoEligiblePairsError, RagmarkError
 from .wire import JsonEndpoint, LineTemplate, chunked, read_jsonl, write_jsonl
 
@@ -28,10 +31,9 @@ if TYPE_CHECKING:
 log = logging.getLogger(__name__)
 
 MAX_QUESTIONS_PER_PARAGRAPH = 5
-QUESTION_GEN_WORKERS = 4  # paragraphs sent to the question generator at once
+QUESTION_GEN_WORKERS = 4  # requests the HTTP question client keeps in flight
 FALLBACK_QUESTION = "What does the following passage describe?"
 
-_WS_RE = re.compile(r"\s+")
 _CONTENT_WORD_RE = re.compile(r"[a-z0-9]{4,}")
 
 
@@ -54,12 +56,19 @@ class QADataset:
 
 
 class QuestionGenClient(Protocol):
-    def generate(self, paragraph_text: str, k: int) -> list[str]: ...
+    """Raw questions for many texts at once, asking for up to ``k`` each.
+
+    ``generate`` returns one outcome per text, in input order: the text's
+    raw question list, or the ``RagmarkError`` that text raised. Any other
+    exception is a fault, not a text's outcome, and is raised.
+    """
+
+    def generate(self, texts: Sequence[str], k: int) -> list[list[str] | RagmarkError]: ...
 
 
 def normalize_question(question: str) -> str:
     """Dedup key: lowercase, collapse whitespace, strip the trailing '?'."""
-    q = _WS_RE.sub(" ", question).strip().lower()
+    q = " ".join(question.split()).lower()
     return q[:-1].rstrip() if q.endswith("?") else q
 
 
@@ -87,15 +96,25 @@ def check_split_ratio(ratio: float) -> None:
         raise ValueError(f"ratio must be in (0, 1), got {ratio}")
 
 
-def questions_for(text: str, client: QuestionGenClient, k: int) -> tuple[list[str], bool]:
-    """Between 1 and ``k`` distinct questions for ``text``, and whether they are synthetic.
+def questions_for(
+    texts: Sequence[str], client: QuestionGenClient, k: int
+) -> list[tuple[list[str], bool] | RagmarkError]:
+    """Each text's questions and whether they are synthetic, or the RagmarkError it raised.
 
-    Duplicates are removed case-insensitively after whitespace normalization.
-    A text yielding nothing usable gets the fixed fallback question, flagged
-    synthetic.
+    One client call takes every text. A text keeps between 1 and ``k``
+    distinct questions: duplicates are removed case-insensitively after
+    whitespace normalization, and a text yielding nothing usable gets the
+    fixed fallback question, flagged synthetic.
     """
     check_question_count(k)
-    raw = client.generate(text, k)
+    outcomes = client.generate(texts, k)
+    if len(outcomes) != len(texts):
+        raise ValueError(f"question client answered {len(outcomes)} of {len(texts)} texts")
+    return [outcome if isinstance(outcome, RagmarkError) else _usable(outcome, k)
+            for outcome in outcomes]
+
+
+def _usable(raw: list[str], k: int) -> tuple[list[str], bool]:
     questions = dedupe_questions(q for q in raw if isinstance(q, str))[:k]
     if questions:
         return questions, False
@@ -109,49 +128,19 @@ def build_qa_dataset(
 ) -> QADataset:
     """Generate questions for every paragraph; the paragraph text is the answer.
 
-    ``QUESTION_GEN_WORKERS`` threads each take the next paragraph from one
-    shared queue, so that many requests are in flight at once. Client
-    failures skip the affected paragraph with a warning, in paragraph
-    order; the build fails only when no paragraph survived. Any other
-    exception stops the workers and is raised.
+    One client call takes every paragraph. Client failures skip the
+    affected paragraph with a warning, in paragraph order; the build fails
+    only when no paragraph survived.
     """
     if not paragraphs:
         raise ValueError("no paragraphs to build from")
-    check_question_count(k)
-
-    outcomes: list = [None] * len(paragraphs)  # each paragraph's questions, or its exception
-    queue = enumerate(paragraphs)
-    lock = threading.Lock()
-
-    def work():
-        while True:
-            with lock:
-                i, paragraph = next(queue, (None, None))
-            if paragraph is None:
-                return
-            try:
-                outcomes[i] = questions_for(paragraph.text, client, k)
-            except BaseException as exc:
-                outcomes[i] = exc
-                if not isinstance(exc, RagmarkError):
-                    with lock:
-                        for _ in queue:  # nobody takes another paragraph
-                            pass
-                    return
-
-    with ThreadPoolExecutor(max_workers=QUESTION_GEN_WORKERS) as pool:
-        workers = [pool.submit(work) for _ in range(QUESTION_GEN_WORKERS)]
-    for worker in workers:
-        worker.result()
-
+    outcomes = questions_for([p.text for p in paragraphs], client, k)
     pairs = []
     for paragraph, outcome in zip(paragraphs, outcomes):
         if isinstance(outcome, RagmarkError):
             log.warning("skipping paragraph %s#%d: %s", paragraph.doc_id, paragraph.ordinal,
                         outcome)
             continue
-        if isinstance(outcome, BaseException):
-            raise outcome
         questions, synthetic = outcome
         for q in questions:
             pairs.append(
@@ -216,7 +205,7 @@ def split_train_validation(
 # ---------------------------------------------------------------------------
 
 class HttpQuestionGenClient:
-    """Client for a question-generation service (POST /generate_questions)."""
+    """Client for a question-generation service (POST /generate_questions, one text each)."""
 
     def __init__(
         self,
@@ -231,8 +220,46 @@ class HttpQuestionGenClient:
             timeout_ms=timeout_ms, retries=retries, session=session,
         )
 
-    def generate(self, paragraph_text: str, k: int) -> list[str]:
-        questions = self._http.post({"text": paragraph_text, "k": k}).get("questions")
+    def generate(self, texts: Sequence[str], k: int) -> list[list[str] | RagmarkError]:
+        """Each text's questions, from ``QUESTION_GEN_WORKERS`` threads sharing one queue.
+
+        Each thread takes the next text, so that many requests are in
+        flight at once. Any exception other than a RagmarkError stops the
+        threads, and the first such one in text order is raised.
+        """
+        from concurrent.futures import ThreadPoolExecutor  # only a client that waits on I/O
+
+        outcomes: list = [None] * len(texts)  # each text's questions, or its exception
+        queue = enumerate(texts)
+        lock = threading.Lock()
+
+        def work():
+            while True:
+                with lock:
+                    i, text = next(queue, (None, None))
+                if i is None:
+                    return
+                try:
+                    outcomes[i] = self._questions(text, k)
+                except BaseException as exc:
+                    outcomes[i] = exc
+                    if not isinstance(exc, RagmarkError):
+                        with lock:
+                            for _ in queue:  # nobody takes another text
+                                pass
+                        return
+
+        with ThreadPoolExecutor(max_workers=QUESTION_GEN_WORKERS) as pool:
+            workers = [pool.submit(work) for _ in range(QUESTION_GEN_WORKERS)]
+        for worker in workers:
+            worker.result()
+        for outcome in outcomes:
+            if isinstance(outcome, BaseException) and not isinstance(outcome, RagmarkError):
+                raise outcome
+        return outcomes
+
+    def _questions(self, text: str, k: int) -> list[str]:
+        questions = self._http.post({"text": text, "k": k}).get("questions")
         if not isinstance(questions, list) or not all(isinstance(q, str) for q in questions):
             raise BadResponseError("questions field must be a list of strings")
         return questions
@@ -242,7 +269,8 @@ class MockQuestionGenClient:
     """Offline stand-in deriving questions from a paragraph's content words.
 
     Deterministic for a fixed seed: the word sample is keyed on a stable hash
-    of the paragraph text, never on process state.
+    of the paragraph text, never on process state. The texts are hashed
+    ``CHUNK_ROWS`` at a time.
     """
 
     template = "What does the passage say about {}?"
@@ -250,11 +278,18 @@ class MockQuestionGenClient:
     def __init__(self, seed: int = 0):
         self.seed = seed
 
-    def generate(self, paragraph_text: str, k: int) -> list[str]:
-        words = sorted(set(_CONTENT_WORD_RE.findall(paragraph_text.lower())))
+    def generate(self, texts: Sequence[str], k: int) -> list[list[str] | RagmarkError]:
+        out: list[list[str] | RagmarkError] = []
+        for chunk in chunked(texts):
+            hashes = fnv1a64_many([text.encode("utf-8") for text in chunk]).tolist()
+            out += (self._questions(text, h, k) for text, h in zip(chunk, hashes))
+        return out
+
+    def _questions(self, text: str, text_hash: int, k: int) -> list[str]:
+        words = sorted(set(_CONTENT_WORD_RE.findall(text.lower())))
         if not words:
             return []
-        rng = random.Random(fnv1a64(paragraph_text.encode("utf-8")) ^ self.seed)
+        rng = random.Random(text_hash ^ self.seed)
         picked = words if len(words) <= k else rng.sample(words, k)
         return [self.template.format(w) for w in picked]
 

@@ -161,6 +161,10 @@ class LineTemplate:
     field, never a different byte. Each distinct value of a ``shared``
     string field, one whose values repeat across rows by construction (a
     paragraph's text under each of its questions), is escaped once a chunk.
+    A surrogate pair held as two code points (``"\\ud800\\udfff"``) is
+    written as two escapes, as ``json.dumps`` writes it, and reads back as
+    the one code point the pair encodes (U+103FF); text decoded from UTF-8
+    cannot hold such a pair.
 
     Records are formatted a column at a time (``format``) and joined into
     lines a chunk of rows at a time (``join``), so no per-record dict or

@@ -27,7 +27,11 @@ splitting that re-counts every joined chunk and re-scans the rest of an
 over-budget sentence for every piece instead of carrying counts forward, and
 JSONL files read with one ``json.loads`` and one decoder call per line, each
 field checked and passed by keyword, instead of a chunk of lines scanned into
-columns that are checked a column at a time.
+columns that are checked a column at a time, a question mock that hashes
+each text with the byte-at-a-time ``fnv1a64`` instead of a numpy pass over a
+chunk of texts, a dataset build that asks a per-text client from a thread
+pool instead of making one batch call, and a whitespace regex instead of
+``str.split`` for question dedup keys.
 Slow is fine; different code paths are the point.
 """
 
@@ -37,8 +41,12 @@ import dataclasses
 import json
 import logging
 import math
+import random
+import re
+import threading
 import typing
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -76,7 +84,7 @@ from ragmark.index import (
     search,
 )
 from ragmark.metrics import BLEU_SMOOTH_FLOOR, ScoreRow, _stem, score_row
-from ragmark.qagen import QAPair
+from ragmark.qagen import FALLBACK_QUESTION, QUESTION_GEN_WORKERS, QADataset, QAPair
 from ragmark.retrieve import PackedContext, render_prompt
 from ragmark.testgen import TestSet
 from ragmark.wire import checked
@@ -755,3 +763,91 @@ def oracle_run_sweep(cfg, testset, index, gen_client, embedder):
                 rows.append(ScoreRow(qid, 0.0, 0.0, 0.0, 0.0))
         results[threshold] = rows
     return results
+
+
+_ORACLE_WS_RE = re.compile(r"\s+")
+_ORACLE_CONTENT_WORD_RE = re.compile(r"[a-z0-9]{4,}")
+
+
+def oracle_normalize_question(question):
+    """Dedup key by a whitespace regex: lowercase, collapse, strip the trailing '?'."""
+    q = _ORACLE_WS_RE.sub(" ", question).strip().lower()
+    return q[:-1].rstrip() if q.endswith("?") else q
+
+
+def _oracle_questions_for(text, client, k):
+    """One text's questions and synthetic flag, from one per-text client call."""
+    seen, questions = set(), []
+    for q in client.generate(text, k):
+        if not isinstance(q, str):
+            continue
+        key = oracle_normalize_question(q)
+        if key and key not in seen:
+            seen.add(key)
+            questions.append(q.strip())
+    questions = questions[:k]
+    if questions:
+        return questions, False
+    return [FALLBACK_QUESTION], True
+
+
+class OracleMockQuestionGenClient:
+    """The question mock one text per call, seeded by the byte-at-a-time ``fnv1a64``."""
+
+    template = "What does the passage say about {}?"
+
+    def __init__(self, seed=0):
+        self.seed = seed
+
+    def generate(self, paragraph_text, k):
+        words = sorted(set(_ORACLE_CONTENT_WORD_RE.findall(paragraph_text.lower())))
+        if not words:
+            return []
+        rng = random.Random(fnv1a64(paragraph_text.encode("utf-8")) ^ self.seed)
+        picked = words if len(words) <= k else rng.sample(words, k)
+        return [self.template.format(w) for w in picked]
+
+
+def oracle_build_qa_dataset(paragraphs, client, k):
+    """``build_qa_dataset`` over a per-text client, from threads sharing one queue.
+
+    Client RagmarkErrors skip their paragraph with a warning, in paragraph
+    order; any other exception stops the queue and is raised.
+    """
+    outcomes = [None] * len(paragraphs)
+    queue = enumerate(paragraphs)
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                i, paragraph = next(queue, (None, None))
+            if paragraph is None:
+                return
+            try:
+                outcomes[i] = _oracle_questions_for(paragraph.text, client, k)
+            except BaseException as exc:
+                outcomes[i] = exc
+                if not isinstance(exc, RagmarkError):
+                    with lock:
+                        for _ in queue:
+                            pass
+                    return
+
+    with ThreadPoolExecutor(max_workers=QUESTION_GEN_WORKERS) as pool:
+        for _ in range(QUESTION_GEN_WORKERS):
+            pool.submit(work)
+    pairs = []
+    for paragraph, outcome in zip(paragraphs, outcomes):
+        if isinstance(outcome, RagmarkError):
+            log.warning("skipping paragraph %s#%d: %s", paragraph.doc_id, paragraph.ordinal,
+                        outcome)
+            continue
+        if isinstance(outcome, BaseException):
+            raise outcome
+        questions, synthetic = outcome
+        pairs += [QAPair(q, (paragraph.doc_id, paragraph.ordinal), paragraph.text, synthetic)
+                  for q in questions]
+    if not pairs:
+        raise RagmarkError("question generation failed for every paragraph")
+    return QADataset(pairs=pairs)

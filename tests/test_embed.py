@@ -8,13 +8,17 @@ from hypothesis import strategies as st
 
 from oracles import oracle_local_hash_embed
 from oracles import oracle_pair_cosine as cosine
+from ragmark import embed
 from ragmark.embed import (
     _WORD_RE,
     EMBED_BLOCK_TEXTS,
+    FNV_COLUMN_MIN_STRINGS,
     CachingEmbedder,
     LocalHashEmbedder,
     RemoteEmbedder,
+    _fnv1a64_columns,
     fnv1a64,
+    fnv1a64_many,
     make_embedder,
 )
 from ragmark.errors import (
@@ -24,6 +28,7 @@ from ragmark.errors import (
     TransportError,
     ZeroVectorError,
 )
+from ragmark.wire import CHUNK_ROWS
 
 
 def vec(*values):
@@ -121,6 +126,51 @@ class TestLocalHashEmbedder:
         # reference values for the 64-bit FNV-1a parameters
         assert fnv1a64(b"") == 0xCBF29CE484222325
         assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
+
+
+def assert_hashes_match(data):
+    expected = [fnv1a64(d) for d in data]
+    lengths = np.fromiter(map(len, data), dtype=np.intp, count=len(data))
+    for got in fnv1a64_many(data), _fnv1a64_columns(data, lengths):
+        assert got.dtype == np.uint64 and got.shape == (len(data),)
+        assert got.tolist() == expected
+
+
+class TestFnv1a64Many:
+    """Both ways of hashing many strings give the byte-at-a-time hash of each, bit for bit."""
+
+    @pytest.mark.parametrize("texts", [
+        [],
+        [""],
+        ["", "", ""],
+        ["a"],
+        ["abc", "xyz", "abd"],  # equal lengths
+        ["", "a", "", "longer text", "ab"],
+        ["Straße", "日本語", "\U0001f600 and \U00010348", "naïve"],  # 2-, 3- and 4-byte UTF-8
+        [f"text {i} " * (i % 7) for i in range(CHUNK_ROWS + 1)],
+    ], ids=["none", "empty", "empties", "one", "equal", "mixed", "multibyte", "chunk-plus-one"])
+    def test_cases(self, texts):
+        assert_hashes_match([t.encode("utf-8") for t in texts])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.text(max_size=40), max_size=60))
+    def test_arbitrary_text(self, texts):
+        assert_hashes_match([t.encode("utf-8") for t in texts])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.binary(max_size=300), max_size=20))
+    def test_arbitrary_bytes(self, data):
+        assert_hashes_match(data)
+
+    @pytest.mark.parametrize("count, uses_columns", [(FNV_COLUMN_MIN_STRINGS - 1, False),
+                                                     (FNV_COLUMN_MIN_STRINGS, True)])
+    def test_byte_positions_only_for_enough_strings_a_step(self, monkeypatch, count,
+                                                           uses_columns):
+        calls = []
+        monkeypatch.setattr(embed, "_fnv1a64_columns",
+                            lambda data, lengths: calls.append(len(data)) or np.zeros(len(data)))
+        embed.fnv1a64_many([b"x" * 50] * count)
+        assert calls == ([count] if uses_columns else [])
 
 
 # Repeated words, case variants and Unicode (final sigma, sharp s, dotted

@@ -2,11 +2,12 @@
 
 Every fixture pipeline runs on ``local:`` embedders and ``mock:`` services,
 so ``requests`` (with urllib3, ssl and http.client) must load only where an
-HTTP client is built. Drawing ``radar.svg`` loads neither: its text is
-escaped by ``html.escape``, not by ``xml.sax``, whose ``saxutils`` imports
-``urllib.request`` and with it ssl and http.client. Each check runs in a
-fresh interpreter, since the test process itself has loaded them all long
-before.
+HTTP client is built, and ``concurrent.futures`` only where the HTTP
+question client runs its pool of requests. Drawing ``radar.svg`` loads
+neither HTTP nor XML: its text is escaped by ``html.escape``, not by
+``xml.sax``, whose ``saxutils`` imports ``urllib.request`` and with it ssl
+and http.client. Each check runs in a fresh interpreter, since the test
+process itself has loaded them all long before.
 """
 
 import json
@@ -19,7 +20,8 @@ from topicfix import EMBED_DIM, make_topic_corpus
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-HEAVY = ["requests", "urllib3", "ssl", "http.client", "urllib.request", "xml.sax"]
+HEAVY = ["requests", "urllib3", "ssl", "http.client", "urllib.request", "xml.sax",
+         "concurrent.futures"]
 
 PIPELINE = """
 import json, sys
@@ -64,6 +66,23 @@ stages["svg"] = loaded()
 from ragmark.embed import RemoteEmbedder
 RemoteEmbedder("http://127.0.0.1:9")
 stages["remote"] = loaded()
+from ragmark.qagen import HttpQuestionGenClient
+
+
+class Answering:
+    status_code = 200
+
+    def post(self, url, json, timeout):
+        return self
+
+    def json(self):
+        return {{"questions": ["q?"]}}
+
+
+client = HttpQuestionGenClient("http://127.0.0.1:9", session=Answering())
+stages["qg_built"] = loaded()
+assert client.generate(["some text"], 1) == [["q?"]]
+stages["qg_generate"] = loaded()
 print(json.dumps(stages))
 """
 
@@ -86,3 +105,5 @@ def test_offline_commands_load_no_http_or_xml_stack(tmp_path):
     assert stages["offline"] == []
     assert stages["svg"] == []
     assert {"requests", "urllib3", "ssl", "http.client"} <= set(stages["remote"])
+    assert "concurrent.futures" not in stages["qg_built"]
+    assert "concurrent.futures" in stages["qg_generate"]

@@ -7,7 +7,11 @@ import threading
 import time
 
 import pytest
+import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import OracleMockQuestionGenClient, oracle_build_qa_dataset, oracle_normalize_question
 from ragmark.corpus import Paragraph
 from ragmark.errors import ConfigError, NoEligiblePairsError, PersistenceError, TransportError
 from ragmark.qagen import (
@@ -33,41 +37,70 @@ def para(i, text="Some paragraph text about interesting matters."):
 
 
 class ListClient:
-    """Scripted client: returns a fixed list per call, round-robin by paragraph."""
+    """Scripted client: each text's fixed list of questions, or none."""
 
     def __init__(self, script):
         self.script = dict(script)
 
-    def generate(self, paragraph_text, k):
-        return self.script.get(paragraph_text, [])
+    def generate(self, texts, k):
+        return [self.script.get(text, []) for text in texts]
 
 
 class TestGenerateQuestions:
     def test_dedup_by_normalization(self):
         client = ListClient({para(0).text: ["Q1", "q1 ", "Q2"]})
-        assert questions_for(para(0).text, client, 5) == (["Q1", "Q2"], False)
+        assert questions_for([para(0).text], client, 5) == [(["Q1", "Q2"], False)]
 
     def test_five_distinct_all_kept(self):
         qs = [f"Question {i}?" for i in range(5)]
         client = ListClient({para(0).text: qs})
-        assert questions_for(para(0).text, client, 5) == (qs, False)
+        assert questions_for([para(0).text], client, 5) == [(qs, False)]
 
     def test_more_than_k_clipped(self):
         qs = [f"Question {i}?" for i in range(9)]
         client = ListClient({para(0).text: qs})
-        assert len(questions_for(para(0).text, client, 5)[0]) == 5
+        [(questions, _)] = questions_for([para(0).text], client, 5)
+        assert len(questions) == 5
 
     def test_empty_yield_falls_back(self):
         client = ListClient({})
-        assert questions_for(para(0).text, client, 5) == ([FALLBACK_QUESTION], True)
+        assert questions_for([para(0).text], client, 5) == [([FALLBACK_QUESTION], True)]
+
+    def test_each_text_keeps_its_outcome_in_order(self):
+        down = TransportError("down")
+
+        class Mixed:
+            def generate(self, texts, k):
+                return [down if t == "b" else [f"{t}?", f"{t.upper()}?"] for t in texts]
+
+        assert questions_for(["a", "b", "c"], Mixed(), 5) == [
+            (["a?"], False), down, (["c?"], False)]
+
+    def test_a_missing_outcome_is_an_error(self):
+        class Short:
+            def generate(self, texts, k):
+                return [["q?"]] * (len(texts) - 1)
+
+        with pytest.raises(ValueError, match="answered 1 of 2 texts"):
+            questions_for(["a", "b"], Short(), 5)
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
-            questions_for(para(0).text, ListClient({}), 0)
+            questions_for([para(0).text], ListClient({}), 0)
 
     def test_normalization_strips_terminal_question_mark(self):
         assert normalize_question("  What   is it? ") == "what is it"
         assert dedupe_questions(["What is it?", "what is it"]) == ["What is it?"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(st.characters() | st.sampled_from(
+        " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u2029\u3000\u200b?")))
+    def test_normalization_matches_the_whitespace_regex(self, question):
+        assert normalize_question(question) == oracle_normalize_question(question)
+
+    def test_normalization_matches_the_whitespace_regex_at_every_code_point(self):
+        every = "x".join(map(chr, range(0x110000)))
+        assert normalize_question(every) == oracle_normalize_question(every)
 
 
 class TestBuildDataset:
@@ -101,10 +134,8 @@ class TestBuildDataset:
 
     def test_failing_paragraphs_skipped_not_fatal(self):
         class Flaky:
-            def generate(self, text, k):
-                if "bad" in text:
-                    raise TransportError("down")
-                return ["ok?"]
+            def generate(self, texts, k):
+                return [TransportError("down") if "bad" in t else ["ok?"] for t in texts]
 
         paragraphs = [para(0, "good text."), para(1, "bad text."), para(2, "more good.")]
         ds = build_qa_dataset(paragraphs, Flaky())
@@ -112,8 +143,8 @@ class TestBuildDataset:
 
     def test_all_failing_is_fatal(self):
         class Down:
-            def generate(self, text, k):
-                raise TransportError("down")
+            def generate(self, texts, k):
+                return [TransportError("down") for _ in texts]
 
         with pytest.raises(Exception):
             build_qa_dataset([para(0)], Down())
@@ -126,75 +157,107 @@ class TestBuildDataset:
         assert len(questions) == len(set(q.lower().rstrip("? ") for q in questions))
 
 
-class TestBuildWorkers:
-    """``QUESTION_GEN_WORKERS`` threads share one queue of paragraphs."""
+# Paragraph texts with and without content words, and with repeated,
+# multi-byte and non-BMP text, so the mock samples, keeps all words or falls back.
+PARAGRAPH_TEXTS = st.lists(
+    st.sampled_from(["alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf",
+                     "Hotel", "straße", "日本語文字", "\U0001f600\U0001f600\U0001f600\U0001f600",
+                     "ab", "x.", "?"]),
+    max_size=14).map(" ".join) | st.text(max_size=60)
 
-    def test_that_many_requests_in_flight_at_once(self):
+
+class TestBuildMatchesPerTextOracle:
+    """One batch call of the mock gives the pairs of the pooled per-text build."""
+
+    @pytest.mark.parametrize("k", [1, 5, 9])
+    @settings(max_examples=60, deadline=None)
+    @given(texts=st.lists(PARAGRAPH_TEXTS, min_size=1, max_size=30),
+           seed=st.integers(-2**70, 2**70))
+    def test_mock_pairs_equal_the_oracle(self, k, texts, seed):
+        paragraphs = [para(i, text) for i, text in enumerate(texts)]
+        ds = build_qa_dataset(paragraphs, MockQuestionGenClient(seed), k=k)
+        expected = oracle_build_qa_dataset(paragraphs, OracleMockQuestionGenClient(seed), k)
+        assert ds.pairs == expected.pairs
+
+    def test_more_texts_than_a_chunk(self):
+        paragraphs = [para(i, f"topic {i} words alpha bravo charlie delta echo foxtrot")
+                      for i in range(600)]
+        ds = build_qa_dataset(paragraphs, MockQuestionGenClient(7), k=3)
+        expected = oracle_build_qa_dataset(paragraphs, OracleMockQuestionGenClient(7), 3)
+        assert ds.pairs == expected.pairs
+
+
+class TestBuildWorkers:
+    """The HTTP client keeps ``QUESTION_GEN_WORKERS`` requests to one queue of texts in flight."""
+
+    @staticmethod
+    def client(stub_session, app, **kwargs):
+        return HttpQuestionGenClient("http://qg.invalid", session=stub_session(app), **kwargs)
+
+    def test_that_many_requests_in_flight_at_once(self, stub_session):
         barrier = threading.Barrier(QUESTION_GEN_WORKERS, timeout=10)
 
-        class Gathering:
-            def generate(self, text, k):
-                barrier.wait()  # breaks unless every worker holds a request
-                return [f"{text}?"]
+        def gathering(path, payload):
+            barrier.wait()  # breaks unless every worker holds a request
+            return 200, {"questions": [f"{payload['text']}?"]}
 
         paragraphs = [para(i, f"text {i}") for i in range(3 * QUESTION_GEN_WORKERS)]
-        ds = build_qa_dataset(paragraphs, Gathering())
+        ds = build_qa_dataset(paragraphs, self.client(stub_session, gathering))
         assert [p.question for p in ds.pairs] == [f"text {i}?" for i in range(len(paragraphs))]
 
-    def test_each_paragraph_taken_once_under_rapid_thread_switches(self):
+    def test_each_paragraph_taken_once_under_rapid_thread_switches(self, stub_session):
         calls = []  # list.append is atomic: a paragraph taken twice shows up twice
 
-        class Recording:
-            def generate(self, text, k):
-                calls.append(text)
-                return [f"{text}?"]
+        def recording(path, payload):
+            calls.append(payload["text"])
+            return 200, {"questions": [f"{payload['text']}?"]}
 
         paragraphs = [para(i, f"text {i}") for i in range(3000)]
+        client = self.client(stub_session, recording)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            ds = build_qa_dataset(paragraphs, Recording())
+            ds = build_qa_dataset(paragraphs, client)
         finally:
             sys.setswitchinterval(interval)
         assert sorted(calls) == sorted(p.text for p in paragraphs)
         assert [p.question for p in ds.pairs] == [f"text {i}?" for i in range(3000)]
 
-    def test_pairs_and_skip_warnings_in_paragraph_order(self, caplog):
-        class Jittery:
-            def generate(self, text, k):
-                time.sleep(random.random() / 500)  # finish out of order
-                if int(text.split()[1]) % 3 == 1:
-                    raise TransportError(f"down for {text}")
-                return [f"{text}?"]
+    def test_pairs_and_skip_warnings_in_paragraph_order(self, stub_session, caplog):
+        def jittery(path, payload):
+            time.sleep(random.random() / 500)  # finish out of order
+            text = payload["text"]
+            if int(text.split()[1]) % 3 == 1:
+                raise requests.ConnectionError(f"down for {text}")
+            return 200, {"questions": [f"{text}?"]}
 
         paragraphs = [para(i, f"text {i}") for i in range(40)]
         with caplog.at_level(logging.WARNING, logger="ragmark.qagen"):
-            ds = build_qa_dataset(paragraphs, Jittery())
+            ds = build_qa_dataset(paragraphs, self.client(stub_session, jittery, retries=0))
         kept = [i for i in range(40) if i % 3 != 1]
         assert [p.paragraph_ref for p in ds.pairs] == [("doc", i) for i in kept]
-        skipped = [r.getMessage() for r in caplog.records]
-        assert skipped == [f"skipping paragraph doc#{i}: down for text {i}"
-                           for i in range(40) if i % 3 == 1]
+        assert [p.question for p in ds.pairs] == [f"text {i}?" for i in kept]
+        skipped = [r.getMessage() for r in caplog.records if r.name == "ragmark.qagen"]
+        assert skipped == [f"skipping paragraph doc#{i}: question generation request failed: "
+                           f"down for text {i}" for i in range(40) if i % 3 == 1]
 
-    def test_another_exception_stops_the_queue_and_is_raised(self, caplog):
+    def test_another_exception_stops_the_queue_and_is_raised(self, stub_session):
         calls = []
 
-        class Broken:
-            def generate(self, text, k):
-                calls.append(text)
-                time.sleep(0.001)
-                if text == "text 1":
-                    raise TransportError("down")
-                if text == "text 5":
-                    raise KeyError("a bug")
-                return [f"{text}?"]
+        def broken(path, payload):
+            text = payload["text"]
+            calls.append(text)
+            time.sleep(0.001)
+            if text == "text 1":
+                raise requests.ConnectionError("down")
+            if text == "text 5":
+                raise KeyError("a bug")
+            return 200, {"questions": [f"{text}?"]}
 
         paragraphs = [para(i, f"text {i}") for i in range(200)]
-        with caplog.at_level(logging.WARNING, logger="ragmark.qagen"):
-            with pytest.raises(KeyError, match="a bug"):
-                build_qa_dataset(paragraphs, Broken())
+        with pytest.raises(KeyError, match="a bug"):
+            build_qa_dataset(paragraphs, self.client(stub_session, broken, retries=0))
         assert len(calls) < 50
-        assert [r.getMessage() for r in caplog.records] == ["skipping paragraph doc#1: down"]
 
 
 class TestSplitTrainValidation:
@@ -251,7 +314,8 @@ class TestClients:
 
         url = http_stub(app)
         client = HttpQuestionGenClient(url)
-        assert len(client.generate("some paragraph", 3)) == 3
+        [questions] = client.generate(["some paragraph"], 3)
+        assert len(questions) == 3
 
     def test_http_client_retries_then_succeeds(self, http_stub):
         state = {"calls": 0}
@@ -264,14 +328,14 @@ class TestClients:
 
         url = http_stub(app)
         client = HttpQuestionGenClient(url, retries=1)
-        assert client.generate("text", 1) == ["q?"]
+        assert client.generate(["text"], 1) == [["q?"]]
         assert state["calls"] == 2
 
     def test_http_client_exhausted_retries(self, http_stub):
         url = http_stub(lambda path, payload: (503, {}))
         client = HttpQuestionGenClient(url, retries=1)
-        with pytest.raises(TransportError):
-            client.generate("text", 1)
+        [outcome] = client.generate(["text"], 1)
+        assert isinstance(outcome, TransportError)
 
     @pytest.mark.parametrize("kwargs", [{"retries": -1}, {"timeout_ms": 5}])
     def test_http_client_settings_checked(self, kwargs):
@@ -279,8 +343,8 @@ class TestClients:
             HttpQuestionGenClient("http://127.0.0.1:1", **kwargs)
 
     def test_mock_client_deterministic(self):
-        a = MockQuestionGenClient(seed=5).generate("alpha bravo charlie delta words", 3)
-        b = MockQuestionGenClient(seed=5).generate("alpha bravo charlie delta words", 3)
+        [a] = MockQuestionGenClient(seed=5).generate(["alpha bravo charlie delta words"], 3)
+        [b] = MockQuestionGenClient(seed=5).generate(["alpha bravo charlie delta words"], 3)
         assert a == b and len(a) == 3
 
     def test_factory(self):

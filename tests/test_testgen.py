@@ -14,7 +14,13 @@ from oracles import oracle_reduce_dim, oracle_within
 from topicfix import EMBED_DIM, corpus_pipeline, make_oversize_topic_doc, make_topic_corpus
 from ragmark.corpus import count_tokens
 from ragmark.embed import LocalHashEmbedder
-from ragmark.errors import DegenerateCloudError, EmptyTestSetError, NoClustersError, PersistenceError
+from ragmark.errors import (
+    DegenerateCloudError,
+    EmptyTestSetError,
+    NoClustersError,
+    PersistenceError,
+    TransportError,
+)
 from ragmark.index import build_sentence_index
 from ragmark.qagen import MockQuestionGenClient, build_qa_dataset
 from ragmark import testgen
@@ -295,6 +301,19 @@ class TestAssembleTestSet:
             "clusters": 3,
             "outliers": 0,
         }
+
+    def test_first_failing_cluster_raises_its_error(self):
+        class FailingOnTwo:
+            def generate(self, texts, k):
+                self.texts = list(texts)
+                return [TransportError(f"cluster {i} down") if i in (1, 2) else ["q?"]
+                        for i in range(len(texts))]
+
+        ds, _ = self._fixture_index()
+        client = FailingOnTwo()
+        with pytest.raises(TransportError, match="cluster 1 down"):
+            assemble_test_set(ds, ClusterParams(eps=0.2, min_pts=6), client)
+        assert len(client.texts) == 3  # every cluster asked in one call
 
     def test_oversize_cluster_excluded(self):
         ds, vocab = self._fixture_index(with_oversize=True)
