@@ -6,7 +6,7 @@ split only promotes questions whose paragraph keeps at least one sibling in
 train, so validation always probes association rather than memorization.
 
 A question client takes every text of a build in one call and answers each
-in input order: the offline mock hashes them a chunk at a time, and the
+in input order: the offline mock hashes them in one numpy pass, and the
 HTTP client keeps ``QUESTION_GEN_WORKERS`` requests in flight.
 """
 
@@ -59,11 +59,16 @@ class QuestionGenClient(Protocol):
     """Raw questions for many texts at once, asking for up to ``k`` each.
 
     ``generate`` returns one outcome per text, in input order: the text's
-    raw question list, or the ``RagmarkError`` that text raised. Any other
-    exception is a fault, not a text's outcome, and is raised.
+    raw question list, or the exception asking for it raised. A client may
+    stop asking at an exception that is not a ``RagmarkError``, and at any
+    exception when ``stop_at_error`` is set; each text it did not ask about
+    is then answered with the exception that stopped it. A
+    ``RagmarkError`` is a text's own failure; any other is a fault.
     """
 
-    def generate(self, texts: Sequence[str], k: int) -> list[list[str] | RagmarkError]: ...
+    def generate(
+        self, texts: Sequence[str], k: int, *, stop_at_error: bool = False
+    ) -> list[list[str] | BaseException]: ...
 
 
 def normalize_question(question: str) -> str:
@@ -97,20 +102,21 @@ def check_split_ratio(ratio: float) -> None:
 
 
 def questions_for(
-    texts: Sequence[str], client: QuestionGenClient, k: int
-) -> list[tuple[list[str], bool] | RagmarkError]:
-    """Each text's questions and whether they are synthetic, or the RagmarkError it raised.
+    texts: Sequence[str], client: QuestionGenClient, k: int, *, stop_at_error: bool = False
+) -> list[tuple[list[str], bool] | BaseException]:
+    """Each text's questions and whether they are synthetic, or the exception it raised.
 
-    One client call takes every text. A text keeps between 1 and ``k``
+    One client call takes every text; ``stop_at_error`` is passed on to it,
+    for a caller that fails at any exception. A text keeps between 1 and ``k``
     distinct questions: duplicates are removed case-insensitively after
     whitespace normalization, and a text yielding nothing usable gets the
     fixed fallback question, flagged synthetic.
     """
     check_question_count(k)
-    outcomes = client.generate(texts, k)
+    outcomes = client.generate(texts, k, stop_at_error=stop_at_error)
     if len(outcomes) != len(texts):
         raise ValueError(f"question client answered {len(outcomes)} of {len(texts)} texts")
-    return [outcome if isinstance(outcome, RagmarkError) else _usable(outcome, k)
+    return [outcome if isinstance(outcome, BaseException) else _usable(outcome, k)
             for outcome in outcomes]
 
 
@@ -130,7 +136,8 @@ def build_qa_dataset(
 
     One client call takes every paragraph. Client failures skip the
     affected paragraph with a warning, in paragraph order; the build fails
-    only when no paragraph survived.
+    only when no paragraph survived. The first other exception, in
+    paragraph order, is raised after the warnings of the paragraphs before it.
     """
     if not paragraphs:
         raise ValueError("no paragraphs to build from")
@@ -141,6 +148,8 @@ def build_qa_dataset(
             log.warning("skipping paragraph %s#%d: %s", paragraph.doc_id, paragraph.ordinal,
                         outcome)
             continue
+        if isinstance(outcome, BaseException):
+            raise outcome
         questions, synthetic = outcome
         for q in questions:
             pairs.append(
@@ -220,16 +229,21 @@ class HttpQuestionGenClient:
             timeout_ms=timeout_ms, retries=retries, session=session,
         )
 
-    def generate(self, texts: Sequence[str], k: int) -> list[list[str] | RagmarkError]:
+    def generate(
+        self, texts: Sequence[str], k: int, *, stop_at_error: bool = False
+    ) -> list[list[str] | BaseException]:
         """Each text's questions, from ``QUESTION_GEN_WORKERS`` threads sharing one queue.
 
         Each thread takes the next text, so that many requests are in
-        flight at once. Any exception other than a RagmarkError stops the
-        threads, and the first such one in text order is raised.
+        flight at once. Any exception other than a RagmarkError, and any
+        exception at all under ``stop_at_error``, stops the queue: the
+        requests in flight finish, and the texts nobody took are answered
+        with the first stopping exception in text order.
         """
         from concurrent.futures import ThreadPoolExecutor  # only a client that waits on I/O
 
         outcomes: list = [None] * len(texts)  # each text's questions, or its exception
+        stops: list[int] = []  # the texts whose exception stopped the queue
         queue = enumerate(texts)
         lock = threading.Lock()
 
@@ -243,8 +257,9 @@ class HttpQuestionGenClient:
                     outcomes[i] = self._questions(text, k)
                 except BaseException as exc:
                     outcomes[i] = exc
-                    if not isinstance(exc, RagmarkError):
+                    if stop_at_error or not isinstance(exc, RagmarkError):
                         with lock:
+                            stops.append(i)
                             for _ in queue:  # nobody takes another text
                                 pass
                         return
@@ -253,9 +268,9 @@ class HttpQuestionGenClient:
             workers = [pool.submit(work) for _ in range(QUESTION_GEN_WORKERS)]
         for worker in workers:
             worker.result()
-        for outcome in outcomes:
-            if isinstance(outcome, BaseException) and not isinstance(outcome, RagmarkError):
-                raise outcome
+        if stops:  # the texts nobody took, all after every taken one
+            stop = outcomes[min(stops)]
+            outcomes = [stop if outcome is None else outcome for outcome in outcomes]
         return outcomes
 
     def _questions(self, text: str, k: int) -> list[str]:
@@ -269,8 +284,9 @@ class MockQuestionGenClient:
     """Offline stand-in deriving questions from a paragraph's content words.
 
     Deterministic for a fixed seed: the word sample is keyed on a stable hash
-    of the paragraph text, never on process state. The texts are hashed
-    ``CHUNK_ROWS`` at a time.
+    of the paragraph text, never on process state. All texts of a call are
+    hashed in one ``fnv1a64_many``; the mock never fails, so
+    ``stop_at_error`` changes nothing.
     """
 
     template = "What does the passage say about {}?"
@@ -278,12 +294,11 @@ class MockQuestionGenClient:
     def __init__(self, seed: int = 0):
         self.seed = seed
 
-    def generate(self, texts: Sequence[str], k: int) -> list[list[str] | RagmarkError]:
-        out: list[list[str] | RagmarkError] = []
-        for chunk in chunked(texts):
-            hashes = fnv1a64_many([text.encode("utf-8") for text in chunk]).tolist()
-            out += (self._questions(text, h, k) for text, h in zip(chunk, hashes))
-        return out
+    def generate(
+        self, texts: Sequence[str], k: int, *, stop_at_error: bool = False
+    ) -> list[list[str] | BaseException]:
+        hashes = fnv1a64_many([text.encode("utf-8") for text in texts]).tolist()
+        return [self._questions(text, h, k) for text, h in zip(texts, hashes)]
 
     def _questions(self, text: str, text_hash: int, k: int) -> list[str]:
         words = sorted(set(_CONTENT_WORD_RE.findall(text.lower())))

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import count_tokens
-from .errors import DegenerateCloudError, EmptyTestSetError, NoClustersError, RagmarkError
+from .errors import DegenerateCloudError, EmptyTestSetError, NoClustersError
 from .index import IndexedDataset, IndexKind
 from .qagen import (
     PAIR_FIELDS,
@@ -218,8 +218,8 @@ def assemble_test_set(
     Cluster text concatenates member sentences in their original corpus
     order. A cluster over the token budget is dropped; questions follow the
     same dedup and fallback rules as the training pipeline. One client call
-    takes every surviving cluster, and the first cluster that failed, in
-    cluster order, raises its error.
+    takes every surviving cluster and stops asking at the first failure;
+    the first cluster that failed, in cluster order, raises its error.
     """
     check_question_count(questions_per_cluster, "questions_per_cluster")
     if ds.kind is not IndexKind.SENTENCES:
@@ -241,9 +241,9 @@ def assemble_test_set(
         raise EmptyTestSetError("no cluster survived the token budget")
 
     pairs = []
-    outcomes = questions_for(texts, qg_client, questions_per_cluster)
+    outcomes = questions_for(texts, qg_client, questions_per_cluster, stop_at_error=True)
     for cluster_id, (text, outcome) in enumerate(zip(texts, outcomes)):
-        if isinstance(outcome, RagmarkError):
+        if isinstance(outcome, BaseException):
             raise outcome
         questions, synthetic = outcome
         for q in questions:

@@ -28,8 +28,8 @@ over-budget sentence for every piece instead of carrying counts forward, and
 JSONL files read with one ``json.loads`` and one decoder call per line, each
 field checked and passed by keyword, instead of a chunk of lines scanned into
 columns that are checked a column at a time, a question mock that hashes
-each text with the byte-at-a-time ``fnv1a64`` instead of a numpy pass over a
-chunk of texts, a dataset build that asks a per-text client from a thread
+each text with the byte-at-a-time ``fnv1a64`` instead of one numpy pass over
+all texts, a dataset build that asks a per-text client from a thread
 pool instead of making one batch call, and a whitespace regex instead of
 ``str.split`` for question dedup keys.
 Slow is fine; different code paths are the point.

@@ -42,7 +42,7 @@ class ListClient:
     def __init__(self, script):
         self.script = dict(script)
 
-    def generate(self, texts, k):
+    def generate(self, texts, k, *, stop_at_error=False):
         return [self.script.get(text, []) for text in texts]
 
 
@@ -70,7 +70,7 @@ class TestGenerateQuestions:
         down = TransportError("down")
 
         class Mixed:
-            def generate(self, texts, k):
+            def generate(self, texts, k, *, stop_at_error=False):
                 return [down if t == "b" else [f"{t}?", f"{t.upper()}?"] for t in texts]
 
         assert questions_for(["a", "b", "c"], Mixed(), 5) == [
@@ -78,7 +78,7 @@ class TestGenerateQuestions:
 
     def test_a_missing_outcome_is_an_error(self):
         class Short:
-            def generate(self, texts, k):
+            def generate(self, texts, k, *, stop_at_error=False):
                 return [["q?"]] * (len(texts) - 1)
 
         with pytest.raises(ValueError, match="answered 1 of 2 texts"):
@@ -134,7 +134,7 @@ class TestBuildDataset:
 
     def test_failing_paragraphs_skipped_not_fatal(self):
         class Flaky:
-            def generate(self, texts, k):
+            def generate(self, texts, k, *, stop_at_error=False):
                 return [TransportError("down") if "bad" in t else ["ok?"] for t in texts]
 
         paragraphs = [para(0, "good text."), para(1, "bad text."), para(2, "more good.")]
@@ -143,7 +143,7 @@ class TestBuildDataset:
 
     def test_all_failing_is_fatal(self):
         class Down:
-            def generate(self, texts, k):
+            def generate(self, texts, k, *, stop_at_error=False):
                 return [TransportError("down") for _ in texts]
 
         with pytest.raises(Exception):
@@ -179,7 +179,7 @@ class TestBuildMatchesPerTextOracle:
         expected = oracle_build_qa_dataset(paragraphs, OracleMockQuestionGenClient(seed), k)
         assert ds.pairs == expected.pairs
 
-    def test_more_texts_than_a_chunk(self):
+    def test_six_hundred_texts(self):
         paragraphs = [para(i, f"topic {i} words alpha bravo charlie delta echo foxtrot")
                       for i in range(600)]
         ds = build_qa_dataset(paragraphs, MockQuestionGenClient(7), k=3)
@@ -241,7 +241,7 @@ class TestBuildWorkers:
         assert skipped == [f"skipping paragraph doc#{i}: question generation request failed: "
                            f"down for text {i}" for i in range(40) if i % 3 == 1]
 
-    def test_another_exception_stops_the_queue_and_is_raised(self, stub_session):
+    def test_another_exception_stops_the_queue_and_is_raised(self, stub_session, caplog):
         calls = []
 
         def broken(path, payload):
@@ -255,9 +255,45 @@ class TestBuildWorkers:
             return 200, {"questions": [f"{text}?"]}
 
         paragraphs = [para(i, f"text {i}") for i in range(200)]
-        with pytest.raises(KeyError, match="a bug"):
-            build_qa_dataset(paragraphs, self.client(stub_session, broken, retries=0))
+        with caplog.at_level(logging.WARNING, logger="ragmark.qagen"):
+            with pytest.raises(KeyError, match="a bug"):
+                build_qa_dataset(paragraphs, self.client(stub_session, broken, retries=0))
         assert len(calls) < 50
+        assert [r.getMessage() for r in caplog.records if r.name == "ragmark.qagen"] == [
+            "skipping paragraph doc#1: question generation request failed: down"]
+
+    def test_any_exception_stops_the_queue_when_asked(self, stub_session):
+        calls = []
+
+        def failing(path, payload):
+            text = payload["text"]
+            calls.append(text)
+            time.sleep(0.001)
+            if text in ("text 1", "text 3"):
+                raise requests.ConnectionError(f"down for {text}")
+            return 200, {"questions": [f"{text}?"]}
+
+        texts = [f"text {i}" for i in range(200)]
+        client = self.client(stub_session, failing, retries=0)
+        outcomes = client.generate(texts, 1, stop_at_error=True)
+        assert len(calls) < 50
+        assert outcomes[0] == ["text 0?"]
+        assert str(outcomes[1]).endswith("down for text 1")
+        untaken = [o for text, o in zip(texts, outcomes) if text not in calls]
+        assert untaken and all(o is outcomes[1] for o in untaken)
+
+    def test_texts_nobody_took_answer_the_stopping_fault(self, stub_session):
+        def broken(path, payload):
+            if payload["text"] == "text 2":
+                raise KeyError("a bug")
+            return 200, {"questions": ["q?"]}
+
+        texts = [f"text {i}" for i in range(200)]
+        outcomes = self.client(stub_session, broken).generate(texts, 1)
+        fault = outcomes[2]
+        assert isinstance(fault, KeyError)
+        assert outcomes[-1] is fault
+        assert all(o == ["q?"] or o is fault for o in outcomes)
 
 
 class TestSplitTrainValidation:

@@ -304,8 +304,8 @@ class TestAssembleTestSet:
 
     def test_first_failing_cluster_raises_its_error(self):
         class FailingOnTwo:
-            def generate(self, texts, k):
-                self.texts = list(texts)
+            def generate(self, texts, k, *, stop_at_error=False):
+                self.texts, self.stop_at_error = list(texts), stop_at_error
                 return [TransportError(f"cluster {i} down") if i in (1, 2) else ["q?"]
                         for i in range(len(texts))]
 
@@ -314,6 +314,7 @@ class TestAssembleTestSet:
         with pytest.raises(TransportError, match="cluster 1 down"):
             assemble_test_set(ds, ClusterParams(eps=0.2, min_pts=6), client)
         assert len(client.texts) == 3  # every cluster asked in one call
+        assert client.stop_at_error  # a client stops asking once testgen must fail
 
     def test_oversize_cluster_excluded(self):
         ds, vocab = self._fixture_index(with_oversize=True)
