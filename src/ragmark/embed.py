@@ -134,9 +134,6 @@ class LocalHashEmbedder:
         self.name = f"local-hash-{dim}"
         self._buckets = _WordBuckets(dim)
 
-    def bucket(self, word: str) -> int:
-        return self._buckets[word.lower()]
-
     def embed_batch(self, texts: Sequence[str], dtype=np.float64) -> np.ndarray:
         out = np.empty((len(texts), self.dim), dtype=dtype)
         for start in range(0, len(texts), EMBED_BLOCK_TEXTS):

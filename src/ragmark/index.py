@@ -50,7 +50,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .qagen import QADataset
-from .wire import LineTemplate
+from .wire import LineTemplate, exact_columns
 
 log = logging.getLogger(__name__)
 
@@ -374,26 +374,33 @@ def _int_at_least(value, low: int) -> bool:
     return type(value) is int and value >= low
 
 
-def _entry_columns(records: list) -> tuple[list, list, list, list] | None:
-    """key_text, payload_text, doc_id and ordinal of every record, as four columns.
+def _parse_entries(data: bytes, start: int, end: int, count: int) -> dict[str, list] | None:
+    """The columns of the ``count`` entry lines ``data[start:end]``, each from ``{`` to ``}``;
+    None unless each line is one record of exactly the four ``_ENTRY`` fields.
 
-    None when a record is not an object with string key_text, payload_text
-    and doc_id and an integer ordinal. The check runs a column at a time.
+    The lines, joined by ``,\\n``, are parsed in one ``json.loads``. Strict
+    JSON refuses a line break inside a string, and such a record holds no
+    array or object, so a line break falls only between two records.
     """
     try:
-        columns = tuple([rec[name] for rec in records]
-                        for name in ("key_text", "payload_text", "doc_id", "ordinal"))
-    except (KeyError, TypeError):  # a record without the field, or not an object
+        records = json.loads(b"[" + data[start:end].replace(b"\n", b",\n") + b"]")
+    except (ValueError, RecursionError):
         return None
-    texts_ok = all(set(map(type, column)) <= {str} for column in columns[:3])
-    return columns if texts_ok and set(map(type, columns[3])) <= {int} else None
+    columns = exact_columns(_ENTRY, records) if len(records) == count else None
+    if columns is None or set(map(len, records)) - {len(_ENTRY.fields)}:
+        return None
+    return columns
 
 
 def load_index(path: str | Path) -> IndexedDataset:
     """Inverse of ``save_index``.
 
-    Checks the CRC, parses every entry record in one ``json.loads`` and
-    checks them a column at a time, then reads the keys file straight into
+    Checks the CRC, then that each entry line starts with ``{`` and ends
+    with ``}``, parses every entry line in one ``json.loads`` and checks
+    the records a column at a time (``exact_columns``): one record a line,
+    each of exactly the four entry fields with their exact types, no
+    coercion. A file that fails is named by its first line that is not,
+    read alone, one such record. Then it reads the keys file straight into
     the key array and checks its size, and, in one pass over cache-sized
     row blocks, its CRC and each row's length. A damaged file is a
     ``ChecksumError``; a missing keys file, a malformed but checksum-valid
@@ -441,28 +448,24 @@ def load_index(path: str | Path) -> IndexedDataset:
     bad = [name for name, ok in valid.items() if not ok]
     if bad:
         raise PersistenceError(f"{path}: header lacks a valid {', '.join(bad)}")
-    count = int(np.count_nonzero(np.frombuffer(raw, np.uint8, body_end - pos, pos) == ord("\n")))
+    view = np.frombuffer(raw, np.uint8, body_end - pos + 1, pos - 1)  # from the header's end
+    ends = np.flatnonzero(view == ord("\n"))
+    count = len(ends) - 1
+    shaped = (view[ends[:-1] + 1] == ord("{")).all() and (view[ends[1:] - 1] == ord("}")).all()
+    del view, ends  # a view of raw would keep its bytes alive
     if count != promised:
         raise PersistenceError(f"{path}: header promises {promised} entries, found {count}")
-
-    # json.dumps escapes newlines inside strings, so each record is one line
-    # and the lines joined by commas form one JSON array.
-    try:
-        records = json.loads(b"[" + raw[pos:body_end - 1].replace(b"\n", b",") + b"]")
-    except ValueError as exc:
-        raise PersistenceError(f"{path}: unreadable entry record") from exc
-    if len(records) != count:
-        raise PersistenceError(f"{path}: {count} entry lines hold {len(records)} JSON values")
-    del raw  # the file's bytes need not outlive the parse
-    columns = _entry_columns(records)
+    columns = _parse_entries(raw, pos, body_end - 1, count) if shaped else None
     if columns is None:
-        line = next(line for line, rec in enumerate(records, start=2)
-                    if _entry_columns([rec]) is None)
+        lines = raw[pos:body_end - 1].split(b"\n")
+        line = next(n for n, text in enumerate(lines, start=2)
+                    if not (text.startswith(b"{") and text.endswith(b"}"))
+                    or _parse_entries(text, 0, len(text), 1) is None)
         raise PersistenceError(
-            f"{path}:{line}: an entry record is an object with string key_text, "
-            f"payload_text and doc_id and an integer ordinal"
+            f"{path}:{line}: an entry line is one JSON object of exactly four fields: "
+            f"string key_text, payload_text and doc_id and an integer ordinal"
         )
-    del records
+    del raw  # the file's bytes need not outlive the parse
 
     kpath = keys_path(path)
     try:
@@ -495,6 +498,6 @@ def load_index(path: str | Path) -> IndexedDataset:
             f"{kpath}: key row {row} is all zeros or not finite; it is the key of the entry "
             f"on {path}:{row + 2}"
         )
-    key_texts, payload_texts, doc_ids, ordinals = columns
-    return IndexedDataset.from_columns(IndexKind(kind), key_texts, payload_texts, doc_ids,
-                                       ordinals, embedder_name, keys, norms)
+    return IndexedDataset.from_columns(IndexKind(kind), columns["key_text"],
+                                       columns["payload_text"], columns["doc_id"],
+                                       columns["ordinal"], embedder_name, keys, norms)

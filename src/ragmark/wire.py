@@ -7,9 +7,12 @@ record type compiles one ``LineTemplate`` from its field names and types
 chunk of columns at a time; its lines are byte for byte what
 ``json.dumps(record, sort_keys=True)`` writes. It is read back through the
 same template a chunk of lines at a time: each line is scanned once, as
-``json.loads`` would read it, and each column is checked once, by
-``checked``'s rules. Each distinct value of a ``shared`` field is held once,
-as the writer escapes it once.
+``json.loads`` would read it. A chunk whose values all have their fields'
+exact types, as the writer leaves them, passes a column at a time
+(``exact_columns``); any other chunk, and a file with a header, is checked
+one record at a time by ``checked``'s rules, so the first bad record is the
+one reported. Each distinct value of a ``shared`` field is held once, as the
+writer escapes it once.
 """
 
 from __future__ import annotations
@@ -168,9 +171,9 @@ class LineTemplate:
 
     Records are formatted a column at a time (``format``) and joined into
     lines a chunk of rows at a time (``join``), so no per-record dict or
-    encoder call is made. They are read back the same way (``read_jsonl``),
-    each field checked in the order ``fields`` gives, which is the field a
-    record with two bad values is reported for.
+    encoder call is made. They are read back a chunk of lines at a time
+    (``read_jsonl``), each field checked in the order ``fields`` gives,
+    which is the field a record with two bad values is reported for.
     """
 
     def __init__(self, fields: Mapping[str, type], shared: Iterable[str] = ()):
@@ -292,62 +295,30 @@ _SCAN = json.JSONDecoder().scan_once
 _ROW_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
 
 
-class _BadRow(Exception):
-    """The first row of a chunk that a check refused, and the error it raised."""
-
-    def __init__(self, row: int, cause: Exception):
-        super().__init__(row, cause)
-        self.row = row
-        self.cause = cause
-
-
-def _apply(fn: Callable[[Any], Any], rows: list) -> list:
-    """``list(map(fn, rows))``; a row ``fn`` refuses raises ``_BadRow`` naming the first one."""
-    rest = iter(rows)
-    try:
-        return list(map(fn, rest))
-    except _ROW_ERRORS as exc:
-        # map had taken the refused row, and no row after it, from ``rest``
-        raise _BadRow(len(rows) - operator.length_hint(rest) - 1, exc) from None
-
-
-def _column(name: str, kind: type, rows: list) -> list:
-    """Field ``name`` of every row, as ``checked`` reads it; an absent flag reads False.
-
-    A column whose values all have the field's exact type passes whole (a
-    float column also needs a finite sum, so no value is NaN or infinite).
-    Only a column that does not pass is checked value by value.
-    """
+def _getter(name: str, kind: type) -> Callable[[Any], Any]:
+    """Field ``name`` of a record (a TypeError if it is not an object); an absent flag is False."""
     if kind is bool:
-        def get(row):  # a TypeError for a row that is not an object, as row[name] gives
-            return dict.get(row, name, False)
-    else:
-        get = operator.itemgetter(name)
-    try:
-        values = list(map(get, rows))
-    except _ROW_ERRORS:
-        values = None
-    if (values is not None and set(map(type, values)) == {kind}
-            and (kind is not float or math.isfinite(sum(values)))):
-        return values
-    return _apply(lambda row: checked(get(row), kind), rows)
+        return lambda row: dict.get(row, name, False)
+    return operator.itemgetter(name)
 
 
-def _checked_columns(template: LineTemplate, rows: list) -> dict[str, list]:
-    """The checked columns of the parsed records ``rows``, in ``template.fields`` order.
+def exact_columns(template: LineTemplate, rows: list) -> dict[str, list] | None:
+    """Every field of the parsed records ``rows`` as a column, in ``template.fields`` order,
+    when each value has its field's exact type; else None.
 
-    A bad row raises ``_BadRow``. Of two, it names the earlier row, and of
-    two bad fields in one row the earlier field, as a check that went record
-    by record would.
+    A float column also needs a finite sum, so no value is NaN or infinite.
+    Such columns are what ``checked`` reads from the records. An empty
+    ``rows`` gives empty columns.
     """
-    columns, bad = {}, None
+    columns = {}
     for name, kind in template.fields.items():
         try:
-            columns[name] = _column(name, kind, rows)
-        except _BadRow as exc:
-            bad, rows = exc, rows[:exc.row]  # a later field wins only in an earlier row
-    if bad is not None:
-        raise bad
+            values = list(map(_getter(name, kind), rows))
+        except _ROW_ERRORS:
+            return None
+        if set(map(type, values)) - {kind} or (kind is float and not math.isfinite(sum(values))):
+            return None
+        columns[name] = values
     return columns
 
 
@@ -355,6 +326,31 @@ def _bad_record(path: str | Path, lineno: int, exc: Exception) -> PersistenceErr
     if isinstance(exc, KeyError):
         return PersistenceError(f"{path}:{lineno}: record has no field {exc}")
     return PersistenceError(f"{path}:{lineno}: bad record: {exc}")
+
+
+def _checked_rows(template: LineTemplate, rows: list, linenos: list[int], path: str | Path,
+                  header: str | None) -> tuple[dict[int, dict], dict[str, list]]:
+    """The ``header`` object of each row holding one, by row, and the columns of the others.
+
+    The rows are checked one at a time, in line order. With ``header``,
+    ``header in row`` is asked first; then a header row's value is checked,
+    or another row's fields in ``template.fields`` order, through
+    ``checked``. The first bad row is a PersistenceError naming its line.
+    """
+    heads: dict[int, dict] = {}
+    columns: dict[str, list] = {name: [] for name in template.fields}
+    fields = [(_getter(name, kind), kind, columns[name].append)
+              for name, kind in template.fields.items()]
+    for i, (row, lineno) in enumerate(zip(rows, linenos)):
+        try:
+            if header is not None and header in row:
+                heads[i] = checked(row[header], dict)
+                continue
+            for get, kind, append in fields:
+                append(checked(get(row), kind))
+        except _ROW_ERRORS as exc:
+            raise _bad_record(path, lineno, exc) from exc
+    return heads, columns
 
 
 def _scan_chunk(lines: Iterator[tuple[int, str]]
@@ -393,50 +389,25 @@ def _scan_chunk(lines: Iterator[tuple[int, str]]
     return rows, linenos, None
 
 
-def _split_header(template: LineTemplate, rows: list, header: str
-                  ) -> tuple[dict[int, dict], dict[str, list]]:
-    """The ``header`` object of each row holding one, by row, and the columns of the others.
-
-    ``header in row`` is asked of every row first, then a header row's value
-    is checked, and any other row's fields; a bad row raises ``_BadRow``
-    naming the first one.
-    """
-    bad = []
-    try:
-        marks = _apply(lambda row: header in row, rows)
-    except _BadRow as exc:
-        bad.append(exc)
-        marks = [header in row for row in rows[:exc.row]]
-    heads = [i for i, mark in enumerate(marks) if mark]
-    body = [i for i, mark in enumerate(marks) if not mark]
-    try:
-        values = _column(header, dict, [rows[i] for i in heads])
-    except _BadRow as exc:
-        bad.append(_BadRow(heads[exc.row], exc.cause))
-    try:
-        columns = _checked_columns(template, [rows[i] for i in body])
-    except _BadRow as exc:
-        bad.append(_BadRow(body[exc.row], exc.cause))
-    if bad:
-        raise min(bad, key=operator.attrgetter("row"))
-    return dict(zip(heads, values)), columns
-
-
 def read_jsonl(template: LineTemplate, path: str | Path, *,
                header: str | None = None) -> Iterator[dict[str, list]]:
     """The records of ``path`` as ``template``'s checked columns, one chunk of rows at a time.
 
-    Each line is scanned once and each column checked once, with
-    ``checked``'s rules: an int field takes ``"3"`` or ``2.0``, a float field
-    ``2``, and neither a boolean, NaN or a fraction in an int field. Blank
-    lines are skipped. Each distinct value of a ``shared`` field is
+    Each line is scanned once. A chunk whose every value has its field's
+    exact type passes whole (``exact_columns``), as every file ragmark
+    writes does; any other chunk is checked one record at a time, with
+    ``checked``'s rules: an int field takes ``"3"`` or ``2.0``, a float
+    field ``2``, and neither a boolean, NaN or a fraction in an int field.
+    Blank lines are skipped. Each distinct value of a ``shared`` field is
     held once for the whole file. A line that is not JSON, or a record
     missing a field or holding a value its field refuses, is a
-    PersistenceError naming ``path:line``; of two, the earlier line.
+    PersistenceError naming ``path:line``; of two, the earlier line, and of
+    two bad fields in one record, the earlier in ``template.fields``.
 
-    With ``header``, a record holding that key is the file's header, as
-    ``write_jsonl`` writes it: it must be the first record and hold an
-    object, which is yielded first as ``{header: [object]}``.
+    With ``header``, every record is checked on its own, and one holding
+    that key is the file's header, as ``write_jsonl`` writes it: it must be
+    the first record and hold an object, which is yielded first as
+    ``{header: [object]}``.
     """
     held: dict[str, dict] = {name: {} for name in template.shared}
     misplaced = False
@@ -445,11 +416,10 @@ def read_jsonl(template: LineTemplate, path: str | Path, *,
         first = True
         while True:
             rows, linenos, stop = _scan_chunk(lines)
-            try:
-                heads, columns = (_split_header(template, rows, header) if header is not None
-                                  else ({}, _checked_columns(template, rows)))
-            except _BadRow as bad:
-                raise _bad_record(path, linenos[bad.row], bad.cause) from bad.cause
+            heads: dict[int, dict] = {}
+            columns = exact_columns(template, rows) if header is None else None
+            if columns is None:
+                heads, columns = _checked_rows(template, rows, linenos, path, header)
             if stop is not None:
                 lineno, exc = stop
                 if not lineno:

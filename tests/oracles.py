@@ -10,8 +10,9 @@ that takes both lengths again instead of each length once, one n x n x 2
 array and one whole-matrix norm instead of row blocks,
 the dim x dim covariance instead of the n x n Gram matrix for PCA,
 format-1 index files with one base64 vector per record instead of a raw
-keys file, one ``IndexEntry`` object per index record, checked record by
-record, instead of columns checked a column at a time, BLEU that counts
+keys file, one ``IndexEntry`` object per index line, parsed and checked
+line by line, instead of columns parsed in one ``json.loads`` and checked a
+column at a time, BLEU that counts
 every reference n-gram at every level, a binary search over token prefixes
 instead of a cut at the budget-th token, re-counting the whole joined
 context per packed payload, one ``(score, ref)`` pair per ranked entry and
@@ -27,11 +28,11 @@ splitting that re-counts every joined chunk and re-scans the rest of an
 over-budget sentence for every piece instead of carrying counts forward, and
 JSONL files read with one ``json.loads`` and one decoder call per line, each
 field checked and passed by keyword, instead of a chunk of lines scanned into
-columns that are checked a column at a time, a question mock that hashes
-each text with the byte-at-a-time ``fnv1a64`` instead of one numpy pass over
-all texts, a dataset build that asks a per-text client from a thread
-pool instead of making one batch call, and a whitespace regex instead of
-``str.split`` for question dedup keys.
+columns that pass whole when every value has its exact type, a question
+mock that hashes each text with the byte-at-a-time ``fnv1a64`` instead of one
+numpy pass over all texts, a dataset build that asks a per-text client from
+a thread pool instead of making one batch call, and a whitespace regex
+instead of ``str.split`` for question dedup keys.
 Slow is fine; different code paths are the point.
 """
 
@@ -541,17 +542,25 @@ def oracle_load_index_v1(path):
     return dataset_of(IndexKind(header["kind"]), entries, str(header["embedder_name"]), keys)
 
 
-def _oracle_entry(rec, path, line):
-    """The entry one record describes; a malformed record is a PersistenceError."""
-    if isinstance(rec, dict):
-        key_text, payload_text = rec.get("key_text"), rec.get("payload_text")
-        doc_id, ordinal = rec.get("doc_id"), rec.get("ordinal")
+_ENTRY_FIELDS = ["doc_id", "key_text", "ordinal", "payload_text"]
+
+
+def _oracle_entry(text, path, line):
+    """The entry one line describes, read alone: a line that is not one JSON object of
+    exactly the four entry fields, from ``{`` to ``}``, is a PersistenceError."""
+    try:
+        rec = json.loads(text) if text[:1] == b"{" and text[-1:] == b"}" else None
+    except ValueError:
+        rec = None
+    if isinstance(rec, dict) and sorted(rec) == _ENTRY_FIELDS:
+        key_text, payload_text = rec["key_text"], rec["payload_text"]
+        doc_id, ordinal = rec["doc_id"], rec["ordinal"]
         if (isinstance(key_text, str) and isinstance(payload_text, str)
                 and isinstance(doc_id, str) and type(ordinal) is int):
             return IndexEntry(key_text, payload_text, (doc_id, ordinal))
     raise PersistenceError(
-        f"{path}:{line}: an entry record is an object with string key_text, "
-        f"payload_text and doc_id and an integer ordinal"
+        f"{path}:{line}: an entry line is one JSON object of exactly four fields: "
+        f"string key_text, payload_text and doc_id and an integer ordinal"
     )
 
 
@@ -563,7 +572,7 @@ def oracle_load_index(path):
     """
     lines = Path(path).read_bytes().split(b"\n")[:-2]  # the trailer and the final newline go
     header = json.loads(lines[0])
-    entries = [_oracle_entry(json.loads(line), path, number)
+    entries = [_oracle_entry(line, path, number)
                for number, line in enumerate(lines[1:], start=2)]
     keys = np.fromfile(keys_path(path), dtype="<f4").reshape(header["count"], header["dim"])
     return header, entries, keys

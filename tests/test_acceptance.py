@@ -22,7 +22,14 @@ from oracles import (
     streaming_means,
 )
 from reportfiles import parse_report_csv
-from topicfix import EMBED_DIM, corpus_pipeline, make_oversize_topic_doc, make_test_pairs, make_topic_corpus
+from topicfix import (
+    EMBED_DIM,
+    corpus_pipeline,
+    make_oversize_topic_doc,
+    make_test_pairs,
+    make_topic_corpus,
+    word_bucket,
+)
 from ragmark.corpus import count_tokens
 from ragmark.embed import LocalHashEmbedder
 from ragmark.experiment import (
@@ -260,7 +267,7 @@ def test_criterion_3_cs_metric_properties():
             "inlet", "joist", "kiln", "lathe"]
     chosen, used = [], set()
     for word in pool:
-        bucket = embedder.bucket(word)
+        bucket = word_bucket(word, embedder.dim)
         if bucket not in used:
             chosen.append(word)
             used.add(bucket)

@@ -771,15 +771,30 @@ class TestPersistence:
         (1, "ordinal", "3"),
         (3, "ordinal", 1.5),
         (1, "", RawJson('{"a": 1}, {"b": 2}')),
+        # Line 2 holds two records and the third runs over lines 3 and 4, so the
+        # lines hold as many records as the header promises.
+        (2, "split", ['{"doc_id": "d", "key_text": "c', 'd", "ordinal": 2, "payload_text": "cd"}']),
+        (2, "split", ['{"doc_id": "d", "key_text": "c}', '{d", "ordinal": 2, "payload_text": "cd"}']),
+        (2, "split", ['{"doc_id": "d", "key_text": "c"', '"ordinal": 2, "payload_text": "cd"}']),
+        (2, "split", ['{"doc_id": "d", "extra": [{"a": 1}',
+                      '{"b": 2}], "key_text": "c", "ordinal": 2, "payload_text": "cd"}']),
+        (1, "padded", None),
     ], ids=["no-dim", "no-count", "no-kind", "no-keys-crc", "unknown-kind", "record-not-object",
-            "record-without-payload", "string-ordinal", "float-ordinal", "two-values-on-a-line"])
+            "record-without-payload", "string-ordinal", "float-ordinal", "two-values-on-a-line",
+            "string-over-a-line-end", "string-over-a-line-end-between-braces",
+            "record-split-after-a-value", "array-field-over-two-lines", "padded-line"])
     def test_malformed_but_checksum_valid_is_persistence_error(self, tmp_path, embedder,
                                                                 line, field, value):
         path = tmp_path / "idx.jsonl"
         save_index(build_sentence_index(sentences(3), embedder), path)
 
         def edit(records):
-            if not field:
+            if field == "split":
+                two = [json.dumps(rec, sort_keys=True) for rec in records[1:3]]
+                records[1:] = [RawJson(", ".join(two)), *map(RawJson, value)]
+            elif field == "padded":
+                records[line] = RawJson(f" {json.dumps(records[line], sort_keys=True)}")
+            elif not field:
                 records[line] = value
             elif value is None:
                 del records[line][field]
@@ -790,6 +805,8 @@ class TestPersistence:
         with pytest.raises(PersistenceError, match=re.escape(str(path))) as info:
             load_index(path)
         assert not isinstance(info.value, ChecksumError)
+        if field in ("split", "padded"):
+            assert str(info.value).startswith(f"{path}:2: ")
 
     @pytest.mark.parametrize("value", [0.0, np.nan, np.inf, -np.inf],
                              ids=["zero-row", "nan", "infinity", "minus-infinity"])

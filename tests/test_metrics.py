@@ -17,6 +17,7 @@ from oracles import (
     oracle_rouge,
     streaming_means,
 )
+from topicfix import word_bucket
 from ragmark.embed import LocalHashEmbedder
 from ragmark.errors import EmptyReferenceError
 from ragmark.metrics import (
@@ -178,7 +179,7 @@ class TestCsScore:
                 "inlet", "joist", "kiln", "lathe"]
         chosen, used = [], set()
         for word in pool:
-            bucket = emb.bucket(word)
+            bucket = word_bucket(word, emb.dim)
             if bucket not in used:
                 chosen.append(word)
                 used.add(bucket)

@@ -14,12 +14,18 @@ from ragmark.corpus import (
     filter_sentences,
     split_paragraphs,
 )
+from ragmark.embed import fnv1a64
 from ragmark.qagen import QAPair
 
 EMBED_DIM = 512
 DEFAULT_SEED = 11
 
 QUESTION_TEMPLATE = "What does the passage say about {}?"
+
+
+def word_bucket(word, dim):
+    """The component of a ``LocalHashEmbedder(dim)`` vector that ``word`` counts in."""
+    return fnv1a64(word.lower().encode()) % dim
 
 
 def make_topic_corpus(
