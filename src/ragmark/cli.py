@@ -3,8 +3,9 @@
 Subcommands cover the full pipeline: ingest raw text, generate Q&A data,
 build vector indexes, synthesize a held-out test set, answer one question
 interactively, run the threshold sweep, and re-render reports. Flags beat
-the config file, which beats built-in defaults. Every subcommand accepts
---dry-run to validate and print the plan without touching the filesystem.
+the config file, which beats built-in defaults. Every pipeline subcommand
+(all but config) accepts --dry-run to validate and print the plan without
+touching the filesystem.
 
 Exit codes: 0 success, 1 usage or validation error, 2 aborted run, 3 I/O error.
 """

@@ -49,7 +49,7 @@ _KEYS = [
     ConfigKey("exp.index_questions", "", "experiment", "Path to the question-keyed index."),
     ConfigKey("exp.thresholds", DEFAULT_THRESHOLDS, "experiment",
               "Comma-separated similarity thresholds, strictly increasing."),
-    ConfigKey("exp.seed", "0", "experiment", "Seed recorded with the run."),
+    ConfigKey("exp.seed", "0", "experiment", "Run seed, an integer; it changes no result yet."),
     ConfigKey("exp.output_dir", "out", "experiment", "Directory for report files."),
     ConfigKey("exp.failure_budget", "0.2", "experiment",
               "Abort a run when more than this fraction of questions fail."),

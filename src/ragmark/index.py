@@ -50,7 +50,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .qagen import QADataset
-from .wire import LineTemplate, exact_columns
+from .wire import LineTemplate, parse_lines
 
 log = logging.getLogger(__name__)
 
@@ -374,33 +374,15 @@ def _int_at_least(value, low: int) -> bool:
     return type(value) is int and value >= low
 
 
-def _parse_entries(data: bytes, start: int, end: int, count: int) -> dict[str, list] | None:
-    """The columns of the ``count`` entry lines ``data[start:end]``, each from ``{`` to ``}``;
-    None unless each line is one record of exactly the four ``_ENTRY`` fields.
-
-    The lines, joined by ``,\\n``, are parsed in one ``json.loads``. Strict
-    JSON refuses a line break inside a string, and such a record holds no
-    array or object, so a line break falls only between two records.
-    """
-    try:
-        records = json.loads(b"[" + data[start:end].replace(b"\n", b",\n") + b"]")
-    except (ValueError, RecursionError):
-        return None
-    columns = exact_columns(_ENTRY, records) if len(records) == count else None
-    if columns is None or set(map(len, records)) - {len(_ENTRY.fields)}:
-        return None
-    return columns
-
-
 def load_index(path: str | Path) -> IndexedDataset:
     """Inverse of ``save_index``.
 
-    Checks the CRC, then that each entry line starts with ``{`` and ends
-    with ``}``, parses every entry line in one ``json.loads`` and checks
-    the records a column at a time (``exact_columns``): one record a line,
-    each of exactly the four entry fields with their exact types, no
-    coercion. A file that fails is named by its first line that is not,
-    read alone, one such record. Then it reads the keys file straight into
+    Checks the CRC, then reads the entry lines through the JSONL readers'
+    parser (``parse_lines``): one ``json.loads`` for all of them, and the
+    records checked a column at a time, one record a line, each of exactly
+    the four entry fields with their exact types, no coercion. A file that
+    fails is named by its first line that is not, read alone, one such
+    record. Then it reads the keys file straight into
     the key array and checks its size, and, in one pass over cache-sized
     row blocks, its CRC and each row's length. A damaged file is a
     ``ChecksumError``; a missing keys file, a malformed but checksum-valid
@@ -435,37 +417,33 @@ def load_index(path: str | Path) -> IndexedDataset:
             f"{path}: unsupported format_version {header.get('format_version')!r} "
             f"(this version reads {FORMAT_VERSION}); rebuild it with `ragmark index`"
         )
-    kind, embedder_name, dim, promised, keys_crc = (
+    kind, embedder_name, dim, count, keys_crc = (
         header.get(name) for name in ("kind", "embedder_name", "dim", "count", "keys_crc32")
     )
     valid = {
         "kind": kind in tuple(k.value for k in IndexKind),
         "embedder_name": isinstance(embedder_name, str),
         "dim": _int_at_least(dim, 1),
-        "count": _int_at_least(promised, 0),
+        "count": _int_at_least(count, 0),
         "keys_crc32": _int_at_least(keys_crc, 0),
     }
     bad = [name for name, ok in valid.items() if not ok]
     if bad:
         raise PersistenceError(f"{path}: header lacks a valid {', '.join(bad)}")
-    view = np.frombuffer(raw, np.uint8, body_end - pos + 1, pos - 1)  # from the header's end
-    ends = np.flatnonzero(view == ord("\n"))
-    count = len(ends) - 1
-    shaped = (view[ends[:-1] + 1] == ord("{")).all() and (view[ends[1:] - 1] == ord("}")).all()
-    del view, ends  # a view of raw would keep its bytes alive
-    if count != promised:
-        raise PersistenceError(f"{path}: header promises {promised} entries, found {count}")
-    columns = _parse_entries(raw, pos, body_end - 1, count) if shaped else None
+    body = raw[pos:body_end - 1]
+    del raw  # the file's bytes need not outlive the parse
+    columns = parse_lines(_ENTRY, body, count)
     if columns is None:
-        lines = raw[pos:body_end - 1].split(b"\n")
-        line = next(n for n, text in enumerate(lines, start=2)
-                    if not (text.startswith(b"{") and text.endswith(b"}"))
-                    or _parse_entries(text, 0, len(text), 1) is None)
+        found = body.count(b"\n") + (body_end > pos)
+        if found != count:
+            raise PersistenceError(f"{path}: header promises {count} entries, found {found}")
+        line = next(n for n, text in enumerate(body.split(b"\n"), start=2)
+                    if parse_lines(_ENTRY, text, 1) is None)
         raise PersistenceError(
             f"{path}:{line}: an entry line is one JSON object of exactly four fields: "
             f"string key_text, payload_text and doc_id and an integer ordinal"
         )
-    del raw  # the file's bytes need not outlive the parse
+    del body
 
     kpath = keys_path(path)
     try:

@@ -6,13 +6,12 @@ record type compiles one ``LineTemplate`` from its field names and types
 (``FlatRecord`` does so for flat dataclasses) and is written through it a
 chunk of columns at a time; its lines are byte for byte what
 ``json.dumps(record, sort_keys=True)`` writes. It is read back through the
-same template a chunk of lines at a time: each line is scanned once, as
-``json.loads`` would read it. A chunk whose values all have their fields'
-exact types, as the writer leaves them, passes a column at a time
-(``exact_columns``); any other chunk, and a file with a header, is checked
-one record at a time by ``checked``'s rules, so the first bad record is the
-one reported. Each distinct value of a ``shared`` field is held once, as the
-writer escapes it once.
+same template under one rule: every field has its exact type, as the writer
+leaves it, and nothing is converted. One parser, ``parse_lines``, reads a
+chunk of lines in one ``json.loads``, for ``read_jsonl`` and for the index
+file's entries alike; ``read_jsonl`` reads a chunk it refuses one line at a
+time, so the first bad record is the one reported. Each distinct value of a
+``shared`` field is held once, as the writer escapes it once.
 """
 
 from __future__ import annotations
@@ -38,6 +37,8 @@ from typing import (
     Sequence,
     TypeVar,
 )
+
+import numpy as np
 
 from .errors import BadResponseError, ConfigError, PersistenceError, TransportError
 
@@ -236,63 +237,24 @@ def write_jsonl(template: LineTemplate, chunks: Iterable[Mapping[str, Sequence]]
             fh.write(template.render(columns))
 
 
-def _finite(value: Any) -> float:
-    """``float(value)``, refusing a JSON boolean, NaN and the infinities, which JSON cannot hold."""
-    if isinstance(value, bool):
-        raise ValueError(f"{value!r} is not a number")
-    number = float(value)
-    if not math.isfinite(number):
+# What reading a field of a parsed record raises: a missing field (KeyError),
+# a record that is not an object (TypeError), or a value ``_exact`` refuses.
+_ROW_ERRORS = (KeyError, TypeError, ValueError)
+
+_KIND_NAMES = {str: "a string", int: "an integer", float: "a float", bool: "a boolean",
+               dict: "an object"}
+
+
+def _exact(value: Any, kind: type) -> Any:
+    """``value`` when its type is ``kind`` itself and, for a float, it is finite; else a
+    ValueError. So nothing is converted, and a bool is never a number."""
+    if type(value) is kind and (kind is not float or math.isfinite(value)):
+        return value
+    if kind is float and type(value) is float:
         raise ValueError(f"{value!r} is not a finite number")
-    return number
-
-
-def _integer(value: Any) -> int:
-    """``int(value)``, refusing a JSON boolean and a float with a fractional part."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
-
-
-def _string(value: Any) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"{value!r} is not a string")
-    return value
-
-
-def _flag(value: Any) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"{value!r} is not a boolean")
-    return value
-
-
-def _object(value: Any) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"{value!r} is not an object")
-    return value
-
-
-_COERCE: dict[Any, Callable[[Any], Any]] = {int: _integer, float: _finite, str: _string,
-                                            bool: _flag, dict: _object}
-
-
-def checked(value: Any, kind: type) -> Any:
-    """``value``, read from JSON for a field of type ``kind``, as a ``LineTemplate`` writes it.
-
-    A string field takes only a string, a bool field only a boolean, and a
-    header only an object (dict). An int field takes an integral number or
-    numeric string that is not a boolean, and a float field a finite number
-    or numeric string that is not a boolean. Anything else is a ValueError,
-    which ``read_jsonl`` reports as a bad record.
-    """
-    return _COERCE[kind](value)
-
-
-# The scanner ``json.loads`` runs: one JSON value from an index of a string, and its end.
-_SCAN = json.JSONDecoder().scan_once
-
-# What checking a field of a parsed record raises: a missing field (KeyError),
-# a record that is not an object (TypeError), or a value ``checked`` refuses.
-_ROW_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+    if kind is float and type(value) is bool:
+        raise ValueError(f"{value!r} is not a number")
+    raise ValueError(f"{value!r} is not {_KIND_NAMES[kind]}")
 
 
 def _getter(name: str, kind: type) -> Callable[[Any], Any]:
@@ -307,8 +269,7 @@ def exact_columns(template: LineTemplate, rows: list) -> dict[str, list] | None:
     when each value has its field's exact type; else None.
 
     A float column also needs a finite sum, so no value is NaN or infinite.
-    Such columns are what ``checked`` reads from the records. An empty
-    ``rows`` gives empty columns.
+    An empty ``rows`` gives empty columns.
     """
     columns = {}
     for name, kind in template.fields.items():
@@ -322,121 +283,107 @@ def exact_columns(template: LineTemplate, rows: list) -> dict[str, list] | None:
     return columns
 
 
+def parse_lines(template: LineTemplate, data: bytes, count: int) -> dict[str, list] | None:
+    """The columns of the records on the lines of ``data`` (UTF-8, joined by ``\\n``, the
+    last one unended), when there are ``count`` lines and each holds one record of
+    ``template`` as the writer leaves it; else None.
+
+    The lines are parsed in one ``json.loads``, as ``[`` + the lines joined
+    by ``,\\n`` + ``]``. They pass when every line runs from ``{`` to ``}``,
+    there are as many records as lines, each record holds only the
+    template's fields (a flag counted where it is set) and every value has
+    its field's exact type (``exact_columns``). Strict JSON refuses a line
+    break inside a string, and such a record holds no array or object, so a
+    line break then falls only between two records. With ``count`` 0,
+    ``data`` must be empty.
+    """
+    if not count:
+        return None if data else {name: [] for name in template.fields}
+    view = np.frombuffer(data, np.uint8)
+    breaks = np.flatnonzero(view == ord("\n"))
+    if not (len(breaks) == count - 1 and data[:1] == b"{" and data[-1:] == b"}"
+            and (view[breaks - 1] == ord("}")).all() and (view[breaks + 1] == ord("{")).all()):
+        return None
+    try:
+        records = json.loads(b"[" + data.replace(b"\n", b",\n") + b"]")
+    except (ValueError, RecursionError):  # not JSON, or nested too deep for json
+        return None
+    columns = exact_columns(template, records) if len(records) == count else None
+    if columns is None:
+        return None
+    flags = [name for name, kind in template.fields.items() if kind is bool]
+    fields = count * (len(template.fields) - len(flags)) + sum(sum(columns[f]) for f in flags)
+    return columns if sum(map(len, records)) == fields else None
+
+
 def _bad_record(path: str | Path, lineno: int, exc: Exception) -> PersistenceError:
     if isinstance(exc, KeyError):
         return PersistenceError(f"{path}:{lineno}: record has no field {exc}")
     return PersistenceError(f"{path}:{lineno}: bad record: {exc}")
 
 
-def _checked_rows(template: LineTemplate, rows: list, linenos: list[int], path: str | Path,
-                  header: str | None) -> tuple[dict[int, dict], dict[str, list]]:
-    """The ``header`` object of each row holding one, by row, and the columns of the others.
-
-    The rows are checked one at a time, in line order. With ``header``,
-    ``header in row`` is asked first; then a header row's value is checked,
-    or another row's fields in ``template.fields`` order, through
-    ``checked``. The first bad row is a PersistenceError naming its line.
-    """
-    heads: dict[int, dict] = {}
-    columns: dict[str, list] = {name: [] for name in template.fields}
-    fields = [(_getter(name, kind), kind, columns[name].append)
-              for name, kind in template.fields.items()]
-    for i, (row, lineno) in enumerate(zip(rows, linenos)):
-        try:
-            if header is not None and header in row:
-                heads[i] = checked(row[header], dict)
-                continue
-            for get, kind, append in fields:
-                append(checked(get(row), kind))
-        except _ROW_ERRORS as exc:
-            raise _bad_record(path, lineno, exc) from exc
-    return heads, columns
-
-
-def _scan_chunk(lines: Iterator[tuple[int, str]]
-                ) -> tuple[list, list[int], tuple[int, Exception] | None]:
-    """Up to ``CHUNK_ROWS`` records parsed from the numbered ``lines``, their line numbers,
-    and what ended the chunk early.
-
-    A line holds one JSON value, as ``json.loads`` reads it; a blank line is
-    skipped. A line that is not one JSON value ends the chunk as ``(line,
-    json's error)``. A line nested too deep for json, or bytes that do not
-    decode, end it as ``(0, error)``: an error to raise as it is.
-    """
-    rows, linenos = [], []
-    try:
-        for lineno, text in lines:
-            try:
-                row, end = _SCAN(text, 0)
-                whole = text[end:] == "\n"
-            except (StopIteration, ValueError, RecursionError):
-                whole = False
-            if not whole:  # blank, padded, unterminated or not JSON: let json.loads decide
-                if text.isspace():
-                    continue
-                try:
-                    row = json.loads(text)
-                except ValueError as exc:
-                    return rows, linenos, (lineno, exc)
-                except RecursionError as exc:
-                    return rows, linenos, (0, exc)
-            rows.append(row)
-            linenos.append(lineno)
-            if len(rows) == CHUNK_ROWS:
-                break
-    except UnicodeDecodeError as exc:
-        return rows, linenos, (0, exc)
-    return rows, linenos, None
-
-
 def read_jsonl(template: LineTemplate, path: str | Path, *,
                header: str | None = None) -> Iterator[dict[str, list]]:
-    """The records of ``path`` as ``template``'s checked columns, one chunk of rows at a time.
+    """The records of ``path`` as ``template``'s columns, one chunk of lines at a time.
 
-    Each line is scanned once. A chunk whose every value has its field's
-    exact type passes whole (``exact_columns``), as every file ragmark
-    writes does; any other chunk is checked one record at a time, with
-    ``checked``'s rules: an int field takes ``"3"`` or ``2.0``, a float
-    field ``2``, and neither a boolean, NaN or a fraction in an int field.
-    Blank lines are skipped. Each distinct value of a ``shared`` field is
-    held once for the whole file. A line that is not JSON, or a record
-    missing a field or holding a value its field refuses, is a
-    PersistenceError naming ``path:line``; of two, the earlier line, and of
-    two bad fields in one record, the earlier in ``template.fields``.
+    Every field must have its exact type, as ``write_jsonl`` leaves it: a
+    string field a string, an int field an integer, a float field a finite
+    float and a flag a boolean, absent for false. Nothing is converted, so
+    ``"3"`` or ``3.0`` in an int field and ``2`` in a float field are
+    refused, and a bool is never a number. A chunk is parsed whole
+    (``parse_lines``), as every file ragmark writes is; any other chunk is
+    read one line at a time, one ``json.loads`` a line, blank lines skipped
+    and each record's fields checked in ``template.fields`` order. Each
+    distinct value of a ``shared`` field is held once for the whole file. A
+    line that is not JSON, or a record missing a field or holding a value
+    its field refuses, is a PersistenceError naming ``path:line``; of two,
+    the earlier line, and of two bad fields in one record, the earlier in
+    ``template.fields``.
 
-    With ``header``, every record is checked on its own, and one holding
-    that key is the file's header, as ``write_jsonl`` writes it: it must be
-    the first record and hold an object, which is yielded first as
-    ``{header: [object]}``.
+    With ``header``, a record holding that key is the file's header, as
+    ``write_jsonl`` writes it: it must be the first record and hold an
+    object, which is yielded first as ``{header: [object]}``.
     """
     held: dict[str, dict] = {name: {} for name in template.shared}
-    misplaced = False
+    fields = [(name, kind, _getter(name, kind)) for name, kind in template.fields.items()]
+    first, misplaced = True, False  # first: no record read yet
     with open(path, encoding="utf-8") as fh:
-        lines = enumerate(fh, 1)
-        first = True
-        while True:
-            rows, linenos, stop = _scan_chunk(lines)
-            heads: dict[int, dict] = {}
-            columns = exact_columns(template, rows) if header is None else None
-            if columns is None:
-                heads, columns = _checked_rows(template, rows, linenos, path, header)
+        for start in itertools.count(1, CHUNK_ROWS):
+            lines: list[str] = []
+            try:
+                lines.extend(itertools.islice(fh, CHUNK_ROWS))
+                stop = None
+            except UnicodeDecodeError as exc:  # raised once the lines before it are read
+                stop = exc
+            data = "".join(lines).encode("utf-8").removesuffix(b"\n")
+            columns = parse_lines(template, data, len(lines))
+            if columns is not None:
+                first = first and not lines
+            else:
+                columns = {name: [] for name in template.fields}
+                for lineno, text in enumerate(lines, start):
+                    if text.isspace():
+                        continue
+                    try:
+                        row = json.loads(text)
+                        if header is not None and header in row:
+                            value = _exact(row[header], dict)
+                            if first:
+                                yield {header: [value]}
+                            misplaced |= not first
+                        else:
+                            for name, kind, get in fields:
+                                columns[name].append(_exact(get(row), kind))
+                    except _ROW_ERRORS as exc:
+                        raise _bad_record(path, lineno, exc) from exc
+                    first = False
             if stop is not None:
-                lineno, exc = stop
-                if not lineno:
-                    raise exc
-                raise _bad_record(path, lineno, exc) from exc
-            for i, value in heads.items():
-                if i or not first:
-                    misplaced = True
-                else:
-                    yield {header: [value]}
+                raise stop
             for name, hold in held.items():
                 columns[name] = list(map(hold.setdefault, columns[name], columns[name]))
-            if len(rows) > len(heads):
-                yield columns
-            if len(rows) < CHUNK_ROWS:
+            yield columns
+            if len(lines) < CHUNK_ROWS:
                 break
-            first = False
     if misplaced:
         raise PersistenceError(f"{path}: the {header} header must be the first record")
 
@@ -445,11 +392,8 @@ class FlatRecord(Generic[T]):
     """JSONL layout of a dataclass whose fields are plain JSON values.
 
     Each field is stored under its own name, through one ``LineTemplate``
-    compiled from the field types, in the order the dataclass declares them.
-    Every field is checked on read (``checked``), since its value comes from
-    outside: a string field must hold a string, an int field an integral
-    number that is not a boolean, and a float field a finite number that is
-    not a boolean.
+    compiled from the field types, in the order the dataclass declares them,
+    and is read back with its exact type (``read_jsonl``).
     """
 
     def __init__(self, cls: type[T]):
@@ -466,6 +410,6 @@ class FlatRecord(Generic[T]):
         write_jsonl(self.template, map(self._columns, chunked(objs)), path)
 
     def read(self, path: str | Path) -> list[T]:
-        """The records of ``path``, each built from its row of the checked columns."""
+        """The records of ``path``, each built from its row of the columns."""
         return list(itertools.chain.from_iterable(
             map(self.cls, *columns.values()) for columns in read_jsonl(self.template, path)))

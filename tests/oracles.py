@@ -27,8 +27,9 @@ text one character at a time instead of one boundary pattern, and paragraph
 splitting that re-counts every joined chunk and re-scans the rest of an
 over-budget sentence for every piece instead of carrying counts forward, and
 JSONL files read with one ``json.loads`` and one decoder call per line, each
-field checked and passed by keyword, instead of a chunk of lines scanned into
-columns that pass whole when every value has its exact type, a question
+field checked by its own exact-type rule and passed by keyword, instead of a
+chunk of lines parsed in one ``json.loads`` into columns that pass whole
+when every value has its exact type, a question
 mock that hashes each text with the byte-at-a-time ``fnv1a64`` instead of one
 numpy pass over all texts, a dataset build that asks a per-text client from
 a thread pool instead of making one batch call, and a whitespace regex
@@ -88,7 +89,6 @@ from ragmark.metrics import BLEU_SMOOTH_FLOOR, ScoreRow, _stem, score_row
 from ragmark.qagen import FALLBACK_QUESTION, QUESTION_GEN_WORKERS, QADataset, QAPair
 from ragmark.retrieve import PackedContext, render_prompt
 from ragmark.testgen import TestSet
-from ragmark.wire import checked
 
 log = logging.getLogger(__name__)
 
@@ -399,8 +399,8 @@ def oracle_read_jsonl(path, decode):
     """``decode`` applied to the record on every non-blank line of ``path``.
 
     A line that is not JSON, or a record ``decode`` rejects (a missing field
-    raises KeyError, a value it cannot coerce ValueError, TypeError or
-    OverflowError), is a PersistenceError naming ``path:line``.
+    raises KeyError, a value of another type ValueError, a record that is
+    not an object TypeError), is a PersistenceError naming ``path:line``.
     """
     out = []
     with open(path, encoding="utf-8") as fh:
@@ -411,34 +411,54 @@ def oracle_read_jsonl(path, decode):
                 out.append(decode(json.loads(text)))
             except KeyError as exc:
                 raise PersistenceError(f"{path}:{lineno}: record has no field {exc}") from exc
-            except (TypeError, ValueError, OverflowError) as exc:
+            except (TypeError, ValueError) as exc:
                 raise PersistenceError(f"{path}:{lineno}: bad record: {exc}") from exc
     return out
 
 
+def oracle_exact(value, kind):
+    """``value`` if JSON holds it as a ``kind`` the writer writes; no value is converted."""
+    if kind is float:
+        if isinstance(value, bool):
+            raise ValueError(f"{value!r} is not a number")
+        if not isinstance(value, float):
+            raise ValueError(f"{value!r} is not a float")
+        if value != value or abs(value) == math.inf:
+            raise ValueError(f"{value!r} is not a finite number")
+    elif kind is int and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ValueError(f"{value!r} is not an integer")
+    elif kind is bool and value is not True and value is not False:
+        raise ValueError(f"{value!r} is not a boolean")
+    elif kind is str and not isinstance(value, str):
+        raise ValueError(f"{value!r} is not a string")
+    elif kind is dict and not isinstance(value, dict):
+        raise ValueError(f"{value!r} is not an object")
+    return value
+
+
 def oracle_flat_decode(cls):
-    """The record decoder of flat dataclass ``cls``: every field ``checked``, in field order."""
+    """The record decoder of flat dataclass ``cls``: every field checked, in field order."""
     hints = typing.get_type_hints(cls)
     fields = [(f.name, hints[f.name]) for f in dataclasses.fields(cls)]
-    return lambda rec: cls(**{name: checked(rec[name], kind) for name, kind in fields})
+    return lambda rec: cls(**{name: oracle_exact(rec[name], kind) for name, kind in fields})
 
 
 def oracle_decode_pair(rec, paragraph_ref):
-    return QAPair(question=checked(rec["question"], str), paragraph_ref=paragraph_ref,
-                  answer_text=checked(rec["answer_text"], str),
-                  synthetic=checked(rec.get("synthetic", False), bool))
+    return QAPair(question=oracle_exact(rec["question"], str), paragraph_ref=paragraph_ref,
+                  answer_text=oracle_exact(rec["answer_text"], str),
+                  synthetic=oracle_exact(rec.get("synthetic", False), bool))
 
 
 def oracle_decode_qa(rec):
-    return oracle_decode_pair(rec, (checked(rec["doc_id"], str),
-                                    checked(rec["paragraph_ordinal"], int)))
+    return oracle_decode_pair(rec, (oracle_exact(rec["doc_id"], str),
+                                    oracle_exact(rec["paragraph_ordinal"], int)))
 
 
 def oracle_decode_test_record(rec):
     """A test pair, or the object of a ``params`` header."""
     if "params" in rec:
-        return checked(rec["params"], dict)
-    return oracle_decode_pair(rec, ("cluster", checked(rec["cluster_id"], int)))
+        return oracle_exact(rec["params"], dict)
+    return oracle_decode_pair(rec, ("cluster", oracle_exact(rec["cluster_id"], int)))
 
 
 def oracle_read_test_set(path):
